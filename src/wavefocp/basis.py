@@ -112,8 +112,15 @@ def eval_basis(params: WaveletParams, zeta: float) -> np.ndarray:
     return out
 
 
-def eval_basis_many(params: WaveletParams, zetas: np.ndarray) -> np.ndarray:
-    """Basis values at many points; returns an (m_hat, len(zetas)) array."""
+def local_basis_values(
+    params: WaveletParams, zetas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Owning block and the M nonzero wavelet values at each point.
+
+    Returns (blocks, vals): the 0-based block of every point (the
+    block_of_point assignment) and an (M, len(zetas)) array whose column j
+    holds psi_{blocks[j]+1, m}(zetas[j]) for m = 0..M-1.
+    """
     zetas = np.asarray(zetas, dtype=float)
     if np.any(zetas < 0.0) or np.any(zetas > 1.0):
         raise ValueError("all points must lie in [0, 1]")
@@ -124,11 +131,15 @@ def eval_basis_many(params: WaveletParams, zetas: np.ndarray) -> np.ndarray:
     scale = 2 ** ((params.k - 1) / 2)
     norms = np.sqrt(2 * np.arange(params.M) + 1.0)
     powers = s[None, :] ** np.arange(params.M)[:, None]
-    vals = scale * norms[:, None] * powers
-    out = np.zeros((params.m_hat, zetas.size))
-    for j in range(zetas.size):
-        b = blocks[j]
-        out[b * params.M : (b + 1) * params.M, j] = vals[:, j]
+    return blocks, scale * norms[:, None] * powers
+
+
+def eval_basis_many(params: WaveletParams, zetas: np.ndarray) -> np.ndarray:
+    """Basis values at many points; returns an (m_hat, len(zetas)) array."""
+    blocks, vals = local_basis_values(params, zetas)
+    rows = blocks * params.M + np.arange(params.M)[:, None]
+    out = np.zeros((params.m_hat, blocks.size))
+    out[rows, np.arange(blocks.size)] = vals
     return out
 
 

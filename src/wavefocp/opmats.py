@@ -2,13 +2,18 @@
 
 Gram and triple-product entries are exact monomial integrals; the
 integration matrices are least-squares projections of the (fractionally)
-integrated basis functions, solved against the Gram matrix.
+integrated basis functions, solved against the Gram matrix. Every other
+integral against the basis runs block by block on one QuadratureGrid per
+bundle: each wavelet is nonzero on a single block, so the grid keeps only
+the M local basis values of every node.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -16,7 +21,7 @@ from scipy.special import betainc
 
 from .basis import (
     WaveletParams,
-    eval_basis_many,
+    local_basis_values,
     monomial_coefficients,
     support_interval,
 )
@@ -26,6 +31,7 @@ from .quadrature import (
     gauss_legendre,
     graded_breakpoints,
     solve_spd,
+    spd_factor,
 )
 
 _COND_WARN_LIMIT = 1e12
@@ -102,18 +108,87 @@ def quadrature_nodes(
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+@dataclass(frozen=True)
+class QuadratureGrid:
+    """The graded ``quadrature_nodes`` rule, grouped by wavelet block.
+
+    Nodes are sorted; block b (0-based) owns nodes ``starts[b]:starts[b+1]``
+    under the ``block_of_point``/``eval_basis_many`` assignment, and
+    ``local[m, j]`` is psi_{b+1, m} at node j of block b. Integrals against
+    the basis are per-block sums, so no m_hat x n_nodes array is formed.
+    """
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    starts: np.ndarray
+    local: np.ndarray
+
+    def block_slices(self) -> list[slice]:
+        return [slice(a, b) for a, b in zip(self.starts[:-1], self.starts[1:])]
+
+    def inner_products(self, values: np.ndarray) -> np.ndarray:
+        """Integrals of f * psi_j (n-major) from f sampled at the nodes."""
+        fw = self.weights * values
+        return np.concatenate(
+            [self.local[:, sl] @ fw[sl] for sl in self.block_slices()]
+        )
+
+    def weighted_gram(self, values: np.ndarray) -> np.ndarray:
+        """Block-diagonal matrix of integrals of w * psi_i * psi_j from w
+        sampled at the nodes."""
+        M = self.local.shape[0]
+        lw = self.local * (self.weights * values)
+        out = np.zeros((M * (self.starts.size - 1),) * 2)
+        for b, sl in enumerate(self.block_slices()):
+            blk = slice(b * M, (b + 1) * M)
+            out[blk, blk] = lw[:, sl] @ self.local[:, sl].T
+        return out
+
+    def evaluate(self, coeffs: np.ndarray) -> np.ndarray:
+        """Values at the nodes of the expansion with the given coefficients."""
+        M = self.local.shape[0]
+        return np.concatenate(
+            [
+                coeffs[b * M : (b + 1) * M] @ self.local[:, sl]
+                for b, sl in enumerate(self.block_slices())
+            ]
+        )
+
+
+def quadrature_grid(
+    params: WaveletParams, extra_breakpoints: Sequence[float] = ()
+) -> QuadratureGrid:
+    """Build the block-grouped grid of ``quadrature_nodes(params, extra_breakpoints)``.
+
+    Block starts come from each node's block assignment, not from node
+    counts: extra breakpoints, merged graded breakpoints and round-off at
+    block edges all change how many nodes a block owns.
+    """
+    nodes, weights = quadrature_nodes(params, extra_breakpoints)
+    blocks, local = local_basis_values(params, nodes)
+    starts = np.searchsorted(blocks, np.arange(params.n_blocks + 1))
+    return QuadratureGrid(nodes=nodes, weights=weights, starts=starts, local=local)
+
+
 def inner_products(
     f: Callable[[np.ndarray], np.ndarray],
     params: WaveletParams,
     extra_breakpoints: Sequence[float] = (),
+    grid: QuadratureGrid | None = None,
 ) -> np.ndarray:
-    """Vector of integrals of f * psi_j over [0, 1]."""
-    nodes, weights = quadrature_nodes(params, extra_breakpoints)
-    basis_vals = eval_basis_many(params, nodes)
-    fv = np.asarray(f(nodes), dtype=float)
+    """Vector of integrals of f * psi_j over [0, 1].
+
+    ``grid`` (normally ``mats.grid``) must be the grid of params; without
+    it one is built with the extra breakpoints.
+    """
+    if grid is None:
+        grid = quadrature_grid(params, extra_breakpoints)
+    elif len(extra_breakpoints):
+        raise ValueError("pass either a grid or extra breakpoints, not both")
+    fv = np.asarray(f(grid.nodes), dtype=float)
     if fv.ndim == 0:
-        fv = np.full(nodes.shape, float(fv))
-    return basis_vals @ (weights * fv)
+        fv = np.full(grid.nodes.shape, float(fv))
+    return grid.inner_products(fv)
 
 
 def rl_integral_of_wavelet(
@@ -151,19 +226,29 @@ def rl_integral_of_wavelet(
 
 @dataclass(frozen=True)
 class OperationalMatrices:
-    """Immutable bundle of the matrices a solve needs."""
+    """Immutable bundle of the matrices a solve needs.
+
+    ``grid`` is the quadrature every basis integral of a solve runs on and
+    ``D_factor`` the Cholesky factor of D (None if D is not numerically
+    SPD). ``P1`` is built on first access; a solve never reads it.
+    """
 
     params: WaveletParams
     frac_order: float
     D: np.ndarray
-    P1: np.ndarray
     Pmu: np.ndarray
     triple: np.ndarray
     cond_D: float
+    grid: QuadratureGrid
+    D_factor: tuple[np.ndarray, bool] | None
+
+    @cached_property
+    def P1(self) -> np.ndarray:
+        return integration_matrix_first_order(self.params, self)
 
     def solve_D(self, rhs: np.ndarray) -> np.ndarray:
         """Solve D x = rhs (D is SPD)."""
-        return solve_spd(self.D, rhs)
+        return solve_spd(self.D, rhs, self.D_factor)
 
 
 def project(
@@ -173,7 +258,8 @@ def project(
     extra_breakpoints: Sequence[float] = (),
 ) -> np.ndarray:
     """Least-squares coefficients of f in the wavelet basis."""
-    return mats.solve_D(inner_products(f, params, extra_breakpoints))
+    grid = None if len(extra_breakpoints) else mats.grid
+    return mats.solve_D(inner_products(f, params, extra_breakpoints, grid))
 
 
 def _integrate_power_against_wavelet(
@@ -242,14 +328,50 @@ def integration_matrix_first_order(
 def integration_matrix_fractional(
     params: WaveletParams, mats: OperationalMatrices, order: float | None = None
 ) -> np.ndarray:
-    """P^mu of the stated order: projection of the RL integral of each psi_i."""
+    """P^mu of the stated order: projection of the RL integral of each psi_i.
+
+    The closed form of ``rl_integral_of_wavelet``, evaluated block by block
+    on ``mats.grid``. With q_s = mu*s, every wavelet of block n on
+    [lo, hi) shares the powers z**(q_s + order) and the incomplete-beta
+    tables I_{lo/z}, I_{hi/z}(q_s + 1, order), each on the nodes beyond its
+    breakpoint; block n's right table is block n+1's left one, and inside
+    the block up/z = 1. The integral vanishes before lo, so the rows of
+    block n are projected onto blocks >= n only.
+    """
     order = params.mu if order is None else order
-    nodes, weights = quadrature_nodes(params)
-    basis_vals = eval_basis_many(params, nodes)
-    rl_vals = np.vstack(
-        [rl_integral_of_wavelet(params, i, order, nodes) for i in range(params.m_hat)]
-    )
-    B = (rl_vals * weights) @ basis_vals.T
+    if not 0.0 < order <= 1.0:
+        raise ValueError(f"need 0 < order <= 1, got {order}")
+    grid = mats.grid
+    z, M = grid.nodes, params.M
+    bp = params.breakpoints()
+    beyond = np.searchsorted(z, bp, side="right")  # nodes z > bp[b] start here
+    qs = [params.mu * s for s in range(M)]
+    a = np.array(qs)[:, None] + 1.0
+    zpow = [z ** (q + order) for q in qs]
+    beta = [gamma(q + 1.0) * gamma(order) / gamma(q + 1.0 + order) for q in qs]
+
+    B = np.zeros((params.m_hat, params.m_hat))
+    left = np.zeros((M, z.size - beyond[0]))  # I_{0/z} = 0
+    for n in range(1, params.n_blocks + 1):
+        i_lo, i_hi = beyond[n - 1], beyond[n]
+        right = betainc(a, order, bp[n] / z[i_hi:])
+        inside = i_hi - i_lo
+        frac = np.hstack([1.0 - left[:, :inside], right - left[:, inside:]])
+        coefs = np.zeros((M, M))
+        for m in range(M):
+            coefs[m, : m + 1] = monomial_coefficients(params, n, m)
+        acc = np.zeros((M, z.size - i_lo))
+        for s in range(M):
+            acc += coefs[:, s, None] * zpow[s][i_lo:] * beta[s] * frac[s]
+        weighted = acc / gamma(order) * grid.weights[i_lo:]
+        rows = slice((n - 1) * M, n * M)
+        for b in range(n - 1, params.n_blocks):
+            # round-off can assign a node at or below lo to block n; it adds 0
+            first, last = max(grid.starts[b], i_lo), grid.starts[b + 1]
+            B[rows, b * M : (b + 1) * M] = (
+                weighted[:, first - i_lo : last - i_lo] @ grid.local[:, first:last].T
+            )
+        left = right
     return mats.solve_D(B.T).T
 
 
@@ -265,7 +387,7 @@ def product_matrix(c: np.ndarray, mats: OperationalMatrices) -> np.ndarray:
 def build_operational_matrices(
     params: WaveletParams, frac_order: float | None = None
 ) -> OperationalMatrices:
-    """Construct the full bundle for the given basis and integration order."""
+    """Construct the bundle for the given basis and integration order."""
     frac_order = params.mu if frac_order is None else frac_order
     D = gram_matrix(params)
     cond_D = condition_estimate(D)
@@ -275,17 +397,13 @@ def build_operational_matrices(
             f"{_COND_WARN_LIMIT:.0e}; results may lose accuracy",
             stacklevel=2,
         )
-    triple = triple_product_tensor(params)
     shell = OperationalMatrices(
-        params=params, frac_order=frac_order, D=D,
-        P1=np.empty(0), Pmu=np.empty(0), triple=triple, cond_D=cond_D,
+        params=params, frac_order=frac_order, D=D, Pmu=np.empty(0),
+        triple=triple_product_tensor(params), cond_D=cond_D,
+        grid=quadrature_grid(params), D_factor=spd_factor(D),
     )
-    P1 = integration_matrix_first_order(params, shell)
     Pmu = integration_matrix_fractional(params, shell, frac_order)
-    return OperationalMatrices(
-        params=params, frac_order=frac_order, D=D,
-        P1=P1, Pmu=Pmu, triple=triple, cond_D=cond_D,
-    )
+    return dataclasses.replace(shell, Pmu=Pmu)
 
 
 def basis_moment_vector(params: WaveletParams) -> np.ndarray:

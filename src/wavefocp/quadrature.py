@@ -156,12 +156,27 @@ def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return scipy.linalg.lu_solve((lu, piv), b)
 
 
-def solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cholesky solve for SPD matrices, falling back to the pivoted path."""
+def spd_factor(A: np.ndarray) -> tuple[np.ndarray, bool] | None:
+    """Cholesky factor of A in ``scipy.linalg.cho_factor`` form, or None
+    when A is not numerically positive definite."""
+    try:
+        return scipy.linalg.cho_factor(np.asarray(A, dtype=float))
+    except scipy.linalg.LinAlgError:
+        return None
+
+
+def solve_spd(
+    A: np.ndarray, b: np.ndarray, factor: tuple[np.ndarray, bool] | None = None
+) -> np.ndarray:
+    """Cholesky solve for SPD matrices, falling back to the pivoted path.
+
+    ``factor`` is ``spd_factor(A)`` computed once and reused across calls;
+    without it A is factorized here.
+    """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    try:
-        c, low = scipy.linalg.cho_factor(A)
-    except scipy.linalg.LinAlgError:
+    if factor is None:
+        factor = spd_factor(A)
+    if factor is None:
         return solve_linear(A, b)
-    return scipy.linalg.cho_solve((c, low), b)
+    return scipy.linalg.cho_solve(factor, b)

@@ -12,6 +12,7 @@ and a Lagrange-multiplier (KKT) linear system yields the coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -24,7 +25,6 @@ from .opmats import (
     build_operational_matrices,
     inner_products,
     product_matrix,
-    quadrature_nodes,
 )
 from .quadrature import SingularMatrixError, solve_linear
 
@@ -93,6 +93,12 @@ class DiscretizedFocp:
     track_p_const: float
     track_q_const: float
 
+    @cached_property
+    def constraint_operators(self) -> tuple[np.ndarray, np.ndarray]:
+        """(G_A, G_B) of ``_constraint_operators``, built once and shared by
+        the KKT assembly and the residual check."""
+        return _constraint_operators(self)
+
 
 @dataclass(frozen=True)
 class FocpSolution:
@@ -106,15 +112,6 @@ class FocpSolution:
     J_value: float
     J_requad: float
     residuals: dict = field(default_factory=dict)
-
-
-def _weighted_gram(
-    w_fn: Fn, params: WaveletParams, mats: OperationalMatrices
-) -> np.ndarray:
-    nodes, weights = quadrature_nodes(params)
-    basis_vals = eval_basis_many(params, nodes)
-    wv = _as_grid_fn(w_fn)(nodes)
-    return (basis_vals * (weights * wv)) @ basis_vals.T
 
 
 def discretize(
@@ -135,9 +132,10 @@ def discretize(
             f"operational matrices built for order {mats.frac_order}, "
             f"problem has order {problem.mu}"
         )
+    grid = mats.grid
 
     def proj(f: Fn) -> np.ndarray:
-        return mats.solve_D(inner_products(_as_grid_fn(f), params))
+        return mats.solve_D(inner_products(_as_grid_fn(f), params, grid=grid))
 
     A_hat = proj(problem.a_fn)
     B_hat = proj(problem.b_fn)
@@ -145,11 +143,10 @@ def discretize(
     Q_hat = proj(problem.q_fn)
     d1 = proj(lambda z: np.full(np.shape(z), problem.x0))
 
-    Wp = _weighted_gram(problem.p_fn, params, mats)
-    Wq = _weighted_gram(problem.q_fn, params, mats)
+    nodes, weights = grid.nodes, grid.weights
+    Wp = grid.weighted_gram(_as_grid_fn(problem.p_fn)(nodes))
+    Wq = grid.weighted_gram(_as_grid_fn(problem.q_fn)(nodes))
 
-    nodes, weights = quadrature_nodes(params)
-    basis_vals = eval_basis_many(params, nodes)
     m_hat = params.m_hat
     wp_track = np.zeros(m_hat)
     wq_track = np.zeros(m_hat)
@@ -157,13 +154,13 @@ def discretize(
     track_q_const = 0.0
     if problem.track_x is not None:
         pr = _as_grid_fn(problem.p_fn)(nodes) * _as_grid_fn(problem.track_x)(nodes)
-        wp_track = basis_vals @ (weights * pr)
+        wp_track = grid.inner_products(pr)
         track_p_const = float(
             np.dot(weights, pr * _as_grid_fn(problem.track_x)(nodes))
         )
     if problem.track_u is not None:
         qr = _as_grid_fn(problem.q_fn)(nodes) * _as_grid_fn(problem.track_u)(nodes)
-        wq_track = basis_vals @ (weights * qr)
+        wq_track = grid.inner_products(qr)
         track_q_const = float(
             np.dot(weights, qr * _as_grid_fn(problem.track_u)(nodes))
         )
@@ -196,7 +193,7 @@ def assemble_kkt(disc: DiscretizedFocp) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric KKT system in (C_hat, U_hat, eta_star), size 3 m_hat."""
     m = disc.params.m_hat
     Pm = disc.mats.Pmu
-    G_A, G_B = _constraint_operators(disc)
+    G_A, G_B = disc.constraint_operators
 
     H_cc = Pm @ disc.Wp @ Pm.T
     G_c = np.eye(m) - G_A @ Pm.T
@@ -225,10 +222,10 @@ def _quadratic_cost(disc: DiscretizedFocp, C2: np.ndarray, U_hat: np.ndarray) ->
 
 
 def _requadrature_cost(disc: DiscretizedFocp, C2: np.ndarray, U_hat: np.ndarray) -> float:
-    nodes, weights = quadrature_nodes(disc.params)
-    basis_vals = eval_basis_many(disc.params, nodes)
-    x = C2 @ basis_vals
-    u = U_hat @ basis_vals
+    grid = disc.mats.grid
+    nodes, weights = grid.nodes, grid.weights
+    x = grid.evaluate(C2)
+    u = grid.evaluate(U_hat)
     prob = disc.problem
     rx = _as_grid_fn(prob.track_x)(nodes) if prob.track_x is not None else 0.0
     ru = _as_grid_fn(prob.track_u)(nodes) if prob.track_u is not None else 0.0
@@ -281,7 +278,7 @@ def solve_discretized(disc: DiscretizedFocp, diagnostics: bool = True) -> FocpSo
     J_requad = _requadrature_cost(disc, C2, U_hat)
 
     residuals: dict = {"cost_discrepancy": abs(J_quad - J_requad)}
-    G_A, G_B = _constraint_operators(disc)
+    G_A, G_B = disc.constraint_operators
     constraint = C_hat - G_A @ C2 - G_B @ U_hat
     residuals["constraint"] = float(np.abs(constraint).max())
     stat = K @ sol - rhs

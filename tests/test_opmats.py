@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from conftest import D1_BLOCK, D09_BLOCK1, D09_BLOCK2, P09_PLAIN
+from wavefocp import quadrature
 from wavefocp.basis import WaveletParams, eval_basis_many
 from wavefocp.fracops import rl_integral
 from wavefocp.opmats import (
@@ -14,10 +15,13 @@ from wavefocp.opmats import (
     integration_matrix_first_order,
     product_matrix,
     project,
+    quadrature_grid,
     quadrature_nodes,
     rl_integral_of_wavelet,
     triple_product_tensor,
 )
+from wavefocp.quadrature import solve_spd
+from wavefocp.solver import FocpProblem, _requadrature_cost, discretize
 
 
 class TestGramMatrix:
@@ -230,3 +234,114 @@ def test_basis_moments_match_projection_of_one(params_plain, mats_plain):
 def test_condition_estimate_reported(mats_frac09):
     assert mats_frac09.cond_D > 1.0
     assert np.isfinite(mats_frac09.cond_D)
+
+
+def _dense_pmu(params, mats, order):
+    """Reference assembly of P^order: the closed-form RL integral of every
+    wavelet on every quadrature node, projected with the full
+    m_hat x n_nodes basis array."""
+    nodes, weights = quadrature_nodes(params)
+    basis_vals = eval_basis_many(params, nodes)
+    rl_vals = np.vstack(
+        [rl_integral_of_wavelet(params, i, order, nodes) for i in range(params.m_hat)]
+    )
+    return mats.solve_D(((rl_vals * weights) @ basis_vals.T).T).T
+
+
+class TestBlockGrid:
+    """Block-local grid integrals against their dense eval_basis_many forms.
+
+    M = 4 throughout: at M = 8 the monomial expansion behind D already
+    differs by round-off of order 1e-7 between any two summation orders.
+    """
+
+    @pytest.mark.parametrize(
+        "k, M, mu, order",
+        [(3, 4, 1.0, 0.8), (4, 4, 0.7, 0.7), (5, 4, 0.9, 0.9), (7, 1, 0.75, 0.75)],
+    )
+    def test_pmu_matches_dense_assembly(self, k, M, mu, order):
+        params = WaveletParams(k=k, M=M, mu=mu)
+        mats = build_operational_matrices(params, frac_order=order)
+        dense = _dense_pmu(params, mats, order)
+        assert np.abs(mats.Pmu - dense).max() <= 1e-10 * np.abs(dense).max()
+
+    def test_node_on_breakpoint_side_of_previous_block(self):
+        """At (7, 0.75) round-off in zeta**mu assigns a node lying at or below
+        a breakpoint to the block above it; the Pmu case above covers it."""
+        params = WaveletParams(k=7, M=1, mu=0.75)
+        grid = quadrature_grid(params)
+        beyond = np.searchsorted(grid.nodes, params.breakpoints(), side="right")
+        assert np.any(beyond != grid.starts)
+
+    def test_blocks_follow_point_assignment(self):
+        params = WaveletParams(k=3, M=3, mu=0.7)
+        grid = quadrature_grid(params, extra_breakpoints=(0.25, 0.8))
+        counts = np.diff(grid.starts)
+        assert counts.sum() == grid.nodes.size
+        assert len(set(counts)) > 1
+        vals = eval_basis_many(params, grid.nodes)
+        M = params.M
+        for b, sl in enumerate(grid.block_slices()):
+            np.testing.assert_array_equal(vals[b * M : (b + 1) * M, sl], grid.local[:, sl])
+            assert np.count_nonzero(vals[:, sl]) == np.count_nonzero(grid.local[:, sl])
+
+    @pytest.mark.parametrize("extra", [(), (0.3, 0.71)])
+    def test_inner_products_match_dense(self, extra):
+        params = WaveletParams(k=4, M=4, mu=0.7)
+        f = lambda z: np.exp(np.asarray(z)) * np.sqrt(np.asarray(z))
+        nodes, weights = quadrature_nodes(params, extra)
+        dense = eval_basis_many(params, nodes) @ (weights * f(nodes))
+        np.testing.assert_allclose(
+            inner_products(f, params, extra), dense, rtol=0.0, atol=1e-13
+        )
+
+    def test_weighted_gram_and_evaluation_match_dense(self):
+        params = WaveletParams(k=4, M=4, mu=0.7)
+        grid = quadrature_grid(params)
+        vals = eval_basis_many(params, grid.nodes)
+        w = 1.0 + np.cos(3.0 * grid.nodes)
+        dense_gram = (vals * (grid.weights * w)) @ vals.T
+        np.testing.assert_allclose(grid.weighted_gram(w), dense_gram, rtol=0.0, atol=1e-13)
+        c = np.random.default_rng(4).standard_normal(params.m_hat)
+        np.testing.assert_allclose(grid.evaluate(c), c @ vals, rtol=0.0, atol=1e-13)
+
+    def test_requadrature_matches_dense(self):
+        params = WaveletParams(k=4, M=4, mu=0.7)
+        problem = FocpProblem(
+            p_fn=lambda z: 1.0 + np.asarray(z), q_fn=lambda z: np.ones_like(z),
+            a_fn=lambda z: -np.ones_like(z), b_fn=lambda z: np.ones_like(z),
+            x0=0.5, mu=0.7,
+            track_x=lambda z: np.asarray(z) ** 0.7, track_u=lambda z: np.cos(z),
+        )
+        disc = discretize(problem, params)
+        rng = np.random.default_rng(8)
+        C2, U = rng.standard_normal(params.m_hat), rng.standard_normal(params.m_hat)
+        nodes, weights = quadrature_nodes(params)
+        vals = eval_basis_many(params, nodes)
+        integrand = 0.5 * (
+            (1.0 + nodes) * (C2 @ vals - nodes**0.7) ** 2 + (U @ vals - np.cos(nodes)) ** 2
+        )
+        dense = float(np.dot(weights, integrand))
+        assert _requadrature_cost(disc, C2, U) == pytest.approx(dense, rel=0.0, abs=1e-13)
+
+    def test_grid_and_extra_breakpoints_are_exclusive(self, params_frac09, mats_frac09):
+        with pytest.raises(ValueError):
+            inner_products(np.cos, params_frac09, (0.3,), grid=mats_frac09.grid)
+
+
+def test_p1_built_on_request(params_frac09):
+    mats = build_operational_matrices(params_frac09)
+    assert "P1" not in vars(mats)
+    eager = integration_matrix_first_order(params_frac09, mats)
+    assert np.array_equal(mats.P1, eager)
+
+
+def test_solve_d_reuses_stored_factor(monkeypatch, mats_frac09):
+    rhs = np.random.default_rng(2).standard_normal((mats_frac09.params.m_hat, 3))
+    expected = solve_spd(mats_frac09.D, rhs)
+
+    def refactor(A):
+        raise AssertionError("D factorized again")
+
+    monkeypatch.setattr(quadrature, "spd_factor", refactor)
+    assert np.array_equal(mats_frac09.solve_D(rhs), expected)

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from conftest import COST_TABLE, POINTWISE_ERR_U, POINTWISE_ERR_X
+from wavefocp import solver
 from wavefocp.basis import WaveletParams
 from wavefocp.opmats import build_operational_matrices
 from wavefocp.quadrature import gamma
@@ -187,6 +188,20 @@ class TestSolutionStructure:
         sol = solve_discretized(disc, diagnostics=False)
         with pytest.raises(ValueError):
             cost_via_product_chain(disc, sol)
+
+    def test_constraint_operators_built_once_per_solve(self, monkeypatch):
+        calls = []
+        original = solver.product_matrix
+
+        def counted(c, mats):
+            calls.append(1)
+            return original(c, mats)
+
+        monkeypatch.setattr(solver, "product_matrix", counted)
+        disc = discretize(example1(0.9), WaveletParams(k=2, M=4, mu=0.9))
+        sol = solve_discretized(disc, diagnostics=False)
+        assert len(calls) == 2
+        assert sol.residuals["constraint"] <= 1e-12
 
     def test_kkt_feasible_direction_optimality(self):
         disc = discretize(example1(0.9), WaveletParams(k=2, M=4, mu=0.9))
