@@ -6,6 +6,12 @@ integrated basis functions, solved against the Gram matrix. Every other
 integral against the basis runs block by block on one QuadratureGrid per
 bundle: each wavelet is nonzero on a single block, so the grid keeps only
 the M local basis values of every node.
+
+P^mu uses the grid only where its kernel is singular or nearly so: the
+incomplete-beta closed form fills the target blocks n and n+1 of source
+block n (and every target of block 1, whose wavelets are single powers).
+Blocks at least one block apart have a smooth kernel in the local block
+coordinates and get a fixed tensor Gauss-Legendre rule instead.
 """
 
 from __future__ import annotations
@@ -35,6 +41,8 @@ from .quadrature import (
 )
 
 _COND_WARN_LIMIT = 1e12
+# points per local coordinate of the far-field tensor rule of P^mu
+_FAR_RULE_POINTS = 24
 
 
 def _power_integral(p: float, lo: float, hi: float) -> float:
@@ -330,21 +338,35 @@ def integration_matrix_fractional(
 ) -> np.ndarray:
     """P^mu of the stated order: projection of the RL integral of each psi_i.
 
-    The closed form of ``rl_integral_of_wavelet``, evaluated block by block
-    on ``mats.grid``. With q_s = mu*s, every wavelet of block n on
-    [lo, hi) shares the powers z**(q_s + order) and the incomplete-beta
-    tables I_{lo/z}, I_{hi/z}(q_s + 1, order), each on the nodes beyond its
-    breakpoint; block n's right table is block n+1's left one, and inside
-    the block up/z = 1. The integral vanishes before lo, so the rows of
-    block n are projected onto blocks >= n only.
+    B[i, j] = int (I^order psi_i) psi_j vanishes for psi_j before psi_i's
+    block n, so row block n has entries in target blocks b >= n only, and
+    P = B D^-1. Two rules fill B:
+
+    - Near blocks (b = n, n + 1), and every target of source block 1: the
+      closed form of ``rl_integral_of_wavelet`` on ``mats.grid``. With
+      q_s = mu*s, every wavelet of block n on [lo, hi) shares the powers
+      z**(q_s + order) and the incomplete-beta tables I_{lo/z}, I_{hi/z}
+      (q_s + 1, order); block n's right table is block n+1's left one, and
+      inside the block up/z = 1. A table covers the nodes of the two blocks
+      above its breakpoint (all nodes for the breakpoint of block 1, whose
+      wavelets are single powers, so their closed form does not cancel).
+    - Far blocks (b >= n + 2, n >= 2): ``_far_field``, a tensor Gauss rule
+      in the local block coordinates, where the kernel is smooth. It needs
+      no betainc and avoids the cancelling global-power expansion.
     """
     order = params.mu if order is None else order
     if not 0.0 < order <= 1.0:
         raise ValueError(f"need 0 < order <= 1, got {order}")
     grid = mats.grid
-    z, M = grid.nodes, params.M
+    z, M, N = grid.nodes, params.M, params.n_blocks
     bp = params.breakpoints()
     beyond = np.searchsorted(z, bp, side="right")  # nodes z > bp[b] start here
+
+    def near_end(n: int) -> int:
+        """End of the closed-form nodes of source block n: those of blocks
+        n and n + 1, and every node for block 1."""
+        return z.size if n == 1 else grid.starts[min(n + 1, N)]
+
     qs = [params.mu * s for s in range(M)]
     a = np.array(qs)[:, None] + 1.0
     zpow = [z ** (q + order) for q in qs]
@@ -352,27 +374,65 @@ def integration_matrix_fractional(
 
     B = np.zeros((params.m_hat, params.m_hat))
     left = np.zeros((M, z.size - beyond[0]))  # I_{0/z} = 0
-    for n in range(1, params.n_blocks + 1):
-        i_lo, i_hi = beyond[n - 1], beyond[n]
-        right = betainc(a, order, bp[n] / z[i_hi:])
+    for n in range(1, N + 1):
+        i_lo, i_hi, end = beyond[n - 1], beyond[n], near_end(n)
+        # the table at bp[n] is also the left table of block n + 1
+        right_end = max(end, near_end(min(n + 1, N)))
+        right = betainc(a, order, bp[n] / z[i_hi:right_end])
         inside = i_hi - i_lo
-        frac = np.hstack([1.0 - left[:, :inside], right - left[:, inside:]])
+        frac = np.hstack(
+            [1.0 - left[:, :inside], right[:, : end - i_hi] - left[:, inside : end - i_lo]]
+        )
         coefs = np.zeros((M, M))
         for m in range(M):
             coefs[m, : m + 1] = monomial_coefficients(params, n, m)
-        acc = np.zeros((M, z.size - i_lo))
+        acc = np.zeros((M, end - i_lo))
         for s in range(M):
-            acc += coefs[:, s, None] * zpow[s][i_lo:] * beta[s] * frac[s]
-        weighted = acc / gamma(order) * grid.weights[i_lo:]
+            acc += coefs[:, s, None] * zpow[s][i_lo:end] * beta[s] * frac[s]
+        weighted = acc / gamma(order) * grid.weights[i_lo:end]
         rows = slice((n - 1) * M, n * M)
-        for b in range(n - 1, params.n_blocks):
+        for b in range(n - 1, N if n == 1 else min(n + 1, N)):
             # round-off can assign a node at or below lo to block n; it adds 0
             first, last = max(grid.starts[b], i_lo), grid.starts[b + 1]
             B[rows, b * M : (b + 1) * M] = (
                 weighted[:, first - i_lo : last - i_lo] @ grid.local[:, first:last].T
             )
         left = right
+    _far_field(params, order, B)
     return mats.solve_D(B.T).T
+
+
+def _far_field(params: WaveletParams, order: float, B: np.ndarray) -> None:
+    """Fill the blocks b >= n + 2 of source blocks n >= 2 of B.
+
+    In the local coordinate s in [0, 1) of block n, psi_{n,m} is
+    phi_m(s) = 2^((k-1)/2) sqrt(2m+1) s^m at zeta_n(s) = ((s+n-1)/N)^(1/mu),
+    with dzeta = w_n(s) ds, so
+
+        B[(n,m),(b,m')] = Gamma(order)^-1 int int (zeta_b(s') - zeta_n(s))^(order-1)
+                          phi_m(s) phi_m'(s') w_n(s) w_b(s') ds ds'.
+
+    The blocks are at least one block apart and w_n is smooth for n >= 2,
+    so a fixed tensor Gauss-Legendre rule resolves the integrand: one
+    kernel matrix per source block, contracted with the weighted local
+    values of the source and of every far target block.
+    """
+    N, M, mu = params.n_blocks, params.M, params.mu
+    rule = gauss_legendre(_FAR_RULE_POINTS, 0.0, 1.0)
+    s, Q = rule.nodes, _FAR_RULE_POINTS
+    t = (s + np.arange(N)[:, None]) / N  # (s + n - 1) / N for block n = row n - 1
+    zeta = t ** (1.0 / mu)
+    w = t ** (1.0 / mu - 1.0) / (mu * N)
+    phi = 2 ** ((params.k - 1) / 2) * np.sqrt(2 * np.arange(M) + 1.0)[:, None] * (
+        s ** np.arange(M)[:, None]
+    )
+    vals = phi * (w * rule.weights)[:, None, :]  # (N, M, Q)
+    for n in range(2, N - 1):
+        targets = zeta[n + 1 :]  # blocks n + 2 .. N
+        kernel = (targets[None, :, :] - zeta[n - 1][:, None, None]) ** (order - 1.0)
+        src = (vals[n - 1] @ kernel.reshape(Q, -1)).reshape(M, N - n - 1, Q)
+        far = np.einsum("mbl,bpl->mbp", src, vals[n + 1 :]) / gamma(order)
+        B[(n - 1) * M : n * M, (n + 1) * M :] = far.reshape(M, -1)
 
 
 def product_matrix(c: np.ndarray, mats: OperationalMatrices) -> np.ndarray:

@@ -245,18 +245,14 @@ def _dynamics_defect(disc: DiscretizedFocp, C_hat: np.ndarray, U_hat: np.ndarray
     bp = params.breakpoints()
 
     def dx(t: np.ndarray) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return np.array([float(C_hat @ eval_basis(params, ti)) for ti in t])
+        return C_hat @ eval_basis_many(params, np.atleast_1d(np.asarray(t, dtype=float)))
 
     grid = np.linspace(0.02, 1.0, 50)
-    worst = 0.0
-    for z in grid:
-        x_z = prob.x0 + rl_integral(dx, prob.mu, float(z), breakpoints=bp)
-        u_z = float(U_hat @ eval_basis(params, float(z)))
-        a_z = float(_as_grid_fn(prob.a_fn)(np.array([z]))[0])
-        b_z = float(_as_grid_fn(prob.b_fn)(np.array([z]))[0])
-        worst = max(worst, abs(float(dx(z)[0]) - a_z * x_z - b_z * u_z))
-    return worst
+    x = prob.x0 + np.array([rl_integral(dx, prob.mu, z, breakpoints=bp) for z in grid])
+    u = U_hat @ eval_basis_many(params, grid)
+    a = _as_grid_fn(prob.a_fn)(grid)
+    b = _as_grid_fn(prob.b_fn)(grid)
+    return float(np.abs(dx(grid) - a * x - b * u).max())
 
 
 def solve_discretized(disc: DiscretizedFocp, diagnostics: bool = True) -> FocpSolution:

@@ -17,7 +17,10 @@ Everything is computed with mpmath, without wavefocp:
 - D in closed form from the same power expansion.
 
 At k=2, M=4 and 30 digits it takes about 1.5 s on one core of an Intel
-Xeon x86_64 VM.
+Xeon x86_64 VM. ``b_block_oracle`` gives one M x M block of B at any k
+(about 0.1-0.5 s per block at M=4); the 30 digits absorb the cancellation
+of the power expansion, which costs the float64 closed form 1.4e-12 at
+k=5 and 3.3e-11 at k=7.
 """
 
 from __future__ import annotations
@@ -26,37 +29,81 @@ import mpmath as mp
 import numpy as np
 
 
+def _basis(k: int, M: int, mu) -> tuple[list, list, list]:
+    """Breakpoints bp, powers q_s = mu s and power coefficients coef.
+
+    coef[n][m][s]: psi_{n+1,m}(z) = sum_s coef[n][m][s] z^(q_s) on block n+1.
+    Call inside the working precision.
+    """
+    N = 2 ** (k - 1)
+    bp = [(mp.mpf(n) / N) ** (1 / mu) for n in range(N + 1)]
+    q = [mu * s for s in range(M)]
+    coef = [
+        [
+            [mp.sqrt(mp.mpf(N)) * mp.sqrt(2 * m + 1) * mp.binomial(m, s)
+             * mp.mpf(N) ** s * mp.mpf(-n) ** (m - s) if s <= m else mp.mpf(0)
+             for s in range(M)]
+            for m in range(M)
+        ]
+        for n in range(N)
+    ]
+    return bp, q, coef
+
+
+def _b_block(bp: list, q: list, coef: list, order, n: int, nb: int) -> list:
+    """The M x M block of B between source block n+1 and target block nb+1."""
+    M = len(q)
+    lo, hi = bp[n], bp[n + 1]
+    cache: dict = {}
+
+    def terms(z):
+        """I^o of t^(q_s) restricted to block n+1, at z beyond its left end."""
+        if z not in cache:
+            up = min(z, hi)
+            cache[z] = [
+                z ** (qs + order) * mp.betainc(qs + 1, order, lo / z, up / z)
+                / mp.gamma(order)
+                for qs in q
+            ]
+        return cache[z]
+
+    # moments[s][u] = int over block nb+1 of I^o(t^(q_s) on block n+1) z^(q_u)
+    moments = [
+        [mp.quad(lambda z: terms(z)[s] * z ** q[u], [bp[nb], bp[nb + 1]])
+         for u in range(M)]
+        for s in range(M)
+    ]
+    return [
+        [mp.fsum(coef[n][m][s] * coef[nb][t][u] * moments[s][u]
+                 for s in range(M) for u in range(M))
+         for t in range(M)]
+        for m in range(M)
+    ]
+
+
+def b_block_oracle(
+    k: int, M: int, mu: str, order: str, n: int, b: int, dps: int = 30
+) -> np.ndarray:
+    """The M x M block B_{n,b} (1-based blocks, b >= n) of the unprojected
+    matrix B[i, j] = int_0^1 (I^order psi_i) psi_j dz, rounded to float.
+
+    Ours is ``Pmu @ D``. mu and order are decimal strings.
+    """
+    with mp.workdps(dps):
+        bp, q, coef = _basis(k, M, mp.mpf(mu))
+        block = _b_block(bp, q, coef, mp.mpf(order), n - 1, b - 1)
+        return np.array([[float(v) for v in row] for row in block])
+
+
 def pmu_oracle(k: int, M: int, mu: str, order: str, dps: int = 30) -> np.ndarray:
     """The m_hat x m_hat matrix P^order of the basis (k, M, mu), rounded to float.
 
     mu and order are decimal strings, so that they are exact at any precision.
     """
     with mp.workdps(dps):
-        mu, order = mp.mpf(mu), mp.mpf(order)
-        N = 2 ** (k - 1)
-        bp = [(mp.mpf(n) / N) ** (1 / mu) for n in range(N + 1)]
-        q = [mu * s for s in range(M)]
-        # coef[n][m][s]: psi_{n+1,m}(z) = sum_s coef[n][m][s] z^(q_s) on block n+1
-        coef = [
-            [
-                [mp.sqrt(mp.mpf(N)) * mp.sqrt(2 * m + 1) * mp.binomial(m, s)
-                 * mp.mpf(N) ** s * mp.mpf(-n) ** (m - s) if s <= m else mp.mpf(0)
-                 for s in range(M)]
-                for m in range(M)
-            ]
-            for n in range(N)
-        ]
-
-        def rl_power_terms(n: int, z):
-            """I^o of t^(q_s) restricted to block n+1, at z beyond its left end."""
-            lo, hi = bp[n], bp[n + 1]
-            up = min(z, hi)
-            return [
-                z ** (qs + order) * mp.betainc(qs + 1, order, lo / z, up / z)
-                / mp.gamma(order)
-                for qs in q
-            ]
-
+        order = mp.mpf(order)
+        bp, q, coef = _basis(k, M, mp.mpf(mu))
+        N = len(bp) - 1
         m_hat = N * M
         B = mp.zeros(m_hat, m_hat)
         D = mp.zeros(m_hat, m_hat)
@@ -70,24 +117,9 @@ def pmu_oracle(k: int, M: int, mu: str, order: str, dps: int = 30) -> np.ndarray
                         for t in range(M):
                             D[n * M + m, n * M + t] += coef[n][m][s] * coef[n][t][u] * mom
             for nb in range(n, N):
-                cache: dict = {}
-
-                def terms(z, n=n, cache=cache):
-                    if z not in cache:
-                        cache[z] = rl_power_terms(n, z)
-                    return cache[z]
-
-                # moments[s][u] = int over block nb+1 of I^o(t^(q_s) on block n+1) z^(q_u)
-                moments = [
-                    [mp.quad(lambda z: terms(z)[s] * z ** q[u], [bp[nb], bp[nb + 1]])
-                     for u in range(M)]
-                    for s in range(M)
-                ]
+                block = _b_block(bp, q, coef, order, n, nb)
                 for m in range(M):
                     for t in range(M):
-                        B[n * M + m, nb * M + t] = mp.fsum(
-                            coef[n][m][s] * coef[nb][t][u] * moments[s][u]
-                            for s in range(M) for u in range(M)
-                        )
+                        B[n * M + m, nb * M + t] = block[m][t]
         P = B * mp.inverse(D)
         return np.array([[float(P[i, j]) for j in range(m_hat)] for i in range(m_hat)])

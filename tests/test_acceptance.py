@@ -14,6 +14,7 @@ values stay in conftest.py as the record:
   optimum; criterion 2 checks it against that optimum (COST_TABLE_ERRATA).
 """
 
+import dataclasses
 import math
 import time
 
@@ -192,12 +193,14 @@ def test_criterion_5_inversion_identity():
 def test_criterion_6_property_suite():
     failures = []
 
-    # order-one coincidence of the two basis families (same parameters,
-    # full pipeline)
-    sol_plain = solve_focp(_example1(1.0), WaveletParams(k=2, M=4, mu=1.0),
+    # order-one coincidence: the fractional integration matrix at order 1
+    # and the first-order one give the same solve (full pipeline)
+    params1 = WaveletParams(k=2, M=4, mu=1.0)
+    mats1 = build_operational_matrices(params1)
+    sol_frac = solve_focp(_example1(1.0), params1, mats1, diagnostics=False)
+    sol_plain = solve_focp(_example1(1.0), params1,
+                           dataclasses.replace(mats1, Pmu=mats1.P1),
                            diagnostics=False)
-    sol_frac = solve_focp(_example1(1.0), WaveletParams(k=2, M=4, mu=1.0),
-                          diagnostics=False)
     grid = np.linspace(0.0, 1.0, 100)
     xa, ua = reconstruct_many(sol_plain, grid)
     xb, ub = reconstruct_many(sol_frac, grid)

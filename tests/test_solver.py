@@ -6,7 +6,8 @@ import scipy.linalg
 
 from conftest import COST_TABLE, POINTWISE_ERR_U, POINTWISE_ERR_X
 from wavefocp import solver
-from wavefocp.basis import WaveletParams
+from wavefocp.basis import WaveletParams, eval_basis
+from wavefocp.fracops import rl_integral
 from wavefocp.opmats import build_operational_matrices
 from wavefocp.quadrature import gamma
 from wavefocp.solver import (
@@ -147,6 +148,30 @@ class TestSolutionStructure:
         assert sol.residuals["stationarity"] <= 1e-10
         assert sol.residuals["cost_discrepancy"] <= 1e-10
         assert sol.residuals["dynamics_defect"] <= 1e-2
+
+    @pytest.mark.parametrize("k, M, mu", [(3, 8, 0.9), (2, 4, 0.7)])
+    def test_dynamics_defect_matches_scalar_route(self, k, M, mu):
+        """The vectorized defect against the point-by-point eval_basis route."""
+        problem = FocpProblem(
+            p_fn=lambda z: np.ones_like(z), q_fn=lambda z: np.ones_like(z),
+            a_fn=lambda z: -1.0 - np.asarray(z), b_fn=lambda z: 1.0 + np.asarray(z) ** 2,
+            x0=0.5, mu=mu,
+        )
+        params = WaveletParams(k=k, M=M, mu=mu)
+        sol = solve_focp(problem, params, diagnostics=False)
+        C_hat, U_hat = sol.C_hat, sol.U_hat
+
+        def dx(t):
+            return np.array([C_hat @ eval_basis(params, ti) for ti in np.atleast_1d(t)])
+
+        scalar = 0.0
+        for z in np.linspace(0.02, 1.0, 50):
+            x_z = problem.x0 + rl_integral(dx, mu, z, breakpoints=params.breakpoints())
+            u_z = U_hat @ eval_basis(params, z)
+            residual = dx(z)[0] - (-1.0 - z) * x_z - (1.0 + z**2) * u_z
+            scalar = max(scalar, abs(residual))
+        vectorized = solver._dynamics_defect(sol.disc, C_hat, U_hat)
+        assert vectorized == pytest.approx(scalar, rel=1e-12)
 
     def test_plain_and_stretched_agree_at_order_one(self):
         sol_a = solve_focp(example1(1.0), WaveletParams(k=2, M=4, mu=1.0),
