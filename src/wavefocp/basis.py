@@ -127,11 +127,15 @@ def local_basis_values(
     s_glob = zetas**params.mu * params.n_blocks
     blocks = np.minimum(s_glob.astype(int), params.n_blocks - 1)
     blocks[zetas >= 1.0] = params.n_blocks - 1
-    s = s_glob - blocks
-    scale = 2 ** ((params.k - 1) / 2)
-    norms = np.sqrt(2 * np.arange(params.M) + 1.0)
-    powers = s[None, :] ** np.arange(params.M)[:, None]
-    return blocks, scale * norms[:, None] * powers
+    return blocks, local_wavelet_values(params, s_glob - blocks)
+
+
+def local_wavelet_values(params: WaveletParams, s: np.ndarray) -> np.ndarray:
+    """phi_m(s) = 2^((k-1)/2) sqrt(2m+1) s^m for m = 0..M-1 on a new first
+    axis: every block's wavelets at the local coordinate s = N zeta^mu - n + 1."""
+    s = np.asarray(s, dtype=float)
+    m = np.arange(params.M).reshape(-1, *(1,) * s.ndim)
+    return 2 ** ((params.k - 1) / 2) * np.sqrt(2 * m + 1.0) * s[None] ** m
 
 
 def eval_basis_many(params: WaveletParams, zetas: np.ndarray) -> np.ndarray:

@@ -7,11 +7,15 @@ integral against the basis runs block by block on one QuadratureGrid per
 bundle: each wavelet is nonzero on a single block, so the grid keeps only
 the M local basis values of every node.
 
-P^mu uses the grid only where its kernel is singular or nearly so: the
-incomplete-beta closed form fills the target blocks n and n+1 of source
-block n (and every target of block 1, whose wavelets are single powers).
-Blocks at least one block apart have a smooth kernel in the local block
-coordinates and get a fixed tensor Gauss-Legendre rule instead.
+P^mu does not use the grid: every block of its unprojected matrix comes
+from a fixed rule in the local block coordinates, where each wavelet is a
+plain monomial. Kernel differences are formed from the exact step in the
+local coordinate, so nothing cancels near the diagonal. The weakly singular
+same-block kernel gets Gauss-Jacobi rules after s = s'(1 - v); the
+adjacent block, singular at one corner, gets Duffy's split into two
+triangles; blocks further apart get tensor Gauss-Legendre; and the row of
+block 1, whose wavelets are single powers, the incomplete-beta closed form
+at the target nodes only.
 """
 
 from __future__ import annotations
@@ -28,12 +32,15 @@ from scipy.special import betainc
 from .basis import (
     WaveletParams,
     local_basis_values,
+    local_wavelet_values,
     monomial_coefficients,
     support_interval,
 )
 from .quadrature import (
+    QuadratureRule,
     condition_estimate,
     gamma,
+    gauss_jacobi_left,
     gauss_legendre,
     graded_breakpoints,
     solve_spd,
@@ -41,8 +48,12 @@ from .quadrature import (
 )
 
 _COND_WARN_LIMIT = 1e12
-# points per local coordinate of the far-field tensor rule of P^mu
-_FAR_RULE_POINTS = 24
+# points per local coordinate of every rule that fills B in P^mu = B D^-1
+_LOCAL_RULE_POINTS = 16
+# the block-2 targets of block 1 see (zeta - bp_1)^order at s' = 0: a
+# composite rule on [0, ratio^levels], ..., [ratio, 1]
+_GRADED_RATIO = 0.2
+_GRADED_LEVELS = 16
 
 
 def _power_integral(p: float, lo: float, hi: float) -> float:
@@ -222,6 +233,8 @@ def rl_integral_of_wavelet(
     up = np.minimum(z, hi)
     acc = np.zeros_like(z)
     for s, c in enumerate(coefs):
+        if c == 0.0:  # block 1 wavelets are single powers
+            continue
         q = params.mu * s
         beta_qo = gamma(q + 1.0) * gamma(order) / gamma(q + 1.0 + order)
         frac = betainc(q + 1.0, order, up / z)
@@ -340,77 +353,133 @@ def integration_matrix_fractional(
 
     B[i, j] = int (I^order psi_i) psi_j vanishes for psi_j before psi_i's
     block n, so row block n has entries in target blocks b >= n only, and
-    P = B D^-1. Two rules fill B:
+    P = B D^-1. In the local coordinates s, s' in [0, 1) of blocks n and b,
+    psi_{n,m} is phi_m(s) = 2^((k-1)/2) sqrt(2m+1) s^m at
+    zeta_n(s) = t_n(s)^(1/mu), t_n(s) = (s+n-1)/N, with dzeta = w_n(s) ds:
 
-    - Near blocks (b = n, n + 1), and every target of source block 1: the
-      closed form of ``rl_integral_of_wavelet`` on ``mats.grid``. With
-      q_s = mu*s, every wavelet of block n on [lo, hi) shares the powers
-      z**(q_s + order) and the incomplete-beta tables I_{lo/z}, I_{hi/z}
-      (q_s + 1, order); block n's right table is block n+1's left one, and
-      inside the block up/z = 1. A table covers the nodes of the two blocks
-      above its breakpoint (all nodes for the breakpoint of block 1, whose
-      wavelets are single powers, so their closed form does not cancel).
-    - Far blocks (b >= n + 2, n >= 2): ``_far_field``, a tensor Gauss rule
-      in the local block coordinates, where the kernel is smooth. It needs
-      no betainc and avoids the cancelling global-power expansion.
+        B[(n,m),(b,m')] = Gamma(order)^-1 int int (zeta_b(s') - zeta_n(s))^(order-1)
+                          phi_m(s) phi_m'(s') w_n(s) w_b(s') ds ds'.
+
+    Every block comes from a fixed rule in (s, s') with
+    ``_LOCAL_RULE_POINTS`` points per coordinate: ``_row_block_one`` fills
+    the row of block 1, whose wavelets are single powers of zeta;
+    ``_near_field`` the same-block and adjacent-block pairs of the other
+    rows, whose kernel is singular; and ``_far_field`` the rest, where it is
+    smooth. No rule uses the cancelling global-power expansion of the
+    wavelets, and none reads the graded grid.
     """
     order = params.mu if order is None else order
     if not 0.0 < order <= 1.0:
         raise ValueError(f"need 0 < order <= 1, got {order}")
-    grid = mats.grid
-    z, M, N = grid.nodes, params.M, params.n_blocks
-    bp = params.breakpoints()
-    beyond = np.searchsorted(z, bp, side="right")  # nodes z > bp[b] start here
-
-    def near_end(n: int) -> int:
-        """End of the closed-form nodes of source block n: those of blocks
-        n and n + 1, and every node for block 1."""
-        return z.size if n == 1 else grid.starts[min(n + 1, N)]
-
-    qs = [params.mu * s for s in range(M)]
-    a = np.array(qs)[:, None] + 1.0
-    zpow = [z ** (q + order) for q in qs]
-    beta = [gamma(q + 1.0) * gamma(order) / gamma(q + 1.0 + order) for q in qs]
-
     B = np.zeros((params.m_hat, params.m_hat))
-    left = np.zeros((M, z.size - beyond[0]))  # I_{0/z} = 0
-    for n in range(1, N + 1):
-        i_lo, i_hi, end = beyond[n - 1], beyond[n], near_end(n)
-        # the table at bp[n] is also the left table of block n + 1
-        right_end = max(end, near_end(min(n + 1, N)))
-        right = betainc(a, order, bp[n] / z[i_hi:right_end])
-        inside = i_hi - i_lo
-        frac = np.hstack(
-            [1.0 - left[:, :inside], right[:, : end - i_hi] - left[:, inside : end - i_lo]]
-        )
-        coefs = np.zeros((M, M))
-        for m in range(M):
-            coefs[m, : m + 1] = monomial_coefficients(params, n, m)
-        acc = np.zeros((M, end - i_lo))
-        for s in range(M):
-            acc += coefs[:, s, None] * zpow[s][i_lo:end] * beta[s] * frac[s]
-        weighted = acc / gamma(order) * grid.weights[i_lo:end]
-        rows = slice((n - 1) * M, n * M)
-        for b in range(n - 1, N if n == 1 else min(n + 1, N)):
-            # round-off can assign a node at or below lo to block n; it adds 0
-            first, last = max(grid.starts[b], i_lo), grid.starts[b + 1]
-            B[rows, b * M : (b + 1) * M] = (
-                weighted[:, first - i_lo : last - i_lo] @ grid.local[:, first:last].T
-            )
-        left = right
+    _row_block_one(params, order, B)
+    _near_field(params, order, B)
     _far_field(params, order, B)
     return mats.solve_D(B.T).T
 
 
+def _dzeta(params: WaveletParams, t: np.ndarray) -> np.ndarray:
+    """w_n(s) = dzeta/ds at t = t_n(s)."""
+    return t ** (1.0 / params.mu - 1.0) / (params.mu * params.n_blocks)
+
+
+def _zeta_gap(t: np.ndarray, dt: np.ndarray, mu: float) -> np.ndarray:
+    """zeta(t + dt) - zeta(t) for zeta = t^(1/mu), from the step dt itself,
+    so that nothing cancels when dt is small."""
+    return t ** (1.0 / mu) * np.expm1(np.log1p(dt / t) / mu)
+
+
+def _row_block_one(params: WaveletParams, order: float, B: np.ndarray) -> None:
+    """Fill row block 1 of B.
+
+    psi_{1,m} = c_m (N zeta^mu)^m with c_m = phi_m(1), a single power, so
+    its closed form does not cancel:
+
+    - B_11 = c_m c_m' Gamma(mu m + 1) / Gamma(mu m + 1 + order)
+      N^(-(order+1)/mu) / (mu (m + m') + order + 1);
+    - for b >= 2, ``rl_integral_of_wavelet`` at the target nodes only,
+      under Gauss-Legendre in s' for b >= 3 and, for b = 2, where the
+      integral behaves like (zeta - bp_1)^order near s' = 0, a composite
+      rule graded geometrically toward s' = 0.
+    """
+    N, M, mu = params.n_blocks, params.M, params.mu
+    m = np.arange(M)
+    c = local_wavelet_values(params, 1.0)
+    ratio = np.array([gamma(mu * j + 1.0) / gamma(mu * j + 1.0 + order) for j in m])
+    B[:M, :M] = (
+        (c * ratio)[:, None] * c * N ** (-(order + 1.0) / mu)
+        / (mu * (m[:, None] + m) + order + 1.0)
+    )
+    if N == 1:
+        return
+    Q = _LOCAL_RULE_POINTS
+    edges = np.concatenate([[0.0], _GRADED_RATIO ** np.arange(_GRADED_LEVELS, -1, -1)])
+    graded = [gauss_legendre(Q, a, b) for a, b in zip(edges[:-1], edges[1:])]
+    rules = graded + [gauss_legendre(Q, 0.0, 1.0)] * (N - 2)
+    s = np.concatenate([rule.nodes for rule in rules])
+    block = np.repeat(np.arange(1, N), [len(graded) * Q] + [Q] * (N - 2))
+    t = (s + block) / N  # in target block b = block + 1
+    rl = np.vstack(
+        [rl_integral_of_wavelet(params, i, order, t ** (1.0 / mu)) for i in range(M)]
+    )
+    weights = np.concatenate([rule.weights for rule in rules]) * _dzeta(params, t)
+    terms = rl[:, :, None] * (local_wavelet_values(params, s) * weights).T
+    starts = np.searchsorted(block, np.arange(1, N))
+    B[:M, M:] = np.add.reduceat(terms, starts, axis=1).reshape(M, -1)
+
+
+def _near_field(params: WaveletParams, order: float, B: np.ndarray) -> None:
+    """Fill the blocks B_{n,n+d}, d = 0 and 1, of source blocks n >= 2.
+
+    For n >= 2, w_n and w_b are smooth on [0, 1], so only the kernel needs
+    care; its argument comes from ``_zeta_gap`` with the step
+    t_{n+d}(s') - t_n(s) = (s' - s + d) / N written without cancellation.
+
+    - d = 0: with s = s'(1 - v), the inner integral over s < s' runs over
+      v in (0, 1], and zeta_n(s') - zeta_n(s) = s' v g(s', v) with g smooth
+      and positive, so the integrand is s'^order v^(order-1) times a smooth
+      factor: Gauss-Jacobi in s' (weight s'^order) times Gauss-Jacobi in v
+      (weight v^(order-1)).
+    - d = 1: with u = 1 - s, the kernel is singular only at the corner
+      (u, s') = (0, 0). Duffy's transform splits the square along u = s'
+      and maps the halves by (u, s') = (r, r theta) and (r theta, r): both
+      have Jacobian r and kernel (r h(r, theta))^(order-1) with h smooth, so
+      the integrand is r^order times a smooth factor: Gauss-Jacobi in r
+      (weight r^order) times Gauss-Legendre in theta.
+
+    Each rule lists points (s, s') with weights, the step N (t' - t) and the
+    factor of it that the rule's weight absorbs (s' v, or r), so that
+    (gap / factor)^(order-1) is smooth.
+    """
+    N, M, Q = params.n_blocks, params.M, _LOCAL_RULE_POINTS
+    jacobi = gauss_jacobi_left(Q, 0.0, 1.0, order)
+
+    def tensor(a: QuadratureRule, b: QuadratureRule):
+        x, y = np.meshgrid(a.nodes, b.nodes, indexing="ij")
+        return x.ravel(), y.ravel(), np.outer(a.weights, b.weights).ravel()
+
+    sp, v, w = tensor(jacobi, gauss_jacobi_left(Q, 0.0, 1.0, order - 1.0))
+    same = (sp * (1.0 - v), sp, sp * v, sp * v, w)
+    r, theta, w = tensor(jacobi, gauss_legendre(Q, 0.0, 1.0))
+    u = np.concatenate([r, r * theta])
+    adjacent = (
+        1.0 - u, np.concatenate([r * theta, r]),
+        np.tile(r * (1.0 + theta), 2), np.tile(r, 2), np.tile(w, 2),
+    )
+    blocks = B.reshape(N, M, N, M)
+    for d, (s, s_to, step, factor, weights) in enumerate((same, adjacent)):
+        n = np.arange(2, N - d + 1)[:, None]
+        t, t_to = (s + n - 1.0) / N, (s_to + n - 1.0 + d) / N
+        gap = _zeta_gap(t, step / N, params.mu)
+        kernel = weights * (gap / factor) ** (order - 1.0) / gamma(order)
+        kernel *= _dzeta(params, t) * _dzeta(params, t_to)
+        phi = local_wavelet_values(params, s)[:, None] * local_wavelet_values(params, s_to)
+        rows = n.ravel() - 1
+        blocks[rows, :, rows + d, :] = (kernel @ phi.reshape(M * M, -1).T).reshape(-1, M, M)
+
+
 def _far_field(params: WaveletParams, order: float, B: np.ndarray) -> None:
     """Fill the blocks b >= n + 2 of source blocks n >= 2 of B.
-
-    In the local coordinate s in [0, 1) of block n, psi_{n,m} is
-    phi_m(s) = 2^((k-1)/2) sqrt(2m+1) s^m at zeta_n(s) = ((s+n-1)/N)^(1/mu),
-    with dzeta = w_n(s) ds, so
-
-        B[(n,m),(b,m')] = Gamma(order)^-1 int int (zeta_b(s') - zeta_n(s))^(order-1)
-                          phi_m(s) phi_m'(s') w_n(s) w_b(s') ds ds'.
 
     The blocks are at least one block apart and w_n is smooth for n >= 2,
     so a fixed tensor Gauss-Legendre rule resolves the integrand: one
@@ -418,18 +487,13 @@ def _far_field(params: WaveletParams, order: float, B: np.ndarray) -> None:
     values of the source and of every far target block.
     """
     N, M, mu = params.n_blocks, params.M, params.mu
-    rule = gauss_legendre(_FAR_RULE_POINTS, 0.0, 1.0)
-    s, Q = rule.nodes, _FAR_RULE_POINTS
-    t = (s + np.arange(N)[:, None]) / N  # (s + n - 1) / N for block n = row n - 1
-    zeta = t ** (1.0 / mu)
-    w = t ** (1.0 / mu - 1.0) / (mu * N)
-    phi = 2 ** ((params.k - 1) / 2) * np.sqrt(2 * np.arange(M) + 1.0)[:, None] * (
-        s ** np.arange(M)[:, None]
-    )
-    vals = phi * (w * rule.weights)[:, None, :]  # (N, M, Q)
+    rule = gauss_legendre(_LOCAL_RULE_POINTS, 0.0, 1.0)
+    s, Q = rule.nodes, _LOCAL_RULE_POINTS
+    t = (s + np.arange(N)[:, None]) / N  # t_n(s) for block n = row n - 1
+    vals = local_wavelet_values(params, s) * (_dzeta(params, t) * rule.weights)[:, None, :]
     for n in range(2, N - 1):
-        targets = zeta[n + 1 :]  # blocks n + 2 .. N
-        kernel = (targets[None, :, :] - zeta[n - 1][:, None, None]) ** (order - 1.0)
+        step = (s - s[:, None])[:, None, :] + np.arange(2, N - n + 1)[:, None]
+        kernel = _zeta_gap(t[n - 1][:, None, None], step / N, mu) ** (order - 1.0)
         src = (vals[n - 1] @ kernel.reshape(Q, -1)).reshape(M, N - n - 1, Q)
         far = np.einsum("mbl,bpl->mbp", src, vals[n + 1 :]) / gamma(order)
         B[(n - 1) * M : n * M, (n + 1) * M :] = far.reshape(M, -1)

@@ -18,9 +18,11 @@ Everything is computed with mpmath, without wavefocp:
 
 At k=2, M=4 and 30 digits it takes about 1.5 s on one core of an Intel
 Xeon x86_64 VM. ``b_block_oracle`` gives one M x M block of B at any k
-(about 0.1-0.5 s per block at M=4); the 30 digits absorb the cancellation
-of the power expansion, which costs the float64 closed form 1.4e-12 at
-k=5 and 3.3e-11 at k=7.
+(about 0.1-0.5 s per block at M=4, 1-1.5 s at M=8). The power expansion
+cancels here too, by more digits as k and M grow: in float64 it costs the
+closed form 1.4e-12 at k=5 and 3.3e-11 at k=7, M=4. At k=5, M=8 even 30
+digits are not enough (the 30-digit oracle is 1.6e-12 off on block
+(16, 16) and 6.7e-12 on (15, 16)); pass ``dps=50`` there.
 """
 
 from __future__ import annotations

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.special import betainc
 
 from conftest import D1_BLOCK, D09_BLOCK1, D09_BLOCK2, P09_PLAIN
-from wavefocp import quadrature
+from wavefocp import opmats, quadrature
 from wavefocp.basis import WaveletParams, eval_basis_many
 from wavefocp.fracops import rl_integral
 from wavefocp.opmats import (
+    OperationalMatrices,
     basis_moment_vector,
     build_operational_matrices,
     gram_matrix,
@@ -20,7 +22,7 @@ from wavefocp.opmats import (
     rl_integral_of_wavelet,
     triple_product_tensor,
 )
-from wavefocp.quadrature import solve_spd
+from wavefocp.quadrature import solve_spd, spd_factor
 from wavefocp.solver import FocpProblem, _requadrature_cost, discretize
 
 
@@ -248,15 +250,11 @@ def _dense_pmu(params, mats, order):
     return mats.solve_D(((rl_vals * weights) @ basis_vals.T).T).T
 
 
-def _closed_form_blocks(N):
-    """Block pattern of P^mu filled by the closed form: targets n and n + 1
-    of every source block n, and every target of source block 1."""
-    n, b = np.indices((N, N))
-    return (b >= n) & ((b <= n + 1) | (n == 0))
-
-
-# far (tensor-rule) blocks checked against the mpmath oracle, 1-based
-_FAR_ORACLE_BLOCKS = {(5, 4, 0.9, 0.9): ((2, 4), (2, 16), (8, 10), (14, 16))}
+# blocks of B (1-based) checked against the mpmath oracle where the dense
+# closed form cancels: near blocks (2, 2), (2, 3), (14, 15) and far blocks
+_ORACLE_BLOCKS = {
+    (5, 4, 0.9, 0.9): ((2, 2), (2, 3), (14, 15), (2, 4), (2, 16), (8, 10), (14, 16)),
+}
 
 
 class TestBlockGrid:
@@ -271,25 +269,24 @@ class TestBlockGrid:
         [(3, 4, 1.0, 0.8), (4, 4, 0.7, 0.7), (5, 4, 0.9, 0.9), (7, 1, 0.75, 0.75)],
     )
     def test_pmu_matches_dense_assembly(self, k, M, mu, order):
-        """Where the dense closed form cancels (far blocks at (5, 4, 0.9):
-        3.3e-11 off, 1.4e-12 from mpmath at B block (14, 16)), the blocks
-        the closed form fills are compared with it and the tensor-rule
-        blocks with the mpmath oracle, at the same bound."""
+        """Where the dense closed form cancels (at (5, 4, 0.9) it is 2.1e-12
+        from mpmath on B block (14, 15) and 1.4e-12 on (14, 16), where the
+        local rules are within 3e-16), only the block-1 row, whose wavelets
+        are single powers, is compared with it, and blocks of the other rows
+        with the mpmath oracle, at the same bound."""
         params = WaveletParams(k=k, M=M, mu=mu)
         mats = build_operational_matrices(params, frac_order=order)
         dense = _dense_pmu(params, mats, order)
         bound = 1e-10 * np.abs(dense).max()
-        oracle_blocks = _FAR_ORACLE_BLOCKS.get((k, M, mu, order))
+        oracle_blocks = _ORACLE_BLOCKS.get((k, M, mu, order))
         if oracle_blocks is None:
             assert np.abs(mats.Pmu - dense).max() <= bound
             return
         pytest.importorskip("mpmath")
         from pmu_oracle import b_block_oracle
 
-        closed = np.kron(_closed_form_blocks(params.n_blocks), np.ones((M, M), bool))
-        assert np.abs(mats.Pmu - dense)[closed].max() <= bound
+        assert np.abs(mats.Pmu - dense)[:M].max() <= bound
         for n, b in oracle_blocks:
-            assert not closed[(n - 1) * M, (b - 1) * M]
             B = b_block_oracle(k, M, str(mu), str(order), n, b)
             cols = slice((b - 1) * M, b * M)
             ref = np.linalg.solve(mats.D[cols, cols], B.T).T  # D is symmetric
@@ -319,9 +316,37 @@ class TestBlockGrid:
             ref = b_block_oracle(k, M, mu, order, n, b)
             assert np.abs(ours - ref).max() <= 1e-14
 
+    @pytest.mark.parametrize(
+        "k, M, mu, order, blocks, dps",
+        [
+            (5, 4, "0.9", "0.9", [(14, 14), (14, 15)], 30),
+            (6, 4, "0.6", "0.6", [(32, 32)], 30),
+            (7, 4, "1", "0.9", [(50, 51)], 30),
+            (3, 8, "0.9", "0.9", [(2, 3), (4, 4)], 30),
+            (5, 8, "0.9", "0.9", [(16, 16)], 50),
+        ],
+        ids=["5-4-0.9-0.9", "6-4-0.6-0.6", "7-4-1-0.9", "3-8-0.9-0.9", "5-8-0.9-0.9"],
+    )
+    def test_near_blocks_match_oracle(self, k, M, mu, order, blocks, dps):
+        """B = Pmu D on same-block and adjacent-block pairs against mpmath.
+        The incomplete-beta closed form on the graded grid missed these by
+        1e-13 to 5e-11, and by 2.2e-6 at (5, 8), where the 30-digit oracle
+        is itself 1.6e-12 off on block (16, 16), hence 50 digits there."""
+        pytest.importorskip("mpmath")
+        from pmu_oracle import b_block_oracle
+
+        params = WaveletParams(k=k, M=M, mu=float(mu))
+        mats = build_operational_matrices(params, frac_order=float(order))
+        B = mats.Pmu @ mats.D
+        for n, b in blocks:
+            ours = B[(n - 1) * M : n * M, (b - 1) * M : b * M]
+            ref = b_block_oracle(k, M, mu, order, n, b, dps=dps)
+            assert np.abs(ours - ref).max() <= 1e-14
+
     def test_node_on_breakpoint_side_of_previous_block(self):
         """At (7, 0.75) round-off in zeta**mu assigns a node lying at or below
-        a breakpoint to the block above it; the Pmu case above covers it."""
+        a breakpoint to the block above it, so block starts must follow the
+        point assignment, not the breakpoints."""
         params = WaveletParams(k=7, M=1, mu=0.75)
         grid = quadrature_grid(params)
         beyond = np.searchsorted(grid.nodes, params.breakpoints(), side="right")
@@ -381,6 +406,29 @@ class TestBlockGrid:
     def test_grid_and_extra_breakpoints_are_exclusive(self, params_frac09, mats_frac09):
         with pytest.raises(ValueError):
             inner_products(np.cos, params_frac09, (0.3,), grid=mats_frac09.grid)
+
+
+def test_pmu_is_built_from_local_rules(monkeypatch):
+    """P^mu reads only D (no quadrature grid) and evaluates the incomplete
+    beta only for the row of block 1, at its target nodes: 5,056 values at
+    (7, 4), where the closed form on the graded grid took 785,664."""
+    params = WaveletParams(k=7, M=4, mu=1.0)
+    D = gram_matrix(params)
+    mats = OperationalMatrices(
+        params=params, frac_order=0.9, D=D, Pmu=np.empty(0), triple=np.empty(0),
+        cond_D=1.0, grid=None, D_factor=spd_factor(D),
+    )
+    evaluated = []
+
+    def counting_betainc(a, b, x):
+        out = betainc(a, b, x)
+        evaluated.append(out.size)
+        return out
+
+    monkeypatch.setattr(opmats, "betainc", counting_betainc)
+    P = integration_matrix_fractional(params, mats, 0.9)
+    assert np.all(np.isfinite(P))
+    assert 0 < sum(evaluated) < 30_000
 
 
 def test_p1_built_on_request(params_frac09):

@@ -9,6 +9,7 @@ from wavefocp.quadrature import (
     SingularMatrixError,
     condition_estimate,
     gamma,
+    gauss_jacobi_left,
     gauss_jacobi_right,
     gauss_legendre,
     graded_breakpoints,
@@ -98,6 +99,34 @@ class TestGaussJacobiRight:
     def test_rejects_exponent_at_minus_one(self):
         with pytest.raises(ValueError):
             gauss_jacobi_right(4, 0.0, 1.0, -1.0)
+
+    @pytest.mark.parametrize("exponent", [-0.9, -0.5, -0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("n", [12, 24])
+    def test_weights_match_golub_welsch(self, n, exponent):
+        """Weights against a 40-digit Golub-Welsch rule (eigenvectors of the
+        Jacobi matrix); scipy's roots_jacobi misses this by up to 6e-13."""
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            a = mp.mpf(exponent)
+            J = mp.zeros(n, n)
+            J[0, 0] = -a / (a + 2)
+            for i in range(1, n):
+                c = 2 * i + a
+                J[i, i] = -a * a / (c * (c + 2))
+                J[i, i - 1] = J[i - 1, i] = 2 * i * (i + a) / (c * mp.sqrt((c + 1) * (c - 1)))
+            nodes, vectors = mp.eigsy(J)
+            total = 2 ** (a + 1) / (a + 1)
+            ref = sorted(
+                (float(nodes[i]), float(total * vectors[0, i] ** 2)) for i in range(n)
+            )
+        w_ref = np.array([w for _, w in ref])
+        w = gauss_jacobi_right(n, -1.0, 1.0, exponent).weights
+        assert np.abs(w - w_ref).sum() <= 5e-14 * w_ref.sum()
+
+    def test_left_rule_mirrors_right(self):
+        rule = gauss_jacobi_left(8, 0.0, 2.0, 0.5)
+        # int_0^2 t^0.5 t^2 dt = 2^3.5 / 3.5
+        assert rule.integrate(lambda t: t**2) == pytest.approx(2**3.5 / 3.5, rel=1e-14)
 
 
 class TestIntegratePiecewise:
