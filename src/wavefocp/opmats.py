@@ -1,11 +1,14 @@
 """Gram, integration, and product operational matrices for the wavelet basis.
 
-Gram and triple-product entries are exact monomial integrals; the
-integration matrices are least-squares projections of the (fractionally)
-integrated basis functions, solved against the Gram matrix. Every other
-integral against the basis runs block by block on one QuadratureGrid per
-bundle: each wavelet is nonzero on a single block, so the grid keeps only
-the M local basis values of every node.
+Each wavelet is nonzero on a single block n, where it is the plain monomial
+phi_m(s) of the local coordinate s = N zeta^mu - n + 1 in [0, 1). The Gram
+matrix D, the triple products T and the basis moments come from one rule
+per block in s (``_block_rule``), so D and the product matrices are
+block-diagonal and T is stored as N blocks of M x M x M. The integration
+matrices are least-squares projections of the (fractionally) integrated
+basis functions, solved against D. Integrals of given functions against
+the basis run block by block on one QuadratureGrid per bundle, which keeps
+only the M local basis values of every node.
 
 P^mu does not use the grid: every block of its unprojected matrix comes
 from a fixed rule in the local block coordinates, where each wavelet is a
@@ -56,53 +59,51 @@ _GRADED_RATIO = 0.2
 _GRADED_LEVELS = 16
 
 
-def _power_integral(p: float, lo: float, hi: float) -> float:
-    """Integral of zeta**p over [lo, hi] for p > -1."""
-    return (hi ** (p + 1.0) - lo ** (p + 1.0)) / (p + 1.0)
+def _block_rule(params: WaveletParams) -> tuple[np.ndarray, np.ndarray]:
+    """Local nodes s and weights w, both (N, Q), with sum_q w[n-1, q] f(s[n-1, q])
+    approximating int_0^1 f(s) w_n(s) ds, the integral of f over block n.
+
+    On block 1, w_1(s) = s^(1/mu - 1) N^(-1/mu) / mu is a single power: a
+    Gauss-Jacobi rule for that weight is exact for polynomial f of degree
+    2Q - 1. On blocks n >= 2, w_n is analytic with its nearest singularity
+    at s = 1 - n, a block width away, and Gauss-Legendre resolves it.
+    Q = ``_LOCAL_RULE_POINTS`` + M gives 2Q - 1 >= 3M - 3, the degree of a
+    product of three local wavelets.
+    """
+    N, mu = params.n_blocks, params.mu
+    Q = _LOCAL_RULE_POINTS + params.M
+    first = gauss_jacobi_left(Q, 0.0, 1.0, 1.0 / mu - 1.0)
+    rest = gauss_legendre(Q, 0.0, 1.0)
+    s = np.vstack([first.nodes] + [rest.nodes] * (N - 1))
+    t = (rest.nodes + np.arange(1, N)[:, None]) / N
+    w = np.vstack([first.weights * N ** (-1.0 / mu) / mu, rest.weights * _dzeta(params, t)])
+    return s, w
+
+
+def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
+    """The dense n-major matrix with the (N, M, M) blocks on its diagonal."""
+    N, M, _ = blocks.shape
+    out = np.zeros((N * M, N * M))
+    diag = np.arange(N)
+    out.reshape(N, M, N, M)[diag, :, diag, :] = blocks
+    return out
 
 
 def gram_matrix(params: WaveletParams) -> np.ndarray:
-    """D(mu) = integral of Psi Psi^T over [0, 1], by exact monomial integration."""
-    D = np.zeros((params.m_hat, params.m_hat))
-    for n in range(1, params.n_blocks + 1):
-        lo, hi = support_interval(params, n)
-        coefs = [monomial_coefficients(params, n, m) for m in range(params.M)]
-        for m1 in range(params.M):
-            for m2 in range(m1, params.M):
-                total = 0.0
-                for s1, c1 in enumerate(coefs[m1]):
-                    for s2, c2 in enumerate(coefs[m2]):
-                        total += c1 * c2 * _power_integral(
-                            params.mu * (s1 + s2), lo, hi
-                        )
-                i, j = params.flat_index(n, m1), params.flat_index(n, m2)
-                D[i, j] = D[j, i] = total
-    return D
+    """D(mu) = integral of Psi Psi^T over [0, 1], block by block from the
+    local rule; entries across distinct blocks are zero."""
+    s, w = _block_rule(params)
+    phi = local_wavelet_values(params, s)
+    return _block_diagonal(np.einsum("anq,bnq->nab", phi * w, phi))
 
 
 def triple_product_tensor(params: WaveletParams) -> np.ndarray:
-    """T[i, j, l] = integral of psi_i psi_j psi_l; zero across distinct blocks."""
-    T = np.zeros((params.m_hat, params.m_hat, params.m_hat))
-    for n in range(1, params.n_blocks + 1):
-        lo, hi = support_interval(params, n)
-        coefs = [monomial_coefficients(params, n, m) for m in range(params.M)]
-        base = (n - 1) * params.M
-        for m1 in range(params.M):
-            for m2 in range(m1, params.M):
-                for m3 in range(m2, params.M):
-                    total = 0.0
-                    for s1, c1 in enumerate(coefs[m1]):
-                        for s2, c2 in enumerate(coefs[m2]):
-                            for s3, c3 in enumerate(coefs[m3]):
-                                total += c1 * c2 * c3 * _power_integral(
-                                    params.mu * (s1 + s2 + s3), lo, hi
-                                )
-                    for a, b, c in {
-                        (m1, m2, m3), (m1, m3, m2), (m2, m1, m3),
-                        (m2, m3, m1), (m3, m1, m2), (m3, m2, m1),
-                    }:
-                        T[base + a, base + b, base + c] = total
-    return T
+    """T[n-1, a, b, c] = integral of psi_{n,a} psi_{n,b} psi_{n,c}, shape
+    (N, M, M, M): triple products across distinct blocks vanish and are
+    not stored."""
+    s, w = _block_rule(params)
+    phi = local_wavelet_values(params, s)
+    return np.einsum("anq,bnq,cnq->nabc", phi * w, phi, phi)
 
 
 def quadrature_nodes(
@@ -249,9 +250,12 @@ def rl_integral_of_wavelet(
 class OperationalMatrices:
     """Immutable bundle of the matrices a solve needs.
 
-    ``grid`` is the quadrature every basis integral of a solve runs on and
-    ``D_factor`` the Cholesky factor of D (None if D is not numerically
-    SPD). ``P1`` is built on first access; a solve never reads it.
+    ``triple`` holds the triple products block by block, shape (N, M, M, M)
+    (see ``triple_product_tensor``). ``grid`` is the quadrature every
+    integral of given functions against the basis runs on and ``D_factor``
+    the Cholesky factor of D (None if D is not numerically SPD). ``P1``, the
+    integration matrix of order 1, is built on first access; a solve never
+    reads it.
     """
 
     params: WaveletParams
@@ -283,67 +287,12 @@ def project(
     return mats.solve_D(inner_products(f, params, extra_breakpoints, grid))
 
 
-def _integrate_power_against_wavelet(
-    params: WaveletParams, j: int, p: float, alpha: float, beta: float
-) -> float:
-    """Exact integral of zeta**p * psi_j(zeta) over [alpha, beta] (clipped to support)."""
-    n = params.block_of_index(j)
-    m = params.degree_of_index(j)
-    lo, hi = support_interval(params, n)
-    a, b = max(alpha, lo), min(beta, hi)
-    if a >= b:
-        return 0.0
-    coefs = monomial_coefficients(params, n, m)
-    return sum(
-        c * _power_integral(p + params.mu * s, a, b) for s, c in enumerate(coefs)
-    )
-
-
 def integration_matrix_first_order(
     params: WaveletParams, mats: OperationalMatrices
 ) -> np.ndarray:
-    """P1: row i projects the running integral of psi_i back onto the basis.
-
-    Antiderivatives are exact (piecewise powers of zeta), as are the
-    projection inner products, so the only approximation is the
-    least-squares truncation itself.
-    """
-    m_hat = params.m_hat
-    B = np.zeros((m_hat, m_hat))
-    for i in range(m_hat):
-        n_i = params.block_of_index(i)
-        m_i = params.degree_of_index(i)
-        lo_i, hi_i = support_interval(params, n_i)
-        coefs = monomial_coefficients(params, n_i, m_i)
-        # F(z) = sum_s c_s z**(mu*s+1)/(mu*s+1); running integral is
-        # 0 before lo_i, F(z) - F(lo_i) inside, F(hi_i) - F(lo_i) after.
-        def F(z: float) -> float:
-            return sum(
-                c * z ** (params.mu * s + 1.0) / (params.mu * s + 1.0)
-                for s, c in enumerate(coefs)
-            )
-
-        F_lo, F_hi = F(lo_i), F(hi_i)
-        for j in range(m_hat):
-            n_j = params.block_of_index(j)
-            if n_j < n_i:
-                continue
-            val = 0.0
-            if n_j == n_i:
-                for s, c in enumerate(coefs):
-                    p = params.mu * s + 1.0
-                    val += (c / p) * _integrate_power_against_wavelet(
-                        params, j, p, lo_i, hi_i
-                    )
-                val -= F_lo * _integrate_power_against_wavelet(
-                    params, j, 0.0, lo_i, hi_i
-                )
-            else:
-                val = (F_hi - F_lo) * _integrate_power_against_wavelet(
-                    params, j, 0.0, 0.0, 1.0
-                )
-            B[i, j] = val
-    return mats.solve_D(B.T).T
+    """P1: row i projects the running integral of psi_i back onto the basis,
+    which is the RL integral of order 1."""
+    return _integration_matrix(params, mats, 1.0)
 
 
 def integration_matrix_fractional(
@@ -368,7 +317,13 @@ def integration_matrix_fractional(
     smooth. No rule uses the cancelling global-power expansion of the
     wavelets, and none reads the graded grid.
     """
-    order = params.mu if order is None else order
+    return _integration_matrix(params, mats, params.mu if order is None else order)
+
+
+def _integration_matrix(
+    params: WaveletParams, mats: OperationalMatrices, order: float
+) -> np.ndarray:
+    """P = B D^-1 at the given order: the body of both public builders."""
     if not 0.0 < order <= 1.0:
         raise ValueError(f"need 0 < order <= 1, got {order}")
     B = np.zeros((params.m_hat, params.m_hat))
@@ -500,11 +455,16 @@ def _far_field(params: WaveletParams, order: float, B: np.ndarray) -> None:
 
 
 def product_matrix(c: np.ndarray, mats: OperationalMatrices) -> np.ndarray:
-    """Matrix C~ with Psi Psi^T c ~= C~ Psi; linear in c."""
+    """Matrix C~ with Psi Psi^T c ~= C~ Psi; linear in c.
+
+    Block n of G = sum_j T_ijl c_j contracts T_n with the coefficients c_n
+    of block n; G is block-diagonal, and C~ = G D^-1.
+    """
+    N, M = mats.params.n_blocks, mats.params.M
     c = np.asarray(c, dtype=float)
-    if c.shape != (mats.params.m_hat,):
-        raise ValueError(f"coefficient vector must have length {mats.params.m_hat}")
-    G = np.einsum("ijl,j->il", mats.triple, c)
+    if c.shape != (N * M,):
+        raise ValueError(f"coefficient vector must have length {N * M}")
+    G = _block_diagonal(np.einsum("nabc,nb->nac", mats.triple, c.reshape(N, M)))
     return mats.solve_D(G.T).T
 
 
@@ -531,10 +491,6 @@ def build_operational_matrices(
 
 
 def basis_moment_vector(params: WaveletParams) -> np.ndarray:
-    """Exact integrals of each psi_j over [0, 1]."""
-    return np.array(
-        [
-            _integrate_power_against_wavelet(params, j, 0.0, 0.0, 1.0)
-            for j in range(params.m_hat)
-        ]
-    )
+    """Integrals of each psi_j over [0, 1], from the local rule."""
+    s, w = _block_rule(params)
+    return np.einsum("anq,nq->na", local_wavelet_values(params, s), w).ravel()

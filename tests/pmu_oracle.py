@@ -23,6 +23,10 @@ cancels here too, by more digits as k and M grow: in float64 it costs the
 closed form 1.4e-12 at k=5 and 3.3e-11 at k=7, M=4. At k=5, M=8 even 30
 digits are not enough (the 30-digit oracle is 1.6e-12 off on block
 (16, 16) and 6.7e-12 on (15, 16)); pass ``dps=50`` there.
+
+``local_block_oracle`` gives the basis moments, the Gram block and the
+triple-product block of one block from its local moments, with no power
+expansion, at 40 digits.
 """
 
 from __future__ import annotations
@@ -125,3 +129,38 @@ def pmu_oracle(k: int, M: int, mu: str, order: str, dps: int = 30) -> np.ndarray
                         B[n * M + m, nb * M + t] = block[m][t]
         P = B * mp.inverse(D)
         return np.array([[float(P[i, j]) for j in range(m_hat)] for i in range(m_hat)])
+
+
+def local_block_oracle(
+    k: int, M: int, mu: str, n: int, dps: int = 40
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The moments (M,), the Gram block D_n (M, M) and the triple block
+    T_n (M, M, M) of block n (1-based), rounded to float.
+
+    In the local coordinate s of block n, psi_{n,m} is
+    2^((k-1)/2) sqrt(2m+1) s^m and dzeta = ((s+n-1)/N)^(1/mu-1) / (mu N) ds,
+    so every entry is a constant times a local moment
+    int_0^1 s^j (s+n-1)^(1/mu-1) ds, here by ``mpmath.quad``. No power
+    expansion of the wavelets in zeta is used. mu is a decimal string.
+    """
+    with mp.workdps(dps):
+        mu = mp.mpf(mu)
+        N = 2 ** (k - 1)
+        front = 1 / (mu * mp.mpf(N) ** (1 / mu))
+        local = [
+            front * mp.quad(lambda s: s**j * (s + n - 1) ** (1 / mu - 1), [0, 1])
+            for j in range(3 * M - 2)
+        ]
+        c = [mp.sqrt(mp.mpf(N)) * mp.sqrt(2 * m + 1) for m in range(M)]
+        moments = np.array([float(c[a] * local[a]) for a in range(M)])
+        gram = np.array(
+            [[float(c[a] * c[b] * local[a + b]) for b in range(M)] for a in range(M)]
+        )
+        triple = np.array(
+            [
+                [[float(c[a] * c[b] * c[d] * local[a + b + d]) for d in range(M)]
+                 for b in range(M)]
+                for a in range(M)
+            ]
+        )
+    return moments, gram, triple

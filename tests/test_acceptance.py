@@ -31,7 +31,12 @@ from conftest import (
     P09_FRACTIONAL_ORACLE,
     P09_PLAIN,
 )
-from wavefocp.basis import WaveletParams, eval_basis_many
+from wavefocp.basis import (
+    WaveletParams,
+    eval_basis_many,
+    monomial_coefficients,
+    support_interval,
+)
 from wavefocp.cli import main
 from wavefocp.errors import convergence_sweep, lemma2_bound
 from wavefocp.fracops import check_inversion_identity
@@ -69,6 +74,52 @@ def _example3(mu: float) -> FocpProblem:
         track_x=lambda z: np.asarray(z, dtype=float) ** mu,
         track_u=lambda z: np.asarray(z, dtype=float) ** mu + g,
     )
+
+
+def _first_order_by_antiderivatives(params: WaveletParams, mats) -> np.ndarray:
+    """P1 = B D^-1 with B[i, j] = int_0^1 (int_0^z psi_i) psi_j dz in closed
+    form, from the expansion psi_{n,m} = sum_s c_s zeta^(mu s) on block n.
+
+    A reference that shares no rule with the library's integration
+    matrices; at k = 2, M = 4 the expansion does not cancel.
+    """
+    mu = params.mu
+
+    def expansion(i):
+        n = params.block_of_index(i)
+        return support_interval(params, n), monomial_coefficients(
+            params, n, params.degree_of_index(i)
+        )
+
+    def moment(j, p, a, b):
+        """Integral of zeta**p psi_j over [a, b], clipped to psi_j's support."""
+        (lo, hi), coefs = expansion(j)
+        a, b = max(a, lo), min(b, hi)
+        if a >= b:
+            return 0.0
+        return sum(
+            c * (b ** (p + mu * s + 1.0) - a ** (p + mu * s + 1.0)) / (p + mu * s + 1.0)
+            for s, c in enumerate(coefs)
+        )
+
+    m_hat = params.m_hat
+    B = np.zeros((m_hat, m_hat))
+    for i in range(m_hat):
+        (lo, hi), coefs = expansion(i)
+
+        def F(z):  # antiderivative of psi_i's expansion, zero at z = 0
+            return sum(c * z ** (mu * s + 1.0) / (mu * s + 1.0) for s, c in enumerate(coefs))
+
+        for j in range(m_hat):
+            n_i, n_j = params.block_of_index(i), params.block_of_index(j)
+            if n_j == n_i:
+                B[i, j] = sum(
+                    c / (mu * s + 1.0) * moment(j, mu * s + 1.0, lo, hi)
+                    for s, c in enumerate(coefs)
+                ) - F(lo) * moment(j, 0.0, lo, hi)
+            elif n_j > n_i:
+                B[i, j] = (F(hi) - F(lo)) * moment(j, 0.0, 0.0, 1.0)
+    return mats.solve_D(B.T).T
 
 
 def test_criterion_1_golden_matrices():
@@ -194,12 +245,14 @@ def test_criterion_6_property_suite():
     failures = []
 
     # order-one coincidence: the fractional integration matrix at order 1
-    # and the first-order one give the same solve (full pipeline)
+    # and a first-order one from exact antiderivatives give the same solve
+    # (full pipeline)
     params1 = WaveletParams(k=2, M=4, mu=1.0)
     mats1 = build_operational_matrices(params1)
+    P1 = _first_order_by_antiderivatives(params1, mats1)
     sol_frac = solve_focp(_example1(1.0), params1, mats1, diagnostics=False)
     sol_plain = solve_focp(_example1(1.0), params1,
-                           dataclasses.replace(mats1, Pmu=mats1.P1),
+                           dataclasses.replace(mats1, Pmu=P1),
                            diagnostics=False)
     grid = np.linspace(0.0, 1.0, 100)
     xa, ua = reconstruct_many(sol_plain, grid)

@@ -5,7 +5,7 @@ from scipy.special import betainc
 
 from conftest import D1_BLOCK, D09_BLOCK1, D09_BLOCK2, P09_PLAIN
 from wavefocp import opmats, quadrature
-from wavefocp.basis import WaveletParams, eval_basis_many
+from wavefocp.basis import WaveletParams, eval_basis_many, local_basis_values
 from wavefocp.fracops import rl_integral
 from wavefocp.opmats import (
     OperationalMatrices,
@@ -24,6 +24,11 @@ from wavefocp.opmats import (
 )
 from wavefocp.quadrature import solve_spd, spd_factor
 from wavefocp.solver import FocpProblem, _requadrature_cost, discretize
+
+
+# (k, M, mu, first block checked): the whole basis at k = 2 and the last
+# block at k = 7, where the global-power expansion cancels
+_LAST_BLOCK_CASES = [(2, 4, 0.9, 1), (7, 4, 0.9, 64)]
 
 
 class TestGramMatrix:
@@ -54,12 +59,18 @@ class TestGramMatrix:
             assert np.abs(D - D.T).max() <= 1e-12
             scipy.linalg.cho_factor(D)  # raises if not SPD
 
-    def test_matches_quadrature(self, params_frac09):
-        D = gram_matrix(params_frac09)
-        nodes, weights = quadrature_nodes(params_frac09)
-        vals = eval_basis_many(params_frac09, nodes)
-        D_quad = (vals * weights) @ vals.T
-        np.testing.assert_allclose(D, D_quad, atol=1e-10)
+    def test_matches_quadrature(self):
+        """D against the graded grid: in full at (2, 4, 0.9), and on the last
+        block at (7, 4, 0.9), where a global-power expansion of the wavelets
+        cancels (it misses by 1.6e-3)."""
+        for k, M, mu, first in _LAST_BLOCK_CASES:
+            params = WaveletParams(k=k, M=M, mu=mu)
+            rows = slice((first - 1) * M, None)
+            nodes, weights = quadrature_nodes(params)
+            keep = local_basis_values(params, nodes)[0] >= first - 1
+            vals = eval_basis_many(params, nodes[keep])
+            D_quad = (vals[rows] * weights[keep]) @ vals.T
+            np.testing.assert_allclose(gram_matrix(params)[rows], D_quad, atol=1e-10)
 
 
 class TestProjection:
@@ -137,9 +148,19 @@ class TestIntegrationMatrices:
                 oracle = rl_integral(psi_i, 0.9, z, breakpoints=bp)
                 assert closed == pytest.approx(oracle, abs=1e-10)
 
-    def test_first_order_matches_fractional_at_one(self, params_plain, mats_plain):
-        P_frac = integration_matrix_fractional(params_plain, mats_plain, order=1.0)
-        assert np.abs(P_frac - mats_plain.P1).max() <= 1e-10
+    def test_first_order_matches_fractional_at_one(self):
+        """B = P1 D against the order-1 mpmath oracle, on the block-1 row and
+        on near blocks of later rows."""
+        pytest.importorskip("mpmath")
+        from pmu_oracle import b_block_oracle
+
+        k, M, mu = 5, 4, "0.9"
+        mats = build_operational_matrices(WaveletParams(k=k, M=M, mu=float(mu)))
+        B = mats.P1 @ mats.D
+        for n, b in ((1, 2), (2, 2), (2, 3), (14, 15)):
+            ours = B[(n - 1) * M : n * M, (b - 1) * M : b * M]
+            ref = b_block_oracle(k, M, mu, "1", n, b)
+            assert np.abs(ours - ref).max() <= 1e-14
 
     def test_first_order_integrates_polynomials(self, params_plain, mats_plain):
         # running integral of any basis-representable f stays representable
@@ -184,37 +205,49 @@ class TestIntegrationMatrices:
 class TestTripleProducts:
     def test_symmetry(self, mats_frac09):
         T = mats_frac09.triple
-        assert np.abs(T - np.transpose(T, (1, 0, 2))).max() <= 1e-12
-        assert np.abs(T - np.transpose(T, (0, 2, 1))).max() <= 1e-12
+        assert np.abs(T - np.transpose(T, (0, 2, 1, 3))).max() <= 1e-12
+        assert np.abs(T - np.transpose(T, (0, 1, 3, 2))).max() <= 1e-12
 
     def test_cross_block_zero(self, params_frac09, mats_frac09):
-        T = mats_frac09.triple
-        M = params_frac09.M
-        assert np.all(T[:M, M:, :] == 0.0)
-        assert np.all(T[:M, :, M:] == 0.0)
+        """T stores only the N diagonal blocks, and the product matrix built
+        from it is zero across blocks."""
+        M, N = params_frac09.M, params_frac09.n_blocks
+        assert mats_frac09.triple.shape == (N, M, M, M)
+        c = np.random.default_rng(3).standard_normal(params_frac09.m_hat)
+        C_tilde = product_matrix(c, mats_frac09)
+        assert np.all(C_tilde[:M, M:] == 0.0)
+        assert np.all(C_tilde[M:, :M] == 0.0)
+        assert np.all(C_tilde[:M, :M] != 0.0)
 
     def test_matches_quadrature(self, params_plain):
         T = triple_product_tensor(params_plain)
         nodes, weights = quadrature_nodes(params_plain)
         vals = eval_basis_many(params_plain, nodes)
         T_quad = np.einsum("in,jn,ln,n->ijl", vals, vals, vals, weights)
-        np.testing.assert_allclose(T, T_quad, atol=1e-10)
+        M = params_plain.M
+        for n in range(params_plain.n_blocks):
+            blk = slice(n * M, (n + 1) * M)
+            np.testing.assert_allclose(T[n], T_quad[blk, blk, blk], atol=1e-10)
 
-    def test_product_matrix_represents_multiplication(
-        self, params_frac09, mats_frac09
-    ):
-        rng = np.random.default_rng(5)
-        c = rng.standard_normal(params_frac09.m_hat)
-        C_tilde = product_matrix(c, mats_frac09)
+    def test_product_matrix_represents_multiplication(self):
+        """Row i of C~ is the projection of psi_i (c^T Psi): at (2, 4, 0.9)
+        for i = 2, and at (7, 4, 0.9) for a row of the last block, where a
+        global-power expansion of the wavelets puts T off by 4.9e3
+        (relative)."""
+        for k, M, mu, first in _LAST_BLOCK_CASES:
+            params = WaveletParams(k=k, M=M, mu=mu)
+            mats = build_operational_matrices(params)
+            c = np.random.default_rng(5).standard_normal(params.m_hat)
+            C_tilde = product_matrix(c, mats)
+            i = (first - 1) * M + 2
 
-        def product_fn(z):
-            z = np.atleast_1d(z)
-            vals = eval_basis_many(params_frac09, z)
-            return (c @ vals) * vals[2]
+            def product_fn(z, c=c, i=i):
+                blocks, local = local_basis_values(params, np.atleast_1d(z))
+                expansion = np.einsum("mj,jm->j", local, c.reshape(-1, M)[blocks])
+                return expansion * np.where(blocks == i // M, local[i % M], 0.0)
 
-        # row 2 of C~ gives the projection of psi_2 * (c^T Psi)
-        projected = project(product_fn, params_frac09, mats_frac09)
-        np.testing.assert_allclose(C_tilde[2], projected, atol=1e-8)
+            projected = project(product_fn, params, mats)
+            np.testing.assert_allclose(C_tilde[i], projected, atol=1e-8)
 
     def test_product_matrix_linear_in_coefficients(self, mats_frac09):
         rng = np.random.default_rng(9)
@@ -225,6 +258,29 @@ class TestTripleProducts:
             c2, mats_frac09
         )
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "k, M, mu",
+    [(4, 8, "0.9"), (5, 6, "0.9"), (5, 8, "0.7"), (6, 4, "0.75"), (7, 4, "1"), (2, 16, "0.75")],
+    ids=["4-8-0.9", "5-6-0.9", "5-8-0.7", "6-4-0.75", "7-4-1", "2-16-0.75"],
+)
+def test_local_products_match_oracle(k, M, mu):
+    """Moments, D and T on blocks 1, 2 and N against 40-digit mpmath, entry
+    by entry. A global-power expansion of the wavelets misses D by 17 at
+    (4, 8, 0.9) and T by 5.5e2 at (7, 4, 1), both relative, on block N."""
+    pytest.importorskip("mpmath")
+    from pmu_oracle import local_block_oracle
+
+    params = WaveletParams(k=k, M=M, mu=float(mu))
+    N = params.n_blocks
+    moments = basis_moment_vector(params).reshape(N, M)
+    D, T = gram_matrix(params), triple_product_tensor(params)
+    for n in sorted({1, 2, N}):
+        ref_moments, ref_D, ref_T = local_block_oracle(k, M, mu, n)
+        blk = slice((n - 1) * M, n * M)
+        for ours, ref in ((moments[n - 1], ref_moments), (D[blk, blk], ref_D), (T[n - 1], ref_T)):
+            assert np.abs(ours / ref - 1.0).max() <= 1e-12
 
 
 def test_basis_moments_match_projection_of_one(params_plain, mats_plain):
@@ -258,11 +314,7 @@ _ORACLE_BLOCKS = {
 
 
 class TestBlockGrid:
-    """Block-local grid integrals against their dense eval_basis_many forms.
-
-    M = 4 throughout: at M = 8 the monomial expansion behind D already
-    differs by round-off of order 1e-7 between any two summation orders.
-    """
+    """Block-local grid integrals against their dense eval_basis_many forms."""
 
     @pytest.mark.parametrize(
         "k, M, mu, order",

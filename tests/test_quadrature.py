@@ -100,7 +100,8 @@ class TestGaussJacobiRight:
         with pytest.raises(ValueError):
             gauss_jacobi_right(4, 0.0, 1.0, -1.0)
 
-    @pytest.mark.parametrize("exponent", [-0.9, -0.5, -0.1, 0.5, 0.9])
+    # 1/0.7 - 1 and 1.0 are the exponents of block 1 of D at mu = 0.7, 0.5
+    @pytest.mark.parametrize("exponent", [-0.9, -0.5, -0.1, 0.5, 0.9, 1 / 0.7 - 1, 1.0])
     @pytest.mark.parametrize("n", [12, 24])
     def test_weights_match_golub_welsch(self, n, exponent):
         """Weights against a 40-digit Golub-Welsch rule (eigenvectors of the
