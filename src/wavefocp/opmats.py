@@ -7,8 +7,9 @@ per block in s (``_block_rule``), so D and the product matrices are
 block-diagonal and T is stored as N blocks of M x M x M. The integration
 matrices are least-squares projections of the (fractionally) integrated
 basis functions, solved against D. Integrals of given functions against
-the basis run block by block on one QuadratureGrid per bundle, which keeps
-only the M local basis values of every node.
+the basis run on one QuadratureGrid per bundle: a rule per block in s,
+graded toward s = 0 on block 1, that keeps the M local basis values of
+every node.
 
 P^mu does not use the grid: every block of its unprojected matrix comes
 from a fixed rule in the local block coordinates, where each wavelet is a
@@ -27,14 +28,13 @@ import dataclasses
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import betainc
 
 from .basis import (
     WaveletParams,
-    local_basis_values,
     local_wavelet_values,
     monomial_coefficients,
     support_interval,
@@ -45,16 +45,17 @@ from .quadrature import (
     gamma,
     gauss_jacobi_left,
     gauss_legendre,
-    graded_breakpoints,
     solve_spd,
     spd_factor,
 )
 
 _COND_WARN_LIMIT = 1e12
-# points per local coordinate of every rule that fills B in P^mu = B D^-1
+# points per local coordinate of every rule that fills B in P^mu = B D^-1;
+# the block rule and the projection rule use this many plus M
 _LOCAL_RULE_POINTS = 16
-# the block-2 targets of block 1 see (zeta - bp_1)^order at s' = 0: a
-# composite rule on [0, ratio^levels], ..., [ratio, 1]
+# power behaviour at s = 0 (the block-2 targets of block 1 in P^mu, smooth
+# functions of zeta on block 1): a composite rule on [0, ratio^levels], ...,
+# [ratio, 1]
 _GRADED_RATIO = 0.2
 _GRADED_LEVELS = 16
 
@@ -106,36 +107,55 @@ def triple_product_tensor(params: WaveletParams) -> np.ndarray:
     return np.einsum("anq,bnq,cnq->nabc", phi * w, phi, phi)
 
 
-def quadrature_nodes(
-    params: WaveletParams,
-    extra_breakpoints: Sequence[float] = (),
-    points_per_segment: int = 32,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Graded composite Gauss-Legendre nodes/weights over [0, 1].
+def _graded_rule(points: int, n_blocks: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Local nodes s, 0-based block offsets and weights in s of a rule over
+    n_blocks consecutive blocks, ``points`` Gauss-Legendre points per segment.
 
-    Segments split at every wavelet subinterval boundary (plus any extra
-    breakpoints), geometrically refined toward the segment endpoints.
+    The first block gets a composite rule on [0, r^L], [r^L, r^(L-1)], ...,
+    [r, 1] (r = ``_GRADED_RATIO``, L = ``_GRADED_LEVELS``), for integrands
+    with power behaviour at s = 0; every later block gets a single segment.
+    The caller multiplies the weights by the w_n of its blocks.
     """
-    base = np.unique(np.concatenate([params.breakpoints(), np.asarray(extra_breakpoints, dtype=float)]))
-    if base[0] < 0.0 or base[-1] > 1.0:
-        raise ValueError("breakpoints must lie in [0, 1]")
-    pieces = graded_breakpoints(base)
-    nodes, weights = [], []
-    for lo, hi in zip(pieces[:-1], pieces[1:]):
-        rule = gauss_legendre(points_per_segment, lo, hi)
-        nodes.append(rule.nodes)
-        weights.append(rule.weights)
-    return np.concatenate(nodes), np.concatenate(weights)
+    edges = np.concatenate([[0.0], _GRADED_RATIO ** np.arange(_GRADED_LEVELS, -1, -1)])
+    graded = [gauss_legendre(points, a, b) for a, b in zip(edges[:-1], edges[1:])]
+    rules = graded + [gauss_legendre(points, 0.0, 1.0)] * (n_blocks - 1)
+    s = np.concatenate([rule.nodes for rule in rules])
+    block = np.repeat(np.arange(n_blocks), [len(graded) * points] + [points] * (n_blocks - 1))
+    return s, block, np.concatenate([rule.weights for rule in rules])
+
+
+def _projection_rule(params: WaveletParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_graded_rule`` over all N blocks with Q = ``_LOCAL_RULE_POINTS`` + M
+    points per segment: local nodes s, owning blocks, weights in s."""
+    return _graded_rule(_LOCAL_RULE_POINTS + params.M, params.n_blocks)
+
+
+def quadrature_nodes(params: WaveletParams) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted nodes zeta and weights of the projection rule over [0, 1].
+
+    Block n gets a rule in its local coordinate s, at zeta = t_n(s)^(1/mu)
+    with weights times w_n(s): Gauss-Legendre for n >= 2, the rows of
+    ``_block_rule``, and on block 1, where a smooth f(zeta) is
+    f((s/N)^(1/mu)), a rule graded toward s = 0; 17 Q + (N - 1) Q nodes in
+    all. The rule is accurate for f analytic in s on every block, which
+    covers f analytic in zeta, and on block 1 also for power behaviour
+    zeta^a at zeta = 0. It does not resolve f that is non-smooth at an
+    interior breakpoint.
+    """
+    s, block, w = _projection_rule(params)
+    t = (s + block) / params.n_blocks
+    return t ** (1.0 / params.mu), w * _dzeta(params, t)
 
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """The graded ``quadrature_nodes`` rule, grouped by wavelet block.
+    """The ``quadrature_nodes`` rule, grouped by wavelet block.
 
-    Nodes are sorted; block b (0-based) owns nodes ``starts[b]:starts[b+1]``
-    under the ``block_of_point``/``eval_basis_many`` assignment, and
-    ``local[m, j]`` is psi_{b+1, m} at node j of block b. Integrals against
-    the basis are per-block sums, so no m_hat x n_nodes array is formed.
+    Nodes are sorted; block b (0-based) owns nodes ``starts[b]:starts[b+1]``,
+    the nodes its own rule placed, and ``local[m, j]`` is psi_{b+1, m} at
+    node j of block b, taken at the local coordinate s of the rule. Integrals
+    against the basis are per-block sums, so no m_hat x n_nodes array is
+    formed.
     """
 
     nodes: np.ndarray
@@ -148,63 +168,47 @@ class QuadratureGrid:
 
     def inner_products(self, values: np.ndarray) -> np.ndarray:
         """Integrals of f * psi_j (n-major) from f sampled at the nodes."""
-        fw = self.weights * values
-        return np.concatenate(
-            [self.local[:, sl] @ fw[sl] for sl in self.block_slices()]
-        )
+        terms = self.local * (self.weights * values)
+        return np.add.reduceat(terms, self.starts[:-1], axis=1).T.ravel()
 
     def weighted_gram(self, values: np.ndarray) -> np.ndarray:
         """Block-diagonal matrix of integrals of w * psi_i * psi_j from w
         sampled at the nodes."""
-        M = self.local.shape[0]
-        lw = self.local * (self.weights * values)
-        out = np.zeros((M * (self.starts.size - 1),) * 2)
-        for b, sl in enumerate(self.block_slices()):
-            blk = slice(b * M, (b + 1) * M)
-            out[blk, blk] = lw[:, sl] @ self.local[:, sl].T
-        return out
+        terms = self.local[:, None] * (self.local * (self.weights * values))
+        blocks = np.add.reduceat(terms, self.starts[:-1], axis=2)
+        return _block_diagonal(blocks.transpose(2, 0, 1))
 
     def evaluate(self, coeffs: np.ndarray) -> np.ndarray:
         """Values at the nodes of the expansion with the given coefficients."""
         M = self.local.shape[0]
-        return np.concatenate(
-            [
-                coeffs[b * M : (b + 1) * M] @ self.local[:, sl]
-                for b, sl in enumerate(self.block_slices())
-            ]
-        )
+        blocks = np.repeat(np.arange(self.starts.size - 1), np.diff(self.starts))
+        return np.einsum("mj,jm->j", self.local, coeffs.reshape(-1, M)[blocks])
 
 
-def quadrature_grid(
-    params: WaveletParams, extra_breakpoints: Sequence[float] = ()
-) -> QuadratureGrid:
-    """Build the block-grouped grid of ``quadrature_nodes(params, extra_breakpoints)``.
-
-    Block starts come from each node's block assignment, not from node
-    counts: extra breakpoints, merged graded breakpoints and round-off at
-    block edges all change how many nodes a block owns.
-    """
-    nodes, weights = quadrature_nodes(params, extra_breakpoints)
-    blocks, local = local_basis_values(params, nodes)
-    starts = np.searchsorted(blocks, np.arange(params.n_blocks + 1))
-    return QuadratureGrid(nodes=nodes, weights=weights, starts=starts, local=local)
+def quadrature_grid(params: WaveletParams) -> QuadratureGrid:
+    """Build the block-grouped grid of ``quadrature_nodes(params)``; every
+    node belongs to the block whose rule placed it."""
+    nodes, weights = quadrature_nodes(params)
+    s, block, _ = _projection_rule(params)
+    starts = np.searchsorted(block, np.arange(params.n_blocks + 1))
+    return QuadratureGrid(
+        nodes=nodes, weights=weights, starts=starts, local=local_wavelet_values(params, s)
+    )
 
 
 def inner_products(
     f: Callable[[np.ndarray], np.ndarray],
     params: WaveletParams,
-    extra_breakpoints: Sequence[float] = (),
     grid: QuadratureGrid | None = None,
 ) -> np.ndarray:
-    """Vector of integrals of f * psi_j over [0, 1].
+    """Vector of integrals of f * psi_j over [0, 1] on the projection rule
+    (see ``quadrature_nodes`` for the f it resolves).
 
     ``grid`` (normally ``mats.grid``) must be the grid of params; without
-    it one is built with the extra breakpoints.
+    it one is built.
     """
     if grid is None:
-        grid = quadrature_grid(params, extra_breakpoints)
-    elif len(extra_breakpoints):
-        raise ValueError("pass either a grid or extra breakpoints, not both")
+        grid = quadrature_grid(params)
     fv = np.asarray(f(grid.nodes), dtype=float)
     if fv.ndim == 0:
         fv = np.full(grid.nodes.shape, float(fv))
@@ -280,11 +284,11 @@ def project(
     f: Callable[[np.ndarray], np.ndarray],
     params: WaveletParams,
     mats: OperationalMatrices,
-    extra_breakpoints: Sequence[float] = (),
 ) -> np.ndarray:
-    """Least-squares coefficients of f in the wavelet basis."""
-    grid = None if len(extra_breakpoints) else mats.grid
-    return mats.solve_D(inner_products(f, params, extra_breakpoints, grid))
+    """Least-squares coefficients of f in the wavelet basis, from inner
+    products on ``mats.grid`` (accurate for the f that ``quadrature_nodes``
+    describes)."""
+    return mats.solve_D(inner_products(f, params, mats.grid))
 
 
 def integration_matrix_first_order(
@@ -367,17 +371,13 @@ def _row_block_one(params: WaveletParams, order: float, B: np.ndarray) -> None:
     )
     if N == 1:
         return
-    Q = _LOCAL_RULE_POINTS
-    edges = np.concatenate([[0.0], _GRADED_RATIO ** np.arange(_GRADED_LEVELS, -1, -1)])
-    graded = [gauss_legendre(Q, a, b) for a, b in zip(edges[:-1], edges[1:])]
-    rules = graded + [gauss_legendre(Q, 0.0, 1.0)] * (N - 2)
-    s = np.concatenate([rule.nodes for rule in rules])
-    block = np.repeat(np.arange(1, N), [len(graded) * Q] + [Q] * (N - 2))
+    s, block, weights = _graded_rule(_LOCAL_RULE_POINTS, N - 1)
+    block = block + 1
     t = (s + block) / N  # in target block b = block + 1
     rl = np.vstack(
         [rl_integral_of_wavelet(params, i, order, t ** (1.0 / mu)) for i in range(M)]
     )
-    weights = np.concatenate([rule.weights for rule in rules]) * _dzeta(params, t)
+    weights = weights * _dzeta(params, t)
     terms = rl[:, :, None] * (local_wavelet_values(params, s) * weights).T
     starts = np.searchsorted(block, np.arange(1, N))
     B[:M, M:] = np.add.reduceat(terms, starts, axis=1).reshape(M, -1)

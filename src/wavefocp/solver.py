@@ -23,8 +23,8 @@ from .opmats import (
     OperationalMatrices,
     basis_moment_vector,
     build_operational_matrices,
-    inner_products,
     product_matrix,
+    project,
 )
 from .quadrature import SingularMatrixError, solve_linear
 
@@ -83,8 +83,6 @@ class DiscretizedFocp:
     mats: OperationalMatrices
     A_hat: np.ndarray
     B_hat: np.ndarray
-    P_hat: np.ndarray
-    Q_hat: np.ndarray
     d1: np.ndarray
     Wp: np.ndarray
     Wq: np.ndarray
@@ -132,17 +130,11 @@ def discretize(
             f"operational matrices built for order {mats.frac_order}, "
             f"problem has order {problem.mu}"
         )
+    A_hat = project(problem.a_fn, params, mats)
+    B_hat = project(problem.b_fn, params, mats)
+    d1 = project(lambda z: np.full(np.shape(z), problem.x0), params, mats)
+
     grid = mats.grid
-
-    def proj(f: Fn) -> np.ndarray:
-        return mats.solve_D(inner_products(_as_grid_fn(f), params, grid=grid))
-
-    A_hat = proj(problem.a_fn)
-    B_hat = proj(problem.b_fn)
-    P_hat = proj(problem.p_fn)
-    Q_hat = proj(problem.q_fn)
-    d1 = proj(lambda z: np.full(np.shape(z), problem.x0))
-
     nodes, weights = grid.nodes, grid.weights
     Wp = grid.weighted_gram(_as_grid_fn(problem.p_fn)(nodes))
     Wq = grid.weighted_gram(_as_grid_fn(problem.q_fn)(nodes))
@@ -167,7 +159,7 @@ def discretize(
 
     return DiscretizedFocp(
         problem=problem, params=params, mats=mats,
-        A_hat=A_hat, B_hat=B_hat, P_hat=P_hat, Q_hat=Q_hat, d1=d1,
+        A_hat=A_hat, B_hat=B_hat, d1=d1,
         Wp=Wp, Wq=Wq, wp_track=wp_track, wq_track=wq_track,
         track_p_const=track_p_const, track_q_const=track_q_const,
     )
@@ -316,19 +308,20 @@ def cost_via_product_chain(disc: DiscretizedFocp, solution: FocpSolution) -> flo
 
     Cross-check route only (homogeneous cost, no tracking targets): builds
     the intermediate coefficient vectors for p*x^2 and q*u^2 with repeated
-    product-matrix applications and integrates their basis expansion.
+    product-matrix applications, against projections of p and q, and
+    integrates their basis expansion.
     """
-    if disc.problem.track_x is not None or disc.problem.track_u is not None:
+    problem, params, mats = disc.problem, disc.params, disc.mats
+    if problem.track_x is not None or problem.track_u is not None:
         raise ValueError("product-matrix chain applies to the homogeneous cost only")
-    mats = disc.mats
     C2 = solution.C2
     C_tilde = product_matrix(C2, mats)
     C3 = C_tilde.T @ C2
     C4 = product_matrix(C3, mats)
-    C5 = C4.T @ disc.P_hat
+    C5 = C4.T @ project(problem.p_fn, params, mats)
     U2 = product_matrix(solution.U_hat, mats)
     U3 = U2.T @ solution.U_hat
     U4 = product_matrix(U3, mats)
-    U5 = U4.T @ disc.Q_hat
-    moments = basis_moment_vector(disc.params)
+    U5 = U4.T @ project(problem.q_fn, params, mats)
+    moments = basis_moment_vector(params)
     return 0.5 * float((C5 + U5) @ moments)

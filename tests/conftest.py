@@ -1,4 +1,5 @@
-"""Shared fixtures: reference matrices and cached operational-matrix bundles."""
+"""Shared fixtures: reference matrices, a reference quadrature and cached
+operational-matrix bundles."""
 
 import math
 
@@ -7,6 +8,7 @@ import pytest
 
 from wavefocp.basis import WaveletParams
 from wavefocp.opmats import build_operational_matrices
+from wavefocp.quadrature import gauss_legendre, graded_breakpoints
 
 # Published reference matrices for k=2, M=4 (8x8 basis). The Gram matrices
 # are block-diagonal; only the two 4x4 blocks are listed.
@@ -159,6 +161,18 @@ POINTWISE_ERR_X = [5.35737e-5, 4.43828e-6, 1.20259e-5, 9.07815e-5,
 POINTWISE_ERR_U = [1.48744e-4, 1.07836e-4, 1.4746e-4, 1.59711e-4,
                    2.10423e-4, 2.23537e-4, 2.63508e-4, 2.9988e-4,
                    3.37278e-4]
+
+
+def graded_nodes(params: WaveletParams):
+    """Reference nodes and weights in zeta over [0, 1], independent of the
+    library's per-block projection rule: composite Gauss-Legendre split at
+    every breakpoint and graded geometrically toward each of them, so it
+    also resolves integrands that are non-smooth at block starts, such as
+    RL integrals of the wavelets: 32 points per segment, 2,112 nodes at
+    k = 2 and 67,584 at k = 7."""
+    pieces = graded_breakpoints(params.breakpoints())
+    rules = [gauss_legendre(32, lo, hi) for lo, hi in zip(pieces[:-1], pieces[1:])]
+    return np.concatenate([r.nodes for r in rules]), np.concatenate([r.weights for r in rules])
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 from scipy.special import betainc
 
-from conftest import D1_BLOCK, D09_BLOCK1, D09_BLOCK2, P09_PLAIN
+from conftest import D1_BLOCK, D09_BLOCK1, D09_BLOCK2, P09_PLAIN, graded_nodes
 from wavefocp import opmats, quadrature
 from wavefocp.basis import WaveletParams, eval_basis_many, local_basis_values
 from wavefocp.fracops import rl_integral
@@ -60,13 +60,13 @@ class TestGramMatrix:
             scipy.linalg.cho_factor(D)  # raises if not SPD
 
     def test_matches_quadrature(self):
-        """D against the graded grid: in full at (2, 4, 0.9), and on the last
-        block at (7, 4, 0.9), where a global-power expansion of the wavelets
-        cancels (it misses by 1.6e-3)."""
+        """D against the graded reference quadrature: in full at (2, 4, 0.9),
+        and on the last block at (7, 4, 0.9), where a global-power expansion
+        of the wavelets cancels (it misses by 1.6e-3)."""
         for k, M, mu, first in _LAST_BLOCK_CASES:
             params = WaveletParams(k=k, M=M, mu=mu)
             rows = slice((first - 1) * M, None)
-            nodes, weights = quadrature_nodes(params)
+            nodes, weights = graded_nodes(params)
             keep = local_basis_values(params, nodes)[0] >= first - 1
             vals = eval_basis_many(params, nodes[keep])
             D_quad = (vals[rows] * weights[keep]) @ vals.T
@@ -118,14 +118,13 @@ class TestIntegrationMatrices:
         """
         P = mats_frac09.Pmu
         # oracle: least-squares residual of (I^0.9 psi_i) - row_i @ Psi must be
-        # orthogonal to the basis
+        # orthogonal to the basis; the RL integrals are non-smooth at block
+        # starts, so the inner products run on the graded reference
+        nodes, weights = graded_nodes(params_frac09)
+        vals = eval_basis_many(params_frac09, nodes)
         for i in (0, 3, 5):
-            def shifted(z, i=i):
-                z = np.atleast_1d(z)
-                direct = rl_integral_of_wavelet(params_frac09, i, 0.9, z)
-                return direct - P[i] @ eval_basis_many(params_frac09, z)
-
-            orth = inner_products(shifted, params_frac09)
+            direct = rl_integral_of_wavelet(params_frac09, i, 0.9, nodes)
+            orth = vals @ (weights * (direct - P[i] @ vals))
             assert np.abs(orth).max() <= 1e-10
 
     def test_reference_plain(self, params_plain):
@@ -221,7 +220,7 @@ class TestTripleProducts:
 
     def test_matches_quadrature(self, params_plain):
         T = triple_product_tensor(params_plain)
-        nodes, weights = quadrature_nodes(params_plain)
+        nodes, weights = graded_nodes(params_plain)
         vals = eval_basis_many(params_plain, nodes)
         T_quad = np.einsum("in,jn,ln,n->ijl", vals, vals, vals, weights)
         M = params_plain.M
@@ -296,9 +295,9 @@ def test_condition_estimate_reported(mats_frac09):
 
 def _dense_pmu(params, mats, order):
     """Reference assembly of P^order: the closed-form RL integral of every
-    wavelet on every quadrature node, projected with the full
-    m_hat x n_nodes basis array."""
-    nodes, weights = quadrature_nodes(params)
+    wavelet on every node of the graded reference quadrature, projected with
+    the full m_hat x n_nodes basis array."""
+    nodes, weights = graded_nodes(params)
     basis_vals = eval_basis_many(params, nodes)
     rl_vals = np.vstack(
         [rl_integral_of_wavelet(params, i, order, nodes) for i in range(params.m_hat)]
@@ -395,36 +394,65 @@ class TestBlockGrid:
             ref = b_block_oracle(k, M, mu, order, n, b, dps=dps)
             assert np.abs(ours - ref).max() <= 1e-14
 
-    def test_node_on_breakpoint_side_of_previous_block(self):
-        """At (7, 0.75) round-off in zeta**mu assigns a node lying at or below
-        a breakpoint to the block above it, so block starts must follow the
-        point assignment, not the breakpoints."""
-        params = WaveletParams(k=7, M=1, mu=0.75)
-        grid = quadrature_grid(params)
-        beyond = np.searchsorted(grid.nodes, params.breakpoints(), side="right")
-        assert np.any(beyond != grid.starts)
-
     def test_blocks_follow_point_assignment(self):
-        params = WaveletParams(k=3, M=3, mu=0.7)
-        grid = quadrature_grid(params, extra_breakpoints=(0.25, 0.8))
-        counts = np.diff(grid.starts)
-        assert counts.sum() == grid.nodes.size
-        assert len(set(counts)) > 1
-        vals = eval_basis_many(params, grid.nodes)
-        M = params.M
-        for b, sl in enumerate(grid.block_slices()):
-            np.testing.assert_array_equal(vals[b * M : (b + 1) * M, sl], grid.local[:, sl])
-            assert np.count_nonzero(vals[:, sl]) == np.count_nonzero(grid.local[:, sl])
+        """Every node lies in the block whose rule placed it, under the
+        ``block_of_point`` assignment, also at (7, 1, 0.75), where round-off
+        in zeta**mu moves points lying on a breakpoint into the block above."""
+        for k, M, mu in ((3, 3, 0.7), (7, 1, 0.75)):
+            params = WaveletParams(k=k, M=M, mu=mu)
+            grid = quadrature_grid(params)
+            counts = np.diff(grid.starts)
+            assert counts.sum() == grid.nodes.size
+            assert len(set(counts)) > 1
+            owner = np.repeat(np.arange(params.n_blocks), counts)
+            np.testing.assert_array_equal(local_basis_values(params, grid.nodes)[0], owner)
+            # grid.local is taken at the rule's own s, the evaluator recomputes
+            # s from zeta: they differ by round-off (2.9e-14 at (3, 3, 0.7))
+            vals = eval_basis_many(params, grid.nodes)
+            for b, sl in enumerate(grid.block_slices()):
+                np.testing.assert_allclose(
+                    vals[b * M : (b + 1) * M, sl], grid.local[:, sl], rtol=1e-12, atol=0.0
+                )
 
-    @pytest.mark.parametrize("extra", [(), (0.3, 0.71)])
-    def test_inner_products_match_dense(self, extra):
+    def test_inner_products_match_dense(self):
         params = WaveletParams(k=4, M=4, mu=0.7)
         f = lambda z: np.exp(np.asarray(z)) * np.sqrt(np.asarray(z))
-        nodes, weights = quadrature_nodes(params, extra)
+        nodes, weights = quadrature_nodes(params)
         dense = eval_basis_many(params, nodes) @ (weights * f(nodes))
-        np.testing.assert_allclose(
-            inner_products(f, params, extra), dense, rtol=0.0, atol=1e-13
-        )
+        np.testing.assert_allclose(inner_products(f, params), dense, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("k, M, mu", [(2, 4, 0.9), (6, 4, 0.9), (5, 8, 0.7)])
+    def test_node_count(self, k, M, mu):
+        """17 graded segments on block 1 and one on every later block, with
+        Q = 16 + M points each: 960 nodes at (6, 4), where the rule graded
+        toward every breakpoint had 33,792."""
+        params = WaveletParams(k=k, M=M, mu=mu)
+        Q = 16 + M
+        nodes, weights = quadrature_nodes(params)
+        assert nodes.size == weights.size == 17 * Q + (params.n_blocks - 1) * Q
+        assert np.all(np.diff(nodes) > 0.0)
+
+    @pytest.mark.parametrize("k, M, mu", [(7, 4, 0.9), (5, 8, 0.7), (2, 4, 0.5), (3, 4, 1.0)])
+    def test_grid_matches_graded_reference(self, k, M, mu):
+        """Inner products and weighted Grams on blocks 1, 2 and N against the
+        graded reference quadrature, entry by entry, for a function with
+        sqrt(zeta) behaviour at 0 and for a smooth positive weight."""
+        params = WaveletParams(k=k, M=M, mu=mu)
+        N = params.n_blocks
+        grid = quadrature_grid(params)
+        nodes, weights = graded_nodes(params)
+        blocks, local = local_basis_values(params, nodes)
+        for f in (lambda z: np.exp(z) * np.sqrt(z), lambda z: 1.0 + np.cos(3.0 * z)):
+            ours_ip = grid.inner_products(f(grid.nodes)).reshape(N, M)
+            ours_gram = grid.weighted_gram(f(grid.nodes))
+            lw = local * (weights * f(nodes))
+            for n in sorted({1, 2, N}):
+                own = blocks == n - 1
+                blk = slice((n - 1) * M, n * M)
+                ref_ip = lw[:, own].sum(axis=1)
+                ref_gram = lw[:, own] @ local[:, own].T
+                assert np.abs(ours_ip[n - 1] / ref_ip - 1.0).max() <= 1e-13
+                assert np.abs(ours_gram[blk, blk] / ref_gram - 1.0).max() <= 1e-13
 
     def test_weighted_gram_and_evaluation_match_dense(self):
         params = WaveletParams(k=4, M=4, mu=0.7)
@@ -454,10 +482,6 @@ class TestBlockGrid:
         )
         dense = float(np.dot(weights, integrand))
         assert _requadrature_cost(disc, C2, U) == pytest.approx(dense, rel=0.0, abs=1e-13)
-
-    def test_grid_and_extra_breakpoints_are_exclusive(self, params_frac09, mats_frac09):
-        with pytest.raises(ValueError):
-            inner_products(np.cos, params_frac09, (0.3,), grid=mats_frac09.grid)
 
 
 def test_pmu_is_built_from_local_rules(monkeypatch):
