@@ -27,7 +27,7 @@ from __future__ import annotations
 import dataclasses
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -46,7 +46,8 @@ from .quadrature import (
     gauss_jacobi_left,
     gauss_legendre,
     solve_spd,
-    spd_factor,
+    solve_spd_blocks,
+    spd_block_factor,
 )
 
 _COND_WARN_LIMIT = 1e12
@@ -90,6 +91,13 @@ def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
     return out
 
 
+def diagonal_blocks(matrix: np.ndarray, M: int) -> np.ndarray:
+    """The (N, M, M) diagonal blocks of an n-major matrix of size N M."""
+    N = matrix.shape[0] // M
+    diag = np.arange(N)
+    return matrix.reshape(N, M, N, M)[diag, :, diag, :]
+
+
 def gram_matrix(params: WaveletParams) -> np.ndarray:
     """D(mu) = integral of Psi Psi^T over [0, 1], block by block from the
     local rule; entries across distinct blocks are zero."""
@@ -107,6 +115,7 @@ def triple_product_tensor(params: WaveletParams) -> np.ndarray:
     return np.einsum("anq,bnq,cnq->nabc", phi * w, phi, phi)
 
 
+@lru_cache(maxsize=64)
 def _graded_rule(points: int, n_blocks: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Local nodes s, 0-based block offsets and weights in s of a rule over
     n_blocks consecutive blocks, ``points`` Gauss-Legendre points per segment.
@@ -114,14 +123,18 @@ def _graded_rule(points: int, n_blocks: int) -> tuple[np.ndarray, np.ndarray, np
     The first block gets a composite rule on [0, r^L], [r^L, r^(L-1)], ...,
     [r, 1] (r = ``_GRADED_RATIO``, L = ``_GRADED_LEVELS``), for integrands
     with power behaviour at s = 0; every later block gets a single segment.
-    The caller multiplies the weights by the w_n of its blocks.
+    The caller multiplies the weights by the w_n of its blocks. The rule is
+    built once per (points, n_blocks) and its arrays are read-only.
     """
     edges = np.concatenate([[0.0], _GRADED_RATIO ** np.arange(_GRADED_LEVELS, -1, -1)])
     graded = [gauss_legendre(points, a, b) for a, b in zip(edges[:-1], edges[1:])]
     rules = graded + [gauss_legendre(points, 0.0, 1.0)] * (n_blocks - 1)
     s = np.concatenate([rule.nodes for rule in rules])
     block = np.repeat(np.arange(n_blocks), [len(graded) * points] + [points] * (n_blocks - 1))
-    return s, block, np.concatenate([rule.weights for rule in rules])
+    rule = (s, block, np.concatenate([rule.weights for rule in rules]))
+    for array in rule:
+        array.flags.writeable = False
+    return rule
 
 
 def _projection_rule(params: WaveletParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -257,7 +270,8 @@ class OperationalMatrices:
     ``triple`` holds the triple products block by block, shape (N, M, M, M)
     (see ``triple_product_tensor``). ``grid`` is the quadrature every
     integral of given functions against the basis runs on and ``D_factor``
-    the Cholesky factor of D (None if D is not numerically SPD). ``P1``, the
+    the lower Cholesky factors of the N diagonal blocks of D, shape
+    (N, M, M) (None if a block is not numerically SPD). ``P1``, the
     integration matrix of order 1, is built on first access; a solve never
     reads it.
     """
@@ -269,15 +283,19 @@ class OperationalMatrices:
     triple: np.ndarray
     cond_D: float
     grid: QuadratureGrid
-    D_factor: tuple[np.ndarray, bool] | None
+    D_factor: np.ndarray | None
 
     @cached_property
     def P1(self) -> np.ndarray:
         return integration_matrix_first_order(self.params, self)
 
     def solve_D(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve D x = rhs (D is SPD)."""
-        return solve_spd(self.D, rhs, self.D_factor)
+        """Solve D x = rhs (D is SPD) block by block with the stored factors;
+        rhs is (m_hat,) or (m_hat, k). Without factors the dense pivoted
+        solve runs, and raises SingularMatrixError if D is singular."""
+        if self.D_factor is None:
+            return solve_spd(self.D, rhs)
+        return solve_spd_blocks(self.D_factor, rhs)
 
 
 def project(
@@ -319,7 +337,10 @@ def integration_matrix_fractional(
     ``_near_field`` the same-block and adjacent-block pairs of the other
     rows, whose kernel is singular; and ``_far_field`` the rest, where it is
     smooth. No rule uses the cancelling global-power expansion of the
-    wavelets, and none reads the graded grid.
+    wavelets, and none reads the graded grid. For the Taylor wavelets
+    (mu = 1) every block is a translate of block 1 and the kernel depends
+    on zeta - zeta' only, so B is block-Toeplitz, B_{n,n+d} = B_{1,1+d}, and
+    the later rows are copies of the row of block 1.
     """
     return _integration_matrix(params, mats, params.mu if order is None else order)
 
@@ -332,8 +353,11 @@ def _integration_matrix(
         raise ValueError(f"need 0 < order <= 1, got {order}")
     B = np.zeros((params.m_hat, params.m_hat))
     _row_block_one(params, order, B)
-    _near_field(params, order, B)
-    _far_field(params, order, B)
+    if params.mu == 1.0:
+        _tile_row_block_one(params, B)
+    else:
+        _near_field(params, order, B)
+        _far_field(params, order, B)
     return mats.solve_D(B.T).T
 
 
@@ -381,6 +405,15 @@ def _row_block_one(params: WaveletParams, order: float, B: np.ndarray) -> None:
     terms = rl[:, :, None] * (local_wavelet_values(params, s) * weights).T
     starts = np.searchsorted(block, np.arange(1, N))
     B[:M, M:] = np.add.reduceat(terms, starts, axis=1).reshape(M, -1)
+
+
+def _tile_row_block_one(params: WaveletParams, B: np.ndarray) -> None:
+    """Fill the rows of blocks n >= 2 of a block-Toeplitz B from the row of
+    block 1: B_{n,n+d} = B_{1,1+d}."""
+    N = params.n_blocks
+    blocks = B.reshape(N, params.M, N, params.M)
+    for n in range(1, N):
+        blocks[n, :, n:, :] = blocks[0, :, : N - n, :]
 
 
 def _near_field(params: WaveletParams, order: float, B: np.ndarray) -> None:
@@ -458,14 +491,16 @@ def product_matrix(c: np.ndarray, mats: OperationalMatrices) -> np.ndarray:
     """Matrix C~ with Psi Psi^T c ~= C~ Psi; linear in c.
 
     Block n of G = sum_j T_ijl c_j contracts T_n with the coefficients c_n
-    of block n; G is block-diagonal, and C~ = G D^-1.
+    of block n; G is block-diagonal, and so is C~ = G D^-1, whose block n
+    is G_n D_n^-1 = (D_n^-1 G_n^T)^T.
     """
     N, M = mats.params.n_blocks, mats.params.M
     c = np.asarray(c, dtype=float)
     if c.shape != (N * M,):
         raise ValueError(f"coefficient vector must have length {N * M}")
-    G = _block_diagonal(np.einsum("nabc,nb->nac", mats.triple, c.reshape(N, M)))
-    return mats.solve_D(G.T).T
+    G_T = np.einsum("nabc,nb->nca", mats.triple, c.reshape(N, M))
+    blocks = mats.solve_D(G_T.reshape(N * M, M)).reshape(N, M, M)
+    return _block_diagonal(blocks.transpose(0, 2, 1))
 
 
 def build_operational_matrices(
@@ -474,7 +509,8 @@ def build_operational_matrices(
     """Construct the bundle for the given basis and integration order."""
     frac_order = params.mu if frac_order is None else frac_order
     D = gram_matrix(params)
-    cond_D = condition_estimate(D)
+    D_blocks = diagonal_blocks(D, params.M)
+    cond_D = condition_estimate(D_blocks)
     if cond_D > _COND_WARN_LIMIT:
         warnings.warn(
             f"Gram matrix condition estimate {cond_D:.2e} exceeds "
@@ -484,7 +520,7 @@ def build_operational_matrices(
     shell = OperationalMatrices(
         params=params, frac_order=frac_order, D=D, Pmu=np.empty(0),
         triple=triple_product_tensor(params), cond_D=cond_D,
-        grid=quadrature_grid(params), D_factor=spd_factor(D),
+        grid=quadrature_grid(params), D_factor=spd_block_factor(D_blocks),
     )
     Pmu = integration_matrix_fractional(params, shell, frac_order)
     return dataclasses.replace(shell, Pmu=Pmu)

@@ -169,12 +169,15 @@ def graded_breakpoints(
 
 
 def condition_estimate(A: np.ndarray) -> float:
-    """1-norm condition number estimate."""
+    """1-norm condition number of a matrix, or of the block-diagonal matrix
+    whose diagonal blocks are the stacked (N, M, M) A: its norm is
+    max_n ||A_n||_1 and the norm of its inverse max_n ||A_n^-1||_1."""
     A = np.asarray(A, dtype=float)
     try:
-        return float(np.linalg.cond(A, 1))
+        inverse = np.linalg.inv(A)
     except np.linalg.LinAlgError:
         return float("inf")
+    return float(np.abs(A).sum(axis=-2).max() * np.abs(inverse).sum(axis=-2).max())
 
 
 _PIVOT_RTOL = 1e-14
@@ -224,3 +227,50 @@ def solve_spd(
     if factor is None:
         return solve_linear(A, b)
     return scipy.linalg.cho_solve(factor, b)
+
+
+def spd_block_factor(blocks: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factors of the stacked (N, M, M) SPD blocks of a
+    block-diagonal matrix, or None when a block is not numerically positive
+    definite."""
+    try:
+        return np.linalg.cholesky(np.asarray(blocks, dtype=float))
+    except np.linalg.LinAlgError:
+        return None
+
+
+def solve_spd_blocks(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b for the block-diagonal A whose blocks have the (N, M, M)
+    lower Cholesky factors ``factor``; b is (N M,) or (N M, k), n-major.
+
+    Forward and back substitution run over the M rows of a block, each
+    step on all N blocks and all right-hand sides at once.
+    """
+    N, M, _ = factor.shape
+    b = np.asarray(b, dtype=float)
+    x = b.reshape(N, M, -1).copy()
+    for i in range(M):
+        x[:, i] -= np.einsum("nj,njk->nk", factor[:, i, :i], x[:, :i])
+        x[:, i] /= factor[:, i, i, None]
+    for i in reversed(range(M)):
+        x[:, i] -= np.einsum("nj,njk->nk", factor[:, i + 1 :, i], x[:, i + 1 :])
+        x[:, i] /= factor[:, i, i, None]
+    return x.reshape(b.shape)
+
+
+def invert_blocks(blocks: np.ndarray) -> np.ndarray:
+    """Inverses of the stacked (N, M, M) blocks, for blocks conditioned well
+    enough that an explicit inverse is accurate.
+
+    Raises SingularMatrixError when the 1-norm condition number of the
+    block-diagonal matrix reaches the reciprocal of the pivot threshold of
+    ``solve_linear``.
+    """
+    cond = condition_estimate(blocks)
+    if not cond * _PIVOT_RTOL < 1.0:
+        raise SingularMatrixError(
+            f"blocks numerically singular: condition {cond:.3e} "
+            f"above {1.0 / _PIVOT_RTOL:.0e}",
+            pivot=1.0 / cond,
+        )
+    return np.linalg.inv(blocks)

@@ -1,4 +1,4 @@
-"""Wavelet discretization and KKT solve for the linear-quadratic FOCP.
+"""Wavelet discretization and structured KKT solve for the linear-quadratic FOCP.
 
 Minimize  (1/2) * integral of p*(x - rx)^2 + q*(u - ru)^2  over [0, 1]
 subject to the Caputo dynamics  D^mu x = a*x + b*u,  x(0) = x0.
@@ -6,7 +6,18 @@ subject to the Caputo dynamics  D^mu x = a*x + b*u,  x(0) = x0.
 The fractional derivative of the state and the control are expanded in the
 wavelet basis; the fractional integration matrix recovers the state, the
 triple-product tensor turns the dynamics into linear algebraic constraints,
-and a Lagrange-multiplier (KKT) linear system yields the coefficients.
+and the Lagrange-multiplier (KKT) conditions yield the coefficients.
+
+The 3 m_hat KKT system is not formed. The constraint
+G_c C_hat = G_B U_hat + G_A d1 has G_c = I - G_A Pmu^T block
+lower-triangular (G_A is block-diagonal and Pmu block upper-triangular,
+because the RL integral is causal), so C_hat is eliminated by one
+triangular solve. What remains is the SPD reduced Hessian in U_hat, of
+size m_hat; the multipliers come from a transposed G_c solve (the
+null-space method, Nocedal & Wright, Numerical Optimization, 2nd ed.,
+section 16.2). ``assemble_kkt`` builds the full system: the tests use it
+as the dense oracle, and the solve falls back to its pivoted LU where
+cond(D) is too large for the reduced Hessian (``_STRUCTURED_COND_LIMIT``).
 """
 
 from __future__ import annotations
@@ -16,6 +27,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
 from .basis import WaveletParams, eval_basis, eval_basis_many
 from .fracops import rl_integral
@@ -23,12 +35,20 @@ from .opmats import (
     OperationalMatrices,
     basis_moment_vector,
     build_operational_matrices,
+    diagonal_blocks,
     product_matrix,
     project,
 )
-from .quadrature import SingularMatrixError, solve_linear
+from .quadrature import SingularMatrixError, invert_blocks, solve_linear, solve_spd
 
 _VALIDATION_GRID = np.linspace(0.0, 1.0, 100)
+# Above this cond(D), Pmu and L = Pmu^T G_c^-1 G_B are so large (|Pmu| 7.4e3
+# at cond(D) 1.8e14, 1.5e5 at 8.9e15) that forming L^T Wp L cancels the
+# digits of the reduced Hessian's small eigendirections: at M = 11 to 14 the
+# reduced solve returned J off by up to 11 % where the dense KKT LU solves
+# the same system to 1e-6 or refuses it. Below it (M <= 10 tested) both give
+# J and trajectories that agree to the rounding noise of cond(D).
+_STRUCTURED_COND_LIMIT = 1e14
 
 Fn = Callable[[np.ndarray], np.ndarray]
 
@@ -94,7 +114,7 @@ class DiscretizedFocp:
     @cached_property
     def constraint_operators(self) -> tuple[np.ndarray, np.ndarray]:
         """(G_A, G_B) of ``_constraint_operators``, built once and shared by
-        the KKT assembly and the residual check."""
+        the solve, the KKT assembly and the residual checks."""
         return _constraint_operators(self)
 
 
@@ -181,8 +201,17 @@ def _constraint_operators(disc: DiscretizedFocp) -> tuple[np.ndarray, np.ndarray
     return G_A, G_B
 
 
+def _kkt_rhs(disc: DiscretizedFocp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Right-hand side of the KKT system, one block per row block."""
+    Pm = disc.mats.Pmu
+    G_A, _ = disc.constraint_operators
+    return Pm @ (disc.wp_track - disc.Wp @ disc.d1), disc.wq_track, G_A @ disc.d1
+
+
 def assemble_kkt(disc: DiscretizedFocp) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric KKT system in (C_hat, U_hat, eta_star), size 3 m_hat."""
+    """Symmetric KKT system in (C_hat, U_hat, eta_star), size 3 m_hat: the
+    dense form of what ``solve_discretized`` solves, for the tests and for
+    the solve where cond(D) reaches ``_STRUCTURED_COND_LIMIT``."""
     m = disc.params.m_hat
     Pm = disc.mats.Pmu
     G_A, G_B = disc.constraint_operators
@@ -197,12 +226,107 @@ def assemble_kkt(disc: DiscretizedFocp) -> tuple[np.ndarray, np.ndarray]:
     K[2 * m :, :m] = G_c
     K[m : 2 * m, 2 * m :] = -G_B.T
     K[2 * m :, m : 2 * m] = -G_B
+    return K, np.concatenate(_kkt_rhs(disc))
 
-    rhs = np.zeros(3 * m)
-    rhs[:m] = Pm @ (disc.wp_track - disc.Wp @ disc.d1)
-    rhs[m : 2 * m] = disc.wq_track
-    rhs[2 * m :] = G_A @ disc.d1
-    return K, rhs
+
+@dataclass(frozen=True)
+class _BlockTriangular:
+    """G_c = I - G_A Pmu^T, block lower-triangular, stored as G_c = Dg T:
+    Dg holds its N diagonal blocks, which are close to the identity, and
+    T = Dg^-1 G_c is unit lower-triangular, so G_c and G_c^T solve by one
+    triangular solve and N small block products."""
+
+    G_c: np.ndarray
+    T: np.ndarray
+    Dg_inv: np.ndarray
+
+    @classmethod
+    def build(cls, disc: DiscretizedFocp) -> "_BlockTriangular":
+        N, M = disc.params.n_blocks, disc.params.M
+        m = N * M
+        Pm = disc.mats.Pmu
+        G_A, _ = disc.constraint_operators
+        # row block n of G_A Pmu^T is (G_A)_n times the rows of block n of Pmu^T
+        G_c = np.eye(m) - (diagonal_blocks(G_A, M) @ Pm.T.reshape(N, M, m)).reshape(m, m)
+        Dg_inv = invert_blocks(diagonal_blocks(G_c, M))
+        T = _apply_blocks(Dg_inv, G_c)
+        diag = np.arange(N)
+        T.reshape(N, M, N, M)[diag, :, diag, :] = np.eye(M)
+        return cls(G_c=G_c, T=T, Dg_inv=Dg_inv)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """G_c^-1 rhs."""
+        return scipy.linalg.solve_triangular(
+            self.T, _apply_blocks(self.Dg_inv, rhs), lower=True, unit_diagonal=True
+        )
+
+    def solve_transposed(self, rhs: np.ndarray) -> np.ndarray:
+        """G_c^-T rhs."""
+        y = scipy.linalg.solve_triangular(
+            self.T, rhs, lower=True, trans="T", unit_diagonal=True
+        )
+        return _apply_blocks(self.Dg_inv.transpose(0, 2, 1), y)
+
+
+def _apply_blocks(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The block-diagonal matrix with the (N, M, M) blocks times x, whose
+    rows are n-major."""
+    N, M, _ = blocks.shape
+    return (blocks @ x.reshape(N, M, -1)).reshape(x.shape)
+
+
+def _structured_solve(
+    disc: DiscretizedFocp,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(C_hat, U_hat, eta_star) of the KKT system, and G_c.
+
+    C_hat = G_c^-1 (G_B U_hat + G_A d1) makes the state L U_hat + x_aff with
+    L = Pmu^T G_c^-1 G_B, so U_hat solves the reduced Hessian system
+    (L^T Wp L + Wq) U_hat = L^T (wp_track - Wp x_aff) + wq_track, and the
+    first KKT row gives G_c^T eta_star = Pmu (wp_track - Wp C2).
+    """
+    M, m = disc.params.M, disc.params.m_hat
+    Pm = disc.mats.Pmu
+    _, G_B = disc.constraint_operators
+    _, _, rhs_eta = _kkt_rhs(disc)
+    G_c = _BlockTriangular.build(disc)
+    Z = G_c.solve(np.column_stack([G_B, rhs_eta]))
+    state = Pm.T @ Z
+    L, x_aff = state[:, :m], state[:, m] + disc.d1
+    H = L.T @ _apply_blocks(diagonal_blocks(disc.Wp, M), L) + disc.Wq
+    g = L.T @ (disc.wp_track - disc.Wp @ x_aff) + disc.wq_track
+    U_hat = solve_spd(0.5 * (H + H.T), g)
+    C_hat = Z[:, :m] @ U_hat + Z[:, m]
+    C2 = state_from_coeffs(C_hat, disc.d1, disc.mats)
+    eta = G_c.solve_transposed(Pm @ (disc.wp_track - disc.Wp @ C2))
+    return C_hat, U_hat, eta, G_c.G_c
+
+
+def _dense_solve(
+    disc: DiscretizedFocp,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``_structured_solve`` through the pivoted LU of the assembled KKT
+    matrix."""
+    m = disc.params.m_hat
+    K, rhs = assemble_kkt(disc)
+    sol = solve_linear(K, rhs)
+    return sol[:m], sol[m : 2 * m], sol[2 * m :], K[2 * m :, :m]
+
+
+def _stationarity(
+    disc: DiscretizedFocp, G_c: np.ndarray, C_hat: np.ndarray, U_hat: np.ndarray, eta: np.ndarray
+) -> float:
+    """Largest entry of K sol - rhs, from the three KKT block rows as
+    matrix-vector products."""
+    Pm = disc.mats.Pmu
+    _, G_B = disc.constraint_operators
+    rhs_c, rhs_u, rhs_eta = _kkt_rhs(disc)
+    rows = (
+        Pm @ (disc.Wp @ (Pm.T @ C_hat)) + G_c.T @ eta - rhs_c,
+        disc.Wq @ U_hat - G_B.T @ eta - rhs_u,
+        G_c @ C_hat - G_B @ U_hat - rhs_eta,
+    )
+    return max(float(np.abs(row).max()) for row in rows)
 
 
 def _quadratic_cost(disc: DiscretizedFocp, C2: np.ndarray, U_hat: np.ndarray) -> float:
@@ -248,18 +372,21 @@ def _dynamics_defect(disc: DiscretizedFocp, C_hat: np.ndarray, U_hat: np.ndarray
 
 
 def solve_discretized(disc: DiscretizedFocp, diagnostics: bool = True) -> FocpSolution:
-    """Solve the KKT system and package diagnostics."""
+    """Solve the KKT conditions and package diagnostics.
+
+    The solve runs through the reduced Hessian while cond(D) is below
+    ``_STRUCTURED_COND_LIMIT``, and through the dense KKT LU above it.
+    """
     m = disc.params.m_hat
-    K, rhs = assemble_kkt(disc)
+    solve = _structured_solve if disc.mats.cond_D < _STRUCTURED_COND_LIMIT else _dense_solve
     try:
-        sol = solve_linear(K, rhs)
+        C_hat, U_hat, eta, G_c = solve(disc)
     except SingularMatrixError as exc:
         raise SingularMatrixError(
             f"KKT system singular (m_hat={m}); check q > 0 and the "
             f"dynamics coefficients: {exc}",
             pivot=exc.pivot,
         ) from exc
-    C_hat, U_hat, eta = sol[:m], sol[m : 2 * m], sol[2 * m :]
     C2 = state_from_coeffs(C_hat, disc.d1, disc.mats)
 
     J_quad = _quadratic_cost(disc, C2, U_hat)
@@ -269,8 +396,7 @@ def solve_discretized(disc: DiscretizedFocp, diagnostics: bool = True) -> FocpSo
     G_A, G_B = disc.constraint_operators
     constraint = C_hat - G_A @ C2 - G_B @ U_hat
     residuals["constraint"] = float(np.abs(constraint).max())
-    stat = K @ sol - rhs
-    residuals["stationarity"] = float(np.abs(stat).max())
+    residuals["stationarity"] = _stationarity(disc, G_c, C_hat, U_hat, eta)
     if diagnostics:
         residuals["dynamics_defect"] = _dynamics_defect(disc, C_hat, U_hat)
 

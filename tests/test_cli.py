@@ -117,6 +117,13 @@ class TestCliRuns:
         assert main(["--problem", str(tmp_path / "missing.txt")]) == 1
         capsys.readouterr()
 
+    def test_numeric_failure_exit_code(self, tmp_path, capsys):
+        args = ["--example", "1", "--basis", "tw", "--k", "1", "--M", "14", "--mu", "0.7"]
+        with pytest.warns(UserWarning, match="condition"):
+            assert main(args + ["--out", str(tmp_path)]) == 2
+        assert "numeric failure" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_emit_matrices(self, tmp_path):
         assert main([
             "--example", "1", "--basis", "ftw", "--k", "2", "--M", "4",

@@ -11,6 +11,7 @@ from wavefocp.opmats import (
     OperationalMatrices,
     basis_moment_vector,
     build_operational_matrices,
+    diagonal_blocks,
     gram_matrix,
     inner_products,
     integration_matrix_fractional,
@@ -22,7 +23,7 @@ from wavefocp.opmats import (
     rl_integral_of_wavelet,
     triple_product_tensor,
 )
-from wavefocp.quadrature import solve_spd, spd_factor
+from wavefocp.quadrature import solve_spd, solve_spd_blocks, spd_block_factor
 from wavefocp.solver import FocpProblem, _requadrature_cost, discretize
 
 
@@ -293,6 +294,35 @@ def test_condition_estimate_reported(mats_frac09):
     assert np.isfinite(mats_frac09.cond_D)
 
 
+@pytest.mark.parametrize("k, M, mu", [(2, 4, 0.9), (5, 6, 0.7), (3, 8, 1.0)])
+def test_cond_d_from_blocks_matches_dense(k, M, mu):
+    """cond_D comes from the diagonal blocks of D; the dense 1-norm
+    condition number inverts all of D."""
+    mats = build_operational_matrices(WaveletParams(k=k, M=M, mu=mu))
+    assert mats.cond_D == pytest.approx(np.linalg.cond(mats.D, 1), rel=1e-6)
+
+
+@pytest.mark.parametrize("k, M, order", [(3, 4, 0.5), (6, 4, 0.7), (7, 4, 0.9)])
+def test_tw_pmu_tiles_row_block_one(k, M, order):
+    """For the Taylor wavelets B is block-Toeplitz, and P^mu = B D^-1 is
+    built from the row of block 1 copied into the later rows. The near- and
+    far-field rules, which fill those rows for the fractional basis, give
+    the same B to rounding (at most 1.7e-16 measured); D^-1 amplifies that
+    to 1.6e-13 on P^mu at (3, 4)."""
+    params = WaveletParams(k=k, M=M, mu=1.0)
+    mats = build_operational_matrices(params, frac_order=order)
+    tiled = np.zeros((params.m_hat, params.m_hat))
+    opmats._row_block_one(params, order, tiled)
+    opmats._tile_row_block_one(params, tiled)
+    assert np.array_equal(mats.Pmu, mats.solve_D(tiled.T).T)
+    B = np.zeros_like(tiled)
+    opmats._row_block_one(params, order, B)
+    opmats._near_field(params, order, B)
+    opmats._far_field(params, order, B)
+    assert np.abs(tiled - B).max() <= 1e-15
+    assert np.abs(mats.Pmu - mats.solve_D(B.T).T).max() <= 1e-12
+
+
 def _dense_pmu(params, mats, order):
     """Reference assembly of P^order: the closed-form RL integral of every
     wavelet on every node of the graded reference quadrature, projected with
@@ -492,7 +522,7 @@ def test_pmu_is_built_from_local_rules(monkeypatch):
     D = gram_matrix(params)
     mats = OperationalMatrices(
         params=params, frac_order=0.9, D=D, Pmu=np.empty(0), triple=np.empty(0),
-        cond_D=1.0, grid=None, D_factor=spd_factor(D),
+        cond_D=1.0, grid=None, D_factor=spd_block_factor(diagonal_blocks(D, params.M)),
     )
     evaluated = []
 
@@ -507,6 +537,18 @@ def test_pmu_is_built_from_local_rules(monkeypatch):
     assert 0 < sum(evaluated) < 30_000
 
 
+def test_graded_rule_built_once_and_read_only():
+    """The graded rule is memoized per (points, n_blocks) and shared, so its
+    arrays are read-only; a fresh build gives the same arrays."""
+    first = opmats._graded_rule(20, 4)
+    assert opmats._graded_rule(20, 4) is first
+    for shared, fresh in zip(first, opmats._graded_rule.__wrapped__(20, 4)):
+        assert not shared.flags.writeable
+        assert np.array_equal(shared, fresh)
+    with pytest.raises(ValueError):
+        first[0][0] = 0.0
+
+
 def test_p1_built_on_request(params_frac09):
     mats = build_operational_matrices(params_frac09)
     assert "P1" not in vars(mats)
@@ -515,11 +557,23 @@ def test_p1_built_on_request(params_frac09):
 
 
 def test_solve_d_reuses_stored_factor(monkeypatch, mats_frac09):
-    rhs = np.random.default_rng(2).standard_normal((mats_frac09.params.m_hat, 3))
-    expected = solve_spd(mats_frac09.D, rhs)
+    """solve_D runs on the per-block Cholesky factors stored in the bundle:
+    it factorizes nothing, and it agrees with the dense SPD solve."""
+    params = mats_frac09.params
+    factor = mats_frac09.D_factor
+    assert factor.shape == (params.n_blocks, params.M, params.M)
+    blocks = diagonal_blocks(mats_frac09.D, params.M)
+    np.testing.assert_allclose(factor @ factor.transpose(0, 2, 1), blocks, rtol=0, atol=1e-15)
+    rhs = np.random.default_rng(2).standard_normal((params.m_hat, 3))
+    expected = solve_spd_blocks(factor, rhs)
 
-    def refactor(A):
+    def refactor(*args, **kwargs):
         raise AssertionError("D factorized again")
 
-    monkeypatch.setattr(quadrature, "spd_factor", refactor)
+    for module, name in ((quadrature, "spd_factor"), (quadrature, "spd_block_factor"),
+                         (np.linalg, "cholesky"), (scipy.linalg, "cho_factor")):
+        monkeypatch.setattr(module, name, refactor)
     assert np.array_equal(mats_frac09.solve_D(rhs), expected)
+    assert np.array_equal(mats_frac09.solve_D(rhs[:, 0]), expected[:, 0])
+    monkeypatch.undo()
+    np.testing.assert_allclose(expected, solve_spd(mats_frac09.D, rhs), rtol=1e-12)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,8 +15,11 @@ from wavefocp.quadrature import (
     gauss_legendre,
     graded_breakpoints,
     integrate_piecewise,
+    invert_blocks,
     solve_linear,
     solve_spd,
+    solve_spd_blocks,
+    spd_block_factor,
     spd_factor,
 )
 
@@ -209,6 +213,45 @@ class TestSolveLinear:
 
 def test_condition_estimate_identity():
     assert condition_estimate(np.eye(4)) == pytest.approx(1.0)
+
+
+def _spd_blocks(rng, N, M):
+    A = rng.standard_normal((N, M, M))
+    return A @ A.transpose(0, 2, 1) + M * np.eye(M)
+
+
+def test_condition_estimate_of_blocks_is_that_of_block_diagonal():
+    blocks = _spd_blocks(np.random.default_rng(4), 5, 3)
+    dense = scipy.linalg.block_diag(*blocks)
+    assert condition_estimate(blocks) == pytest.approx(np.linalg.cond(dense, 1), rel=1e-13)
+    assert condition_estimate(np.zeros((2, 3, 3))) == float("inf")
+
+
+class TestBlockSolves:
+    @pytest.mark.parametrize("N, M", [(1, 1), (4, 3), (16, 6)])
+    def test_matches_dense_cholesky_solve(self, N, M):
+        rng = np.random.default_rng(N + M)
+        blocks = _spd_blocks(rng, N, M)
+        dense = scipy.linalg.block_diag(*blocks)
+        factor = spd_block_factor(blocks)
+        for b in (rng.standard_normal(N * M), rng.standard_normal((N * M, 5))):
+            x = solve_spd_blocks(factor, b)
+            assert x.shape == b.shape
+            np.testing.assert_allclose(x, solve_spd(dense, b), rtol=0, atol=1e-13)
+
+    def test_indefinite_block_has_no_factor(self):
+        blocks = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])])
+        assert spd_block_factor(blocks) is None
+
+    def test_invert_blocks(self):
+        blocks = _spd_blocks(np.random.default_rng(9), 3, 4)
+        identity = np.broadcast_to(np.eye(4), blocks.shape)
+        np.testing.assert_allclose(invert_blocks(blocks) @ blocks, identity, atol=1e-13)
+        singular = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 4.0]])])
+        with pytest.raises(SingularMatrixError):
+            invert_blocks(singular)
+        with pytest.raises(SingularMatrixError):
+            invert_blocks(np.stack([np.eye(2), np.diag([1.0, 1e-15])]))
 
 
 def test_graded_breakpoints_refine_toward_ends():

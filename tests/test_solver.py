@@ -5,16 +5,17 @@ import pytest
 import scipy.linalg
 
 from conftest import COST_TABLE, POINTWISE_ERR_U, POINTWISE_ERR_X
-from wavefocp import solver
-from wavefocp.basis import WaveletParams, eval_basis
+from wavefocp import quadrature, solver
+from wavefocp.basis import WaveletParams, eval_basis, eval_basis_many
 from wavefocp.fracops import rl_integral
 from wavefocp.opmats import build_operational_matrices
-from wavefocp.quadrature import gamma
+from wavefocp.quadrature import SingularMatrixError, gamma, solve_linear
 from wavefocp.solver import (
     ConfigurationError,
     FocpProblem,
     _constraint_operators,
     _quadratic_cost,
+    assemble_kkt,
     cost_via_product_chain,
     discretize,
     reconstruct,
@@ -250,3 +251,99 @@ class TestSolutionStructure:
                 C2 = state_from_coeffs(C_pert, disc.d1, disc.mats)
                 J = _quadratic_cost(disc, C2, U_pert)
                 assert J >= sol.J_value - 1e-10
+
+
+def variable_coefficient(mu):
+    return FocpProblem(
+        p_fn=lambda z: 1.0 + np.asarray(z), q_fn=lambda z: np.ones_like(z),
+        a_fn=lambda z: -1.0 - np.asarray(z) ** 2, b_fn=lambda z: 1.0 + np.sqrt(z),
+        x0=1.0, mu=mu, track_x=np.cos,
+    )
+
+
+_PROBLEMS = {"example1": example1, "example3": example3, "variable": variable_coefficient}
+
+
+class TestStructuredSolve:
+    """The reduced-Hessian solve against the dense KKT oracle."""
+
+    @pytest.mark.parametrize("problem", sorted(_PROBLEMS))
+    @pytest.mark.parametrize("basis", ["tw", "ftw"])
+    @pytest.mark.parametrize("k, M", [(2, 4), (6, 4)])
+    def test_matches_dense_kkt(self, k, M, basis, problem):
+        mu = 0.8
+        params = WaveletParams(k=k, M=M, mu=1.0 if basis == "tw" else mu)
+        disc = discretize(_PROBLEMS[problem](mu), params)
+        sol = solve_discretized(disc, diagnostics=False)
+        K, rhs = assemble_kkt(disc)
+        dense = solve_linear(K, rhs)
+        m = params.m_hat
+        C_hat, U_hat, eta = dense[:m], dense[m : 2 * m], dense[2 * m :]
+        C2 = state_from_coeffs(C_hat, disc.d1, disc.mats)
+        grid = np.linspace(0.0, 1.0, 201)
+        basis_vals = eval_basis_many(params, grid)
+        x, u = reconstruct_many(sol, grid)
+        structured = np.concatenate([sol.C_hat, sol.U_hat, sol.eta_star])
+        for ours, ref in (
+            (sol.C_hat, C_hat), (sol.U_hat, U_hat), (sol.eta_star, eta),
+            (sol.J_value, _quadratic_cost(disc, C2, U_hat)),
+            (x, C2 @ basis_vals), (u, U_hat @ basis_vals),
+            (sol.residuals["stationarity"], np.abs(K @ structured - rhs).max()),
+        ):
+            assert np.abs(ours - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("k, M, mu, basis", [(2, 10, 0.5, "tw"), (2, 10, 0.7, "tw"),
+                                                  (3, 10, 0.7, "ftw")])
+    def test_reduced_hessian_pivoted_fallback(self, monkeypatch, k, M, mu, basis):
+        """At M = 10 (cond(D) 8.5e12 to 3.2e13 here) the reduced Hessian is
+        near the edge of numerical definiteness, and rounding decides whether
+        its Cholesky factorization succeeds. With Cholesky made to fail,
+        ``solve_spd`` falls back to the pivoted LU and the configuration is
+        still solved, to the same answer."""
+        params = WaveletParams(k=k, M=M, mu=1.0 if basis == "tw" else mu)
+        with pytest.warns(UserWarning, match="condition"):
+            disc = discretize(example1(mu), params)
+        assert disc.mats.cond_D < solver._STRUCTURED_COND_LIMIT
+        sol = solve_discretized(disc, diagnostics=False)
+        pivoted = []
+
+        def no_cholesky(A):
+            pivoted.append(A.shape)
+            return None
+
+        monkeypatch.setattr(quadrature, "spd_factor", no_cholesky)
+        fallback = solve_discretized(disc, diagnostics=False)
+        assert pivoted == [(params.m_hat, params.m_hat)]
+        assert fallback.J_value == pytest.approx(sol.J_value, rel=1e-9)
+        grid = np.linspace(0.0, 1.0, 201)
+        for a, b in zip(reconstruct_many(fallback, grid), reconstruct_many(sol, grid)):
+            assert np.abs(a - b).max() <= 1e-5
+
+    def test_dense_kkt_above_cond_limit(self, monkeypatch):
+        """Where cond(D) reaches ``_STRUCTURED_COND_LIMIT`` (M = 12 here) the
+        reduced Hessian cannot be formed accurately and the dense KKT LU
+        solves instead."""
+        assembled = []
+        original = solver.assemble_kkt
+
+        def counted(disc):
+            assembled.append(disc.params.m_hat)
+            return original(disc)
+
+        monkeypatch.setattr(solver, "assemble_kkt", counted)
+        solve_focp(example1(0.9), WaveletParams(k=2, M=4, mu=0.9), diagnostics=False)
+        assert assembled == []
+        params = WaveletParams(k=1, M=12, mu=0.9)
+        with pytest.warns(UserWarning, match="condition"):
+            mats = build_operational_matrices(params)
+        assert mats.cond_D >= solver._STRUCTURED_COND_LIMIT
+        sol = solve_focp(example1(0.9), params, mats, diagnostics=False)
+        assert assembled == [12]
+        assert sol.J_value == pytest.approx(0.1795285301, rel=1e-8)
+
+    @pytest.mark.parametrize("basis", ["tw", "ftw"])
+    def test_m14_is_refused(self, basis):
+        params = WaveletParams(k=1, M=14, mu=1.0 if basis == "tw" else 0.7)
+        with pytest.warns(UserWarning, match="condition"):
+            with pytest.raises(SingularMatrixError):
+                solve_focp(example1(0.7), params, diagnostics=False)
