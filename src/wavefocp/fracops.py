@@ -1,7 +1,10 @@
 """Riemann-Liouville integral and Caputo derivative reference oracles.
 
 These operate on black-box callables and are deliberately independent of
-the wavelet machinery, so they can validate solver output.
+the wavelet machinery, so they can validate solver output. Both take one
+point or a 1-D array of points. A batched call shares its Gauss-Legendre
+segments, and so its nodes, across the points: the integrand is called
+once per call, not once per segment and point.
 """
 
 from __future__ import annotations
@@ -23,78 +26,108 @@ def _validate_order(mu: float) -> None:
 def _weighted_integral(
     f: Callable[[np.ndarray], np.ndarray],
     exponent: float,
-    zeta: float,
+    zeta: np.ndarray,
     breakpoints: Sequence[float] | None,
     n_points: int,
     merge_fraction: float = 0.0,
-) -> float:
-    """Integral of (zeta - tau)^exponent * f(tau) over [0, zeta].
+) -> np.ndarray:
+    """Integral of (z - tau)^exponent * f(tau) over [0, z] at every z in
+    the 1-D array zeta.
 
-    The segment touching zeta uses a Gauss-Jacobi rule that absorbs the
-    endpoint singularity; earlier segments evaluate the (there finite)
-    kernel directly under Gauss-Legendre. Breakpoints within
-    merge_fraction * zeta of the upper limit are absorbed into the Jacobi
-    segment: a Gauss-Legendre segment ending just below zeta would see a
+    Each point splits [0, z] at 0 and at the breakpoints b with
+    0 < b < z. The segment touching z uses a Gauss-Jacobi rule that
+    absorbs the endpoint singularity; earlier segments evaluate the
+    (there finite) kernel directly under Gauss-Legendre. Breakpoints
+    above (1 - merge_fraction) * z are absorbed into the Jacobi segment:
+    a Gauss-Legendre segment ending just below z would see a
     near-singular kernel it cannot resolve.
+
+    The breakpoints a point keeps are a prefix of the sorted positive
+    breakpoints, so all points share one list of S Legendre segments and
+    differ only in how many of them they use. f is called once, on the
+    S * n_points shared Legendre nodes and the n_points Jacobi nodes of
+    every point; a (points x S * n_points) kernel, zero past each point's
+    own segments, combines the Legendre values.
     """
-    cutoff = (1.0 - merge_fraction) * zeta
-    cuts = [0.0, zeta]
-    if breakpoints is not None:
-        cuts.extend(b for b in breakpoints if 0.0 < b < zeta and b <= cutoff)
-    cuts = sorted(set(cuts))
-    total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi == zeta:
-            rule = gauss_jacobi_right(n_points, lo, hi, exponent)
-            total += rule.integrate(f)
-        else:
-            rule = gauss_legendre(n_points, lo, hi)
-            total += float(
-                np.dot(rule.weights * (zeta - rule.nodes) ** exponent, f(rule.nodes))
-            )
-    return total
+    cuts = np.unique(np.asarray([] if breakpoints is None else breakpoints, dtype=float))
+    cuts = cuts[cuts > 0.0]
+    # a point z keeps the breakpoints b < z with b <= (1 - merge_fraction) z,
+    # so its count in used says how many leading segments it takes
+    used = np.minimum(
+        np.searchsorted(cuts, zeta, side="left"),
+        np.searchsorted(cuts, (1.0 - merge_fraction) * zeta, side="right"),
+    )
+    edges = np.concatenate([[0.0], cuts[: used.max(initial=0)]])
+    legendre = gauss_legendre(n_points, edges[:-1, None], edges[1:, None])
+    legendre_nodes = legendre.nodes.ravel()
+    jacobi = gauss_jacobi_right(n_points, edges[used][:, None], zeta[:, None], exponent)
+
+    values = np.asarray(
+        f(np.concatenate([legendre_nodes, jacobi.nodes.ravel()])), dtype=float
+    )
+    # built in place, so the call holds one (points x shared nodes) array
+    on_segment = np.arange(legendre_nodes.size) < n_points * used[:, None]
+    kernel = zeta[:, None] - legendre_nodes
+    np.power(kernel, exponent, out=kernel, where=on_segment)
+    kernel *= legendre.weights.ravel()
+    kernel[~on_segment] = 0.0
+    jacobi_values = values[legendre_nodes.size :].reshape(jacobi.nodes.shape)
+    jacobi_part = (jacobi.weights * jacobi_values).sum(axis=1)
+    return kernel @ values[: legendre_nodes.size] + jacobi_part
+
+
+def _points(zeta: float | np.ndarray) -> np.ndarray:
+    """zeta as a 1-D float array, checked to be positive."""
+    points = np.asarray(zeta, dtype=float)
+    if points.ndim > 1:
+        raise ValueError(f"zeta must be a scalar or a 1-D array, got shape {points.shape}")
+    if np.any(points <= 0.0):
+        raise ValueError(f"need zeta > 0, got {zeta}")
+    return np.atleast_1d(points)
+
+
+def _shaped_as(values: np.ndarray, zeta: float | np.ndarray) -> float | np.ndarray:
+    return float(values[0]) if np.ndim(zeta) == 0 else values
 
 
 def rl_integral(
     f: Callable[[np.ndarray], np.ndarray],
     mu: float,
-    zeta: float,
+    zeta: float | np.ndarray,
     breakpoints: Sequence[float] | None = None,
     n_points: int = _DEFAULT_POINTS,
     merge_fraction: float = 0.0,
-) -> float:
-    """Riemann-Liouville integral of order mu of f at zeta."""
+) -> float | np.ndarray:
+    """Riemann-Liouville integral of order mu of f at zeta: a float for a
+    scalar zeta, an array for a 1-D array of points."""
     _validate_order(mu)
-    if zeta <= 0.0:
-        raise ValueError(f"need zeta > 0, got {zeta}")
-    return (
-        _weighted_integral(f, mu - 1.0, zeta, breakpoints, n_points, merge_fraction)
-        / gamma(mu)
-    )
+    points = _points(zeta)
+    weighted = _weighted_integral(f, mu - 1.0, points, breakpoints, n_points, merge_fraction)
+    return _shaped_as(weighted / gamma(mu), zeta)
 
 
 def caputo_derivative(
     f: Callable[[np.ndarray], np.ndarray],
     f_prime: Callable[[np.ndarray], np.ndarray],
     mu: float,
-    zeta: float,
+    zeta: float | np.ndarray,
     breakpoints: Sequence[float] | None = None,
     n_points: int = _DEFAULT_POINTS,
     merge_fraction: float = 0.0,
-) -> float:
-    """Caputo derivative of order mu at zeta; f_prime must be supplied.
+) -> float | np.ndarray:
+    """Caputo derivative of order mu at zeta (a float or a 1-D array, as
+    for ``rl_integral``); f_prime must be supplied.
 
     For mu = 1 this is f_prime(zeta) exactly.
     """
     _validate_order(mu)
-    if zeta <= 0.0:
-        raise ValueError(f"need zeta > 0, got {zeta}")
+    points = _points(zeta)
     if mu == 1.0:
-        return float(np.asarray(f_prime(zeta)).reshape(-1)[0])
+        return _shaped_as(np.asarray(f_prime(points), dtype=float).reshape(points.shape), zeta)
     weighted = _weighted_integral(
-        f_prime, -mu, zeta, breakpoints, n_points, merge_fraction
+        f_prime, -mu, points, breakpoints, n_points, merge_fraction
     )
-    return weighted / gamma(1.0 - mu)
+    return _shaped_as(weighted / gamma(1.0 - mu), zeta)
 
 
 def check_inversion_identity(
@@ -111,69 +144,20 @@ def check_inversion_identity(
     # f' ~ tau^(mu-1)); geometric grading toward the origin restores the
     # per-segment Gauss convergence.
     graded = graded_breakpoints([0.0, 1.0], levels=18)
+    z = np.asarray(grid, dtype=float)
+    z = z[z > 0.0]
+    if z.size == 0:
+        return 0.0
 
     def dmu(tau: np.ndarray) -> np.ndarray:
-        tau = np.atleast_1d(np.asarray(tau, dtype=float))
-        return np.array(
-            [
-                caputo_derivative(
-                    f, f_prime, mu, t, breakpoints=graded,
-                    n_points=n_points, merge_fraction=0.5,
-                )
-                if t > 0.0
-                else 0.0
-                for t in tau
-            ]
-        )
-
-    worst = 0.0
-    for z in grid:
-        if z <= 0.0:
-            continue
-        lhs = rl_integral(
-            dmu, mu, float(z), breakpoints=graded,
+        # every node of the outer rule lies strictly inside (0, z)
+        return caputo_derivative(
+            f, f_prime, mu, tau, breakpoints=graded,
             n_points=n_points, merge_fraction=0.5,
         )
-        worst = max(worst, abs(lhs - (float(np.asarray(f(z)).reshape(-1)[0]) - f0)))
-    return worst
 
-
-def finite_difference_derivative(
-    f: Callable[[float], float], h: float = 1e-4
-) -> Callable[[np.ndarray], np.ndarray]:
-    """5-point central difference with one Richardson step, for black-box f.
-
-    The stencil shifts to stay inside [0, 1] near the endpoints.
-    """
-
-    def five_point(x: float, step: float) -> float:
-        lo = max(0.0, x - 2 * step)
-        if lo + 4 * step > 1.0:
-            lo = 1.0 - 4 * step
-        t = np.array([lo, lo + step, lo + 2 * step, lo + 3 * step, lo + 4 * step])
-        # 5-point derivative at x from the (possibly shifted) stencil via
-        # Lagrange differentiation weights.
-        w = np.zeros(5)
-        for i in range(5):
-            for j in range(5):
-                if j == i:
-                    continue
-                prod = 1.0
-                for l in range(5):
-                    if l in (i, j):
-                        continue
-                    prod *= (x - t[l]) / (t[i] - t[l])
-                w[i] += prod / (t[i] - t[j])
-        return float(np.dot(w, [f(ti) for ti in t]))
-
-    def deriv(x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.array(
-            [
-                (4.0 * five_point(xi, h / 2) - five_point(xi, h)) / 3.0
-                for xi in xs
-            ]
-        )
-        return out if np.ndim(x) else float(out[0])
-
-    return deriv
+    lhs = rl_integral(
+        dmu, mu, z, breakpoints=graded, n_points=n_points, merge_fraction=0.5
+    )
+    rhs = np.asarray(f(z), dtype=float).reshape(z.shape) - f0
+    return float(np.abs(lhs - rhs).max())

@@ -1,4 +1,4 @@
-"""Low-level numerics: gamma, Gauss rules, composite quadrature, dense solves."""
+"""Low-level numerics: gamma, Gauss rules, graded breakpoints, dense solves."""
 
 from __future__ import annotations
 
@@ -40,11 +40,24 @@ def gamma(x: float) -> float:
     return math.gamma(x)
 
 
-def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
-    """n-point Gauss-Legendre rule mapped to [a, b]."""
+def _is_interval(a, b) -> bool:
+    """a < b; for arrays, at every element."""
+    below = a < b
+    return bool(below.all()) if isinstance(below, np.ndarray) else bool(below)
+
+
+def gauss_legendre(
+    n: int, a: float | np.ndarray, b: float | np.ndarray
+) -> QuadratureRule:
+    """n-point Gauss-Legendre rule mapped to [a, b].
+
+    a and b may also be arrays that broadcast against the n reference
+    points: column arrays of shape (S, 1) give S rules as the rows of
+    (S, n) nodes and weights.
+    """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if not a < b:
+    if not _is_interval(a, b):
         raise ValueError(f"need a < b, got a={a}, b={b}")
     x, w = _legendre_reference(n)
     half = 0.5 * (b - a)
@@ -98,16 +111,19 @@ def _jacobi_value_and_slope(
     return cur, slope
 
 
-def gauss_jacobi_right(n: int, a: float, b: float, exponent: float) -> QuadratureRule:
+def gauss_jacobi_right(
+    n: int, a: float | np.ndarray, b: float | np.ndarray, exponent: float
+) -> QuadratureRule:
     """Rule for integrals of (b - t)^exponent * f(t) over [a, b].
 
     The weight (b - t)^exponent is folded into the returned weights, so
     ``rule.integrate(f)`` approximates the weighted integral; exact for
-    polynomial f up to degree 2n - 1.
+    polynomial f up to degree 2n - 1. a and b may be arrays, as for
+    ``gauss_legendre``.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if not a < b:
+    if not _is_interval(a, b):
         raise ValueError(f"need a < b, got a={a}, b={b}")
     if exponent <= -1.0:
         raise ValueError(f"need exponent > -1, got {exponent}")
@@ -126,26 +142,6 @@ def gauss_jacobi_left(n: int, a: float, b: float, exponent: float) -> Quadrature
     image of ``gauss_jacobi_right``."""
     right = gauss_jacobi_right(n, a, b, exponent)
     return QuadratureRule(nodes=a + b - right.nodes, weights=right.weights, order=n)
-
-
-def integrate_piecewise(
-    f: Callable[[np.ndarray], np.ndarray],
-    breakpoints: Sequence[float],
-    points_per_segment: int = 32,
-) -> float:
-    """Composite Gauss-Legendre over [0, 1] split at the given breakpoints."""
-    bp = np.asarray(breakpoints, dtype=float)
-    if bp.size < 2 or bp[0] != 0.0 or bp[-1] != 1.0:
-        raise ValueError("breakpoints must start at 0 and end at 1")
-    if np.any(np.diff(bp) <= 0.0):
-        raise ValueError("breakpoints must be strictly increasing")
-    if np.any(bp < 0.0) or np.any(bp > 1.0):
-        raise ValueError("breakpoints must lie in [0, 1]")
-    total = 0.0
-    for lo, hi in zip(bp[:-1], bp[1:]):
-        rule = gauss_legendre(points_per_segment, lo, hi)
-        total += rule.integrate(f)
-    return total
 
 
 def graded_breakpoints(

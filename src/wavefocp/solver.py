@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .basis import WaveletParams, eval_basis, eval_basis_many
+from .basis import WaveletParams, eval_basis, eval_basis_many, local_basis_values
 from .fracops import rl_integral
 from .opmats import (
     OperationalMatrices,
@@ -353,19 +353,27 @@ def _requadrature_cost(disc: DiscretizedFocp, C2: np.ndarray, U_hat: np.ndarray)
 
 
 def _dynamics_defect(disc: DiscretizedFocp, C_hat: np.ndarray, U_hat: np.ndarray) -> float:
-    """Max dynamics residual on a 50-point grid, using the independent
-    RL-integral oracle to reconstruct the state (so D^mu x = C_hat^T Psi
-    holds exactly and the defect isolates the product-projection error)."""
+    """Max dynamics residual on a 50-point grid.
+
+    The state comes from the independent RL-integral oracle applied to
+    D^mu x = C_hat^T Psi, so that identity holds exactly and the defect
+    isolates the product-projection error. One batched ``rl_integral``
+    call covers the grid; the expansions read each point's M nonzero
+    wavelets from ``local_basis_values``.
+    """
     prob = disc.problem
     params = disc.params
-    bp = params.breakpoints()
+
+    def expand(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
+        blocks, vals = local_basis_values(params, t)
+        return np.einsum("mj,jm->j", vals, coeffs.reshape(-1, params.M)[blocks])
 
     def dx(t: np.ndarray) -> np.ndarray:
-        return C_hat @ eval_basis_many(params, np.atleast_1d(np.asarray(t, dtype=float)))
+        return expand(C_hat, t)
 
     grid = np.linspace(0.02, 1.0, 50)
-    x = prob.x0 + np.array([rl_integral(dx, prob.mu, z, breakpoints=bp) for z in grid])
-    u = U_hat @ eval_basis_many(params, grid)
+    x = prob.x0 + rl_integral(dx, prob.mu, grid, breakpoints=params.breakpoints())
+    u = expand(U_hat, grid)
     a = _as_grid_fn(prob.a_fn)(grid)
     b = _as_grid_fn(prob.b_fn)(grid)
     return float(np.abs(dx(grid) - a * x - b * u).max())

@@ -1,14 +1,15 @@
-"""Shared fixtures: reference matrices, a reference quadrature and cached
-operational-matrix bundles."""
+"""Shared fixtures: reference matrices, reference quadratures, test-only
+numerical helpers and cached operational-matrix bundles."""
 
 import math
+from typing import Callable
 
 import numpy as np
 import pytest
 
 from wavefocp.basis import WaveletParams
 from wavefocp.opmats import build_operational_matrices
-from wavefocp.quadrature import gauss_legendre, graded_breakpoints
+from wavefocp.quadrature import gamma, gauss_jacobi_right, gauss_legendre, graded_breakpoints
 
 # Published reference matrices for k=2, M=4 (8x8 basis). The Gram matrices
 # are block-diagonal; only the two 4x4 blocks are listed.
@@ -173,6 +174,105 @@ def graded_nodes(params: WaveletParams):
     pieces = graded_breakpoints(params.breakpoints())
     rules = [gauss_legendre(32, lo, hi) for lo, hi in zip(pieces[:-1], pieces[1:])]
     return np.concatenate([r.nodes for r in rules]), np.concatenate([r.weights for r in rules])
+
+
+def weighted_integral_by_segments(f, exponent, zeta, breakpoints, n_points=32,
+                                  merge_fraction=0.0):
+    """Integral of (zeta - tau)^exponent * f(tau) over [0, zeta] at one
+    scalar zeta, segment by segment: the point-by-point reference for the
+    batched ``fracops._weighted_integral``, with the same rule per point
+    (Gauss-Legendre on the segments below the last kept breakpoint,
+    Gauss-Jacobi on the segment touching zeta) and one f call per segment."""
+    cutoff = (1.0 - merge_fraction) * zeta
+    cuts = [0.0, zeta]
+    if breakpoints is not None:
+        cuts.extend(b for b in breakpoints if 0.0 < b < zeta and b <= cutoff)
+    cuts = sorted(set(cuts))
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if hi == zeta:
+            rule = gauss_jacobi_right(n_points, lo, hi, exponent)
+            total += rule.integrate(f)
+        else:
+            rule = gauss_legendre(n_points, lo, hi)
+            total += float(
+                np.dot(rule.weights * (zeta - rule.nodes) ** exponent, f(rule.nodes))
+            )
+    return total
+
+
+def rl_integral_by_segments(f, mu, zeta, breakpoints=None, n_points=32,
+                            merge_fraction=0.0):
+    """Point-by-point reference for ``fracops.rl_integral`` at scalar zeta."""
+    return weighted_integral_by_segments(
+        f, mu - 1.0, zeta, breakpoints, n_points, merge_fraction) / gamma(mu)
+
+
+def caputo_derivative_by_segments(f_prime, mu, zeta, breakpoints=None, n_points=32,
+                                  merge_fraction=0.0):
+    """Point-by-point reference for ``fracops.caputo_derivative`` at scalar
+    zeta."""
+    if mu == 1.0:
+        return float(np.asarray(f_prime(zeta)).reshape(-1)[0])
+    return weighted_integral_by_segments(
+        f_prime, -mu, zeta, breakpoints, n_points, merge_fraction) / gamma(1.0 - mu)
+
+
+def integrate_piecewise(f, breakpoints, points_per_segment=32):
+    """Composite Gauss-Legendre over [0, 1] split at the given breakpoints."""
+    bp = np.asarray(breakpoints, dtype=float)
+    if bp.size < 2 or bp[0] != 0.0 or bp[-1] != 1.0:
+        raise ValueError("breakpoints must start at 0 and end at 1")
+    if np.any(np.diff(bp) <= 0.0):
+        raise ValueError("breakpoints must be strictly increasing")
+    if np.any(bp < 0.0) or np.any(bp > 1.0):
+        raise ValueError("breakpoints must lie in [0, 1]")
+    total = 0.0
+    for lo, hi in zip(bp[:-1], bp[1:]):
+        rule = gauss_legendre(points_per_segment, lo, hi)
+        total += rule.integrate(f)
+    return total
+
+
+def finite_difference_derivative(
+    f: Callable[[float], float], h: float = 1e-4
+) -> Callable[[np.ndarray], np.ndarray]:
+    """5-point central difference with one Richardson step, for black-box f.
+
+    The stencil shifts to stay inside [0, 1] near the endpoints.
+    """
+
+    def five_point(x: float, step: float) -> float:
+        lo = max(0.0, x - 2 * step)
+        if lo + 4 * step > 1.0:
+            lo = 1.0 - 4 * step
+        t = np.array([lo, lo + step, lo + 2 * step, lo + 3 * step, lo + 4 * step])
+        # 5-point derivative at x from the (possibly shifted) stencil via
+        # Lagrange differentiation weights.
+        w = np.zeros(5)
+        for i in range(5):
+            for j in range(5):
+                if j == i:
+                    continue
+                prod = 1.0
+                for l in range(5):
+                    if l in (i, j):
+                        continue
+                    prod *= (x - t[l]) / (t[i] - t[l])
+                w[i] += prod / (t[i] - t[j])
+        return float(np.dot(w, [f(ti) for ti in t]))
+
+    def deriv(x):
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        out = np.array(
+            [
+                (4.0 * five_point(xi, h / 2) - five_point(xi, h)) / 3.0
+                for xi in xs
+            ]
+        )
+        return out if np.ndim(x) else float(out[0])
+
+    return deriv
 
 
 @pytest.fixture(scope="session")

@@ -3,10 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from conftest import (
+    caputo_derivative_by_segments,
+    finite_difference_derivative,
+    rl_integral_by_segments,
+)
+from wavefocp.basis import WaveletParams
 from wavefocp.fracops import (
     caputo_derivative,
     check_inversion_identity,
-    finite_difference_derivative,
     rl_integral,
 )
 from wavefocp.quadrature import gamma
@@ -119,6 +124,86 @@ class TestInversionIdentity:
         f = lambda z: np.exp(np.atleast_1d(z))
         r = check_inversion_identity(f, f, 1.0, self.GRID)
         assert r <= 1e-12
+
+
+WAVELET_BP = WaveletParams(k=5, M=8, mu=0.9).breakpoints()
+GRADED_BP = np.geomspace(1e-12, 1.0, 40)
+# (breakpoints, merge_fraction, points): a point on a breakpoint, one below
+# the first positive breakpoint, 1.0, and a repeated point; with merging, also
+# a point whose merge cutoff (1 - 0.5) z falls on a breakpoint
+BATCH_CASES = {
+    "none": (None, 0.0, np.array([0.3, 0.05, 1.0, 0.3, 0.7])),
+    "wavelet": (WAVELET_BP, 0.0,
+                np.array([WAVELET_BP[5], 0.5 * WAVELET_BP[1], 1.0, 0.61, WAVELET_BP[5]])),
+    "graded": (GRADED_BP, 0.5,
+               np.array([GRADED_BP[30], 0.5 * GRADED_BP[0], 1.0, 0.42, 0.42,
+                         2.0 * GRADED_BP[25]])),
+}
+FUNCTIONS = {
+    "power": (lambda t: t**2.5, lambda t: 2.5 * t**1.5),
+    "cos": (np.cos, lambda t: -np.sin(t)),
+}
+
+
+class TestBatchedQuadrature:
+    """Array calls against the point-by-point, segment-by-segment reference
+    in conftest: the same rule per point, so only summation order differs."""
+
+    @pytest.mark.parametrize("case", sorted(BATCH_CASES))
+    @pytest.mark.parametrize("fname", sorted(FUNCTIONS))
+    @pytest.mark.parametrize("mu", [0.3, 0.7, 1.0])
+    @pytest.mark.parametrize("n", [32, 3])
+    def test_matches_segment_reference(self, case, fname, mu, n):
+        # at n = 3 the rules' own error is far above 1e-14, so a point that
+        # splits [0, z] differently from the reference shows
+        bp, merge, points = BATCH_CASES[case]
+        f, fp = FUNCTIONS[fname]
+        kw = dict(breakpoints=bp, n_points=n, merge_fraction=merge)
+        rl = rl_integral(f, mu, points, **kw)
+        cd = caputo_derivative(f, fp, mu, points, **kw)
+        rl_ref = [rl_integral_by_segments(f, mu, z, **kw) for z in points]
+        cd_ref = [caputo_derivative_by_segments(fp, mu, z, **kw) for z in points]
+        assert isinstance(rl, np.ndarray) and rl.shape == points.shape
+        assert isinstance(cd, np.ndarray) and cd.shape == points.shape
+        np.testing.assert_allclose(rl, rl_ref, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(cd, cd_ref, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("case", sorted(BATCH_CASES))
+    def test_integrand_called_once_on_shared_nodes(self, case):
+        bp, merge, points = BATCH_CASES[case]
+        calls = []
+
+        def f(t):
+            calls.append(np.size(t))
+            return np.cos(t)
+
+        rl_integral(f, 0.7, points, breakpoints=bp, merge_fraction=merge)
+        positive = np.unique(np.asarray([] if bp is None else bp, dtype=float))
+        S = int(np.sum((positive > 0.0) & (positive < points.max())))
+        Q = 32
+        assert len(calls) == 1
+        assert calls[0] <= S * Q + points.size * Q
+
+    def test_rejects_any_nonpositive_point(self):
+        with pytest.raises(ValueError):
+            rl_integral(np.cos, 0.5, np.array([0.3, 0.0, 0.6]))
+        with pytest.raises(ValueError):
+            caputo_derivative(np.cos, lambda t: -np.sin(t), 0.5, np.array([0.3, 0.0]))
+        with pytest.raises(ValueError):
+            caputo_derivative(np.cos, lambda t: -np.sin(t), 1.0, np.array([-0.1, 0.5]))
+
+    def test_scalar_in_float_out(self):
+        val = rl_integral(np.cos, 0.5, 0.4, breakpoints=WAVELET_BP)
+        assert type(val) is float
+        assert val == pytest.approx(
+            rl_integral_by_segments(np.cos, 0.5, 0.4, WAVELET_BP), rel=1e-14)
+        assert type(caputo_derivative(np.cos, lambda t: -np.sin(t), 0.5, 0.4)) is float
+        assert type(caputo_derivative(np.cos, lambda t: -np.sin(t), 1.0, 0.4)) is float
+
+    def test_order_one_caputo_is_f_prime_on_array(self):
+        z = np.array([0.2, 0.5, 1.0])
+        val = caputo_derivative(np.sin, np.cos, 1.0, z)
+        np.testing.assert_array_equal(val, np.cos(z))
 
 
 def test_finite_difference_derivative():

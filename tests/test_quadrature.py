@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import integrate_piecewise
 from wavefocp.quadrature import (
     SingularMatrixError,
     condition_estimate,
@@ -14,7 +15,6 @@ from wavefocp.quadrature import (
     gauss_jacobi_right,
     gauss_legendre,
     graded_breakpoints,
-    integrate_piecewise,
     invert_blocks,
     solve_linear,
     solve_spd,
@@ -81,8 +81,29 @@ class TestGaussLegendre:
         with pytest.raises(ValueError):
             gauss_legendre(4, 1.0, 0.0)
 
+    def test_column_intervals_give_one_rule_per_row(self):
+        edges = np.array([0.0, 0.1, 0.35, 1.0])
+        rules = gauss_legendre(6, edges[:-1, None], edges[1:, None])
+        assert rules.nodes.shape == rules.weights.shape == (3, 6)
+        for row, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+            rule = gauss_legendre(6, lo, hi)
+            np.testing.assert_array_equal(rules.nodes[row], rule.nodes)
+            np.testing.assert_array_equal(rules.weights[row], rule.weights)
+        with pytest.raises(ValueError):
+            gauss_legendre(6, np.array([[0.0], [0.5]]), np.array([[0.5], [0.5]]))
+
 
 class TestGaussJacobiRight:
+    def test_column_intervals_give_one_rule_per_row(self):
+        lo, hi = np.array([0.0, 0.2, 0.2]), np.array([0.3, 0.9, 1.0])
+        rules = gauss_jacobi_right(5, lo[:, None], hi[:, None], -0.4)
+        for row in range(3):
+            rule = gauss_jacobi_right(5, lo[row], hi[row], -0.4)
+            np.testing.assert_array_equal(rules.nodes[row], rule.nodes)
+            np.testing.assert_array_equal(rules.weights[row], rule.weights)
+        with pytest.raises(ValueError):
+            gauss_jacobi_right(5, lo[:, None], lo[:, None] + [[0.1], [0.0], [0.1]], -0.4)
+
     def test_zero_exponent_matches_legendre(self):
         rng = np.random.default_rng(7)
         coeffs = rng.standard_normal(6)

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import COST_TABLE, POINTWISE_ERR_U, POINTWISE_ERR_X
+from conftest import COST_TABLE, POINTWISE_ERR_U, POINTWISE_ERR_X, rl_integral_by_segments
 from wavefocp import quadrature, solver
 from wavefocp.basis import WaveletParams, eval_basis, eval_basis_many
-from wavefocp.fracops import rl_integral
 from wavefocp.opmats import build_operational_matrices
 from wavefocp.quadrature import SingularMatrixError, gamma, solve_linear
 from wavefocp.solver import (
@@ -152,7 +151,8 @@ class TestSolutionStructure:
 
     @pytest.mark.parametrize("k, M, mu", [(3, 8, 0.9), (2, 4, 0.7)])
     def test_dynamics_defect_matches_scalar_route(self, k, M, mu):
-        """The vectorized defect against the point-by-point eval_basis route."""
+        """The batched defect against the point-by-point route: eval_basis at
+        every node and the segment-by-segment RL reference of conftest."""
         problem = FocpProblem(
             p_fn=lambda z: np.ones_like(z), q_fn=lambda z: np.ones_like(z),
             a_fn=lambda z: -1.0 - np.asarray(z), b_fn=lambda z: 1.0 + np.asarray(z) ** 2,
@@ -167,7 +167,7 @@ class TestSolutionStructure:
 
         scalar = 0.0
         for z in np.linspace(0.02, 1.0, 50):
-            x_z = problem.x0 + rl_integral(dx, mu, z, breakpoints=params.breakpoints())
+            x_z = problem.x0 + rl_integral_by_segments(dx, mu, z, params.breakpoints())
             u_z = U_hat @ eval_basis(params, z)
             residual = dx(z)[0] - (-1.0 - z) * x_z - (1.0 + z**2) * u_z
             scalar = max(scalar, abs(residual))
