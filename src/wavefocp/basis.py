@@ -8,7 +8,7 @@ Taylor wavelets. The flat index runs n-major, m-minor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,13 +56,6 @@ class WaveletParams:
         return bp
 
 
-def normalized_taylor_poly(m: int, s: float) -> float:
-    """sqrt(2m+1) * s**m."""
-    if m < 0:
-        raise ValueError(f"need m >= 0, got {m}")
-    return math.sqrt(2 * m + 1) * s**m
-
-
 def support_interval(params: WaveletParams, n: int) -> tuple[float, float]:
     """Support [lo, hi) of block n; the blocks tile [0, 1)."""
     if not 1 <= n <= params.n_blocks:
@@ -71,58 +64,19 @@ def support_interval(params: WaveletParams, n: int) -> tuple[float, float]:
     return float(bp[n - 1]), float(bp[n])
 
 
-def block_of_point(params: WaveletParams, zeta: float) -> int:
-    """Block index whose support contains zeta.
-
-    Interior boundary ties go to the right block (half-open convention);
-    the last block is right-closed so zeta = 1 is covered.
-    """
-    if not 0.0 <= zeta <= 1.0:
-        raise ValueError(f"zeta must be in [0, 1], got {zeta}")
-    if zeta >= 1.0:
-        return params.n_blocks
-    s = zeta**params.mu * params.n_blocks
-    return min(int(s), params.n_blocks - 1) + 1
-
-
-def eval_wavelet(params: WaveletParams, n: int, m: int, zeta: float) -> float:
-    """Value of wavelet (n, m) at zeta; zero outside its support."""
-    if not 0.0 <= zeta <= 1.0:
-        raise ValueError(f"zeta must be in [0, 1], got {zeta}")
-    if not 0 <= m < params.M:
-        raise IndexError(f"m must be in 0..{params.M - 1}, got {m}")
-    lo, hi = support_interval(params, n)
-    if block_of_point(params, zeta) != n:
-        return 0.0
-    s = params.n_blocks * zeta**params.mu - n + 1
-    return 2 ** ((params.k - 1) / 2) * normalized_taylor_poly(m, s)
-
-
-def eval_basis(params: WaveletParams, zeta: float) -> np.ndarray:
-    """The full m_hat-vector of wavelet values at zeta (n-major, m-minor)."""
-    if not 0.0 <= zeta <= 1.0:
-        raise ValueError(f"zeta must be in [0, 1], got {zeta}")
-    out = np.zeros(params.m_hat)
-    n = block_of_point(params, zeta)
-    s = params.n_blocks * zeta**params.mu - n + 1
-    scale = 2 ** ((params.k - 1) / 2)
-    powers = s ** np.arange(params.M)
-    norms = np.sqrt(2 * np.arange(params.M) + 1.0)
-    out[(n - 1) * params.M : n * params.M] = scale * norms * powers
-    return out
-
-
 def local_basis_values(
     params: WaveletParams, zetas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Owning block and the M nonzero wavelet values at each point.
 
-    Returns (blocks, vals): the 0-based block of every point (the
-    block_of_point assignment) and an (M, len(zetas)) array whose column j
-    holds psi_{blocks[j]+1, m}(zetas[j]) for m = 0..M-1.
+    Returns (blocks, vals): the 0-based block of every point and an
+    (M, len(zetas)) array whose column j holds psi_{blocks[j]+1, m}(zetas[j])
+    for m = 0..M-1. Blocks are half-open, so a point on an interior
+    breakpoint belongs to the block on its right; the last block is closed,
+    so zeta = 1 belongs to it.
     """
     zetas = np.asarray(zetas, dtype=float)
-    if np.any(zetas < 0.0) or np.any(zetas > 1.0):
+    if not np.all((zetas >= 0.0) & (zetas <= 1.0)):
         raise ValueError("all points must lie in [0, 1]")
     s_glob = zetas**params.mu * params.n_blocks
     blocks = np.minimum(s_glob.astype(int), params.n_blocks - 1)
@@ -145,6 +99,12 @@ def eval_basis_many(params: WaveletParams, zetas: np.ndarray) -> np.ndarray:
     out = np.zeros((params.m_hat, blocks.size))
     out[rows, np.arange(blocks.size)] = vals
     return out
+
+
+def eval_basis(params: WaveletParams, zeta: float) -> np.ndarray:
+    """The full m_hat-vector of wavelet values at zeta (n-major, m-minor):
+    the one-point view of ``eval_basis_many``."""
+    return eval_basis_many(params, np.array([zeta], dtype=float))[:, 0]
 
 
 def monomial_coefficients(params: WaveletParams, n: int, m: int) -> np.ndarray:

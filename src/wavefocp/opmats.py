@@ -1,15 +1,16 @@
 """Gram, integration, and product operational matrices for the wavelet basis.
 
 Each wavelet is nonzero on a single block n, where it is the plain monomial
-phi_m(s) of the local coordinate s = N zeta^mu - n + 1 in [0, 1). The Gram
-matrix D, the triple products T and the basis moments come from one rule
-per block in s (``_block_rule``), so D and the product matrices are
-block-diagonal and T is stored as N blocks of M x M x M. The integration
-matrices are least-squares projections of the (fractionally) integrated
-basis functions, solved against D. Integrals of given functions against
-the basis run on one QuadratureGrid per bundle: a rule per block in s,
+phi_m(s) of the local coordinate s = N zeta^mu - n + 1 in [0, 1). Every
+integral of a product of wavelets, or of a given function against the
+basis, runs on one QuadratureGrid per bundle: a rule per block in s,
 graded toward s = 0 on block 1, that keeps the M local basis values of
-every node.
+every node. The Gram matrix D is its weighted Gram of the constant 1, the
+product matrix G D^-1 comes from the weighted Gram G of the expansion
+c^T Psi, and the triple products T (stored as N blocks of M x M x M) from
+the weighted Grams of the wavelets, so D, G and the product matrices are
+block-diagonal. The integration matrices are least-squares projections of
+the (fractionally) integrated basis functions, solved against D.
 
 P^mu does not use the grid: every block of its unprojected matrix comes
 from a fixed rule in the local block coordinates, where each wavelet is a
@@ -52,34 +53,13 @@ from .quadrature import (
 
 _COND_WARN_LIMIT = 1e12
 # points per local coordinate of every rule that fills B in P^mu = B D^-1;
-# the block rule and the projection rule use this many plus M
+# the projection grid uses this many plus M
 _LOCAL_RULE_POINTS = 16
 # power behaviour at s = 0 (the block-2 targets of block 1 in P^mu, smooth
 # functions of zeta on block 1): a composite rule on [0, ratio^levels], ...,
 # [ratio, 1]
 _GRADED_RATIO = 0.2
 _GRADED_LEVELS = 16
-
-
-def _block_rule(params: WaveletParams) -> tuple[np.ndarray, np.ndarray]:
-    """Local nodes s and weights w, both (N, Q), with sum_q w[n-1, q] f(s[n-1, q])
-    approximating int_0^1 f(s) w_n(s) ds, the integral of f over block n.
-
-    On block 1, w_1(s) = s^(1/mu - 1) N^(-1/mu) / mu is a single power: a
-    Gauss-Jacobi rule for that weight is exact for polynomial f of degree
-    2Q - 1. On blocks n >= 2, w_n is analytic with its nearest singularity
-    at s = 1 - n, a block width away, and Gauss-Legendre resolves it.
-    Q = ``_LOCAL_RULE_POINTS`` + M gives 2Q - 1 >= 3M - 3, the degree of a
-    product of three local wavelets.
-    """
-    N, mu = params.n_blocks, params.mu
-    Q = _LOCAL_RULE_POINTS + params.M
-    first = gauss_jacobi_left(Q, 0.0, 1.0, 1.0 / mu - 1.0)
-    rest = gauss_legendre(Q, 0.0, 1.0)
-    s = np.vstack([first.nodes] + [rest.nodes] * (N - 1))
-    t = (rest.nodes + np.arange(1, N)[:, None]) / N
-    w = np.vstack([first.weights * N ** (-1.0 / mu) / mu, rest.weights * _dzeta(params, t)])
-    return s, w
 
 
 def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
@@ -96,23 +76,6 @@ def diagonal_blocks(matrix: np.ndarray, M: int) -> np.ndarray:
     N = matrix.shape[0] // M
     diag = np.arange(N)
     return matrix.reshape(N, M, N, M)[diag, :, diag, :]
-
-
-def gram_matrix(params: WaveletParams) -> np.ndarray:
-    """D(mu) = integral of Psi Psi^T over [0, 1], block by block from the
-    local rule; entries across distinct blocks are zero."""
-    s, w = _block_rule(params)
-    phi = local_wavelet_values(params, s)
-    return _block_diagonal(np.einsum("anq,bnq->nab", phi * w, phi))
-
-
-def triple_product_tensor(params: WaveletParams) -> np.ndarray:
-    """T[n-1, a, b, c] = integral of psi_{n,a} psi_{n,b} psi_{n,c}, shape
-    (N, M, M, M): triple products across distinct blocks vanish and are
-    not stored."""
-    s, w = _block_rule(params)
-    phi = local_wavelet_values(params, s)
-    return np.einsum("anq,bnq,cnq->nabc", phi * w, phi, phi)
 
 
 @lru_cache(maxsize=64)
@@ -137,25 +100,20 @@ def _graded_rule(points: int, n_blocks: int) -> tuple[np.ndarray, np.ndarray, np
     return rule
 
 
-def _projection_rule(params: WaveletParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_graded_rule`` over all N blocks with Q = ``_LOCAL_RULE_POINTS`` + M
-    points per segment: local nodes s, owning blocks, weights in s."""
-    return _graded_rule(_LOCAL_RULE_POINTS + params.M, params.n_blocks)
-
-
 def quadrature_nodes(params: WaveletParams) -> tuple[np.ndarray, np.ndarray]:
     """Sorted nodes zeta and weights of the projection rule over [0, 1].
 
-    Block n gets a rule in its local coordinate s, at zeta = t_n(s)^(1/mu)
-    with weights times w_n(s): Gauss-Legendre for n >= 2, the rows of
-    ``_block_rule``, and on block 1, where a smooth f(zeta) is
-    f((s/N)^(1/mu)), a rule graded toward s = 0; 17 Q + (N - 1) Q nodes in
-    all. The rule is accurate for f analytic in s on every block, which
-    covers f analytic in zeta, and on block 1 also for power behaviour
-    zeta^a at zeta = 0. It does not resolve f that is non-smooth at an
-    interior breakpoint.
+    Block n gets ``_graded_rule`` in its local coordinate s, with
+    Q = ``_LOCAL_RULE_POINTS`` + M points per segment, at
+    zeta = t_n(s)^(1/mu) with weights times w_n(s): Gauss-Legendre for
+    n >= 2, and on block 1, where a smooth f(zeta) is f((s/N)^(1/mu)), a
+    rule graded toward s = 0; 17 Q + (N - 1) Q nodes in all. The rule is
+    accurate for f analytic in s on every block, which covers f analytic in
+    zeta and every product of wavelets, and on block 1 also for power
+    behaviour zeta^a at zeta = 0, such as w_1(s), a multiple of s^(1/mu - 1).
+    It does not resolve f that is non-smooth at an interior breakpoint.
     """
-    s, block, w = _projection_rule(params)
+    s, block, w = _graded_rule(_LOCAL_RULE_POINTS + params.M, params.n_blocks)
     t = (s + block) / params.n_blocks
     return t ** (1.0 / params.mu), w * _dzeta(params, t)
 
@@ -176,20 +134,21 @@ class QuadratureGrid:
     starts: np.ndarray
     local: np.ndarray
 
-    def block_slices(self) -> list[slice]:
-        return [slice(a, b) for a, b in zip(self.starts[:-1], self.starts[1:])]
-
     def inner_products(self, values: np.ndarray) -> np.ndarray:
-        """Integrals of f * psi_j (n-major) from f sampled at the nodes."""
+        """Integrals of f * psi_j (n-major) from f sampled at the nodes (or
+        a constant f)."""
         terms = self.local * (self.weights * values)
         return np.add.reduceat(terms, self.starts[:-1], axis=1).T.ravel()
 
+    def gram_blocks(self, values: np.ndarray) -> np.ndarray:
+        """The (N, M, M) diagonal blocks of ``weighted_gram(values)``."""
+        terms = self.local[:, None] * (self.local * (self.weights * values))
+        return np.add.reduceat(terms, self.starts[:-1], axis=2).transpose(2, 0, 1)
+
     def weighted_gram(self, values: np.ndarray) -> np.ndarray:
         """Block-diagonal matrix of integrals of w * psi_i * psi_j from w
-        sampled at the nodes."""
-        terms = self.local[:, None] * (self.local * (self.weights * values))
-        blocks = np.add.reduceat(terms, self.starts[:-1], axis=2)
-        return _block_diagonal(blocks.transpose(2, 0, 1))
+        sampled at the nodes (or a constant w)."""
+        return _block_diagonal(self.gram_blocks(values))
 
     def evaluate(self, coeffs: np.ndarray) -> np.ndarray:
         """Values at the nodes of the expansion with the given coefficients."""
@@ -202,30 +161,33 @@ def quadrature_grid(params: WaveletParams) -> QuadratureGrid:
     """Build the block-grouped grid of ``quadrature_nodes(params)``; every
     node belongs to the block whose rule placed it."""
     nodes, weights = quadrature_nodes(params)
-    s, block, _ = _projection_rule(params)
+    s, block, _ = _graded_rule(_LOCAL_RULE_POINTS + params.M, params.n_blocks)
     starts = np.searchsorted(block, np.arange(params.n_blocks + 1))
     return QuadratureGrid(
         nodes=nodes, weights=weights, starts=starts, local=local_wavelet_values(params, s)
     )
 
 
-def inner_products(
-    f: Callable[[np.ndarray], np.ndarray],
-    params: WaveletParams,
-    grid: QuadratureGrid | None = None,
-) -> np.ndarray:
-    """Vector of integrals of f * psi_j over [0, 1] on the projection rule
-    (see ``quadrature_nodes`` for the f it resolves).
+def inner_products(f: Callable[[np.ndarray], np.ndarray], grid: QuadratureGrid) -> np.ndarray:
+    """Vector of integrals of f * psi_j over [0, 1] on the grid, normally
+    ``mats.grid`` (see ``quadrature_nodes`` for the f it resolves)."""
+    return grid.inner_products(np.asarray(f(grid.nodes), dtype=float))
 
-    ``grid`` (normally ``mats.grid``) must be the grid of params; without
-    it one is built.
-    """
-    if grid is None:
-        grid = quadrature_grid(params)
-    fv = np.asarray(f(grid.nodes), dtype=float)
-    if fv.ndim == 0:
-        fv = np.full(grid.nodes.shape, float(fv))
-    return grid.inner_products(fv)
+
+def gram_matrix(params: WaveletParams) -> np.ndarray:
+    """D(mu) = integral of Psi Psi^T over [0, 1]: the weighted Gram of the
+    constant 1 on the projection grid; entries across distinct blocks are
+    zero."""
+    return quadrature_grid(params).weighted_gram(1.0)
+
+
+def triple_product_tensor(params: WaveletParams) -> np.ndarray:
+    """T[n-1, a, b, c] = integral of psi_{n,a} psi_{n,b} psi_{n,c}, shape
+    (N, M, M, M), on the projection grid: triple products across distinct
+    blocks vanish and are not stored. Slice c is the weighted Gram of
+    psi_{., c}, whose values at the nodes are row c of ``grid.local``."""
+    grid = quadrature_grid(params)
+    return np.stack([grid.gram_blocks(values) for values in grid.local], axis=-1)
 
 
 def rl_integral_of_wavelet(
@@ -267,9 +229,8 @@ def rl_integral_of_wavelet(
 class OperationalMatrices:
     """Immutable bundle of the matrices a solve needs.
 
-    ``triple`` holds the triple products block by block, shape (N, M, M, M)
-    (see ``triple_product_tensor``). ``grid`` is the quadrature every
-    integral of given functions against the basis runs on and ``D_factor``
+    ``grid`` is the quadrature that D and every integral against the basis
+    (projections, weighted and product Grams) run on, and ``D_factor``
     the lower Cholesky factors of the N diagonal blocks of D, shape
     (N, M, M) (None if a block is not numerically SPD). ``P1``, the
     integration matrix of order 1, is built on first access; a solve never
@@ -280,7 +241,6 @@ class OperationalMatrices:
     frac_order: float
     D: np.ndarray
     Pmu: np.ndarray
-    triple: np.ndarray
     cond_D: float
     grid: QuadratureGrid
     D_factor: np.ndarray | None
@@ -306,7 +266,7 @@ def project(
     """Least-squares coefficients of f in the wavelet basis, from inner
     products on ``mats.grid`` (accurate for the f that ``quadrature_nodes``
     describes)."""
-    return mats.solve_D(inner_products(f, params, mats.grid))
+    return mats.solve_D(inner_products(f, mats.grid))
 
 
 def integration_matrix_first_order(
@@ -490,16 +450,18 @@ def _far_field(params: WaveletParams, order: float, B: np.ndarray) -> None:
 def product_matrix(c: np.ndarray, mats: OperationalMatrices) -> np.ndarray:
     """Matrix C~ with Psi Psi^T c ~= C~ Psi; linear in c.
 
-    Block n of G = sum_j T_ijl c_j contracts T_n with the coefficients c_n
-    of block n; G is block-diagonal, and so is C~ = G D^-1, whose block n
-    is G_n D_n^-1 = (D_n^-1 G_n^T)^T.
+    G = sum_j T_ijl c_j is the weighted Gram of the expansion c^T Psi, so it
+    comes from the grid without T. G is block-diagonal and symmetric, and so
+    C~ = G D^-1 is block-diagonal with block n equal to G_n D_n^-1 =
+    (D_n^-1 G_n)^T, solved against the N diagonal blocks of D.
     """
     N, M = mats.params.n_blocks, mats.params.M
     c = np.asarray(c, dtype=float)
     if c.shape != (N * M,):
         raise ValueError(f"coefficient vector must have length {N * M}")
-    G_T = np.einsum("nabc,nb->nca", mats.triple, c.reshape(N, M))
-    blocks = mats.solve_D(G_T.reshape(N * M, M)).reshape(N, M, M)
+    grid = mats.grid
+    G = grid.gram_blocks(grid.evaluate(c))
+    blocks = mats.solve_D(G.reshape(N * M, M)).reshape(N, M, M)
     return _block_diagonal(blocks.transpose(0, 2, 1))
 
 
@@ -508,8 +470,8 @@ def build_operational_matrices(
 ) -> OperationalMatrices:
     """Construct the bundle for the given basis and integration order."""
     frac_order = params.mu if frac_order is None else frac_order
-    D = gram_matrix(params)
-    D_blocks = diagonal_blocks(D, params.M)
+    grid = quadrature_grid(params)
+    D_blocks = grid.gram_blocks(1.0)
     cond_D = condition_estimate(D_blocks)
     if cond_D > _COND_WARN_LIMIT:
         warnings.warn(
@@ -518,15 +480,8 @@ def build_operational_matrices(
             stacklevel=2,
         )
     shell = OperationalMatrices(
-        params=params, frac_order=frac_order, D=D, Pmu=np.empty(0),
-        triple=triple_product_tensor(params), cond_D=cond_D,
-        grid=quadrature_grid(params), D_factor=spd_block_factor(D_blocks),
+        params=params, frac_order=frac_order, D=_block_diagonal(D_blocks),
+        Pmu=np.empty(0), cond_D=cond_D, grid=grid, D_factor=spd_block_factor(D_blocks),
     )
     Pmu = integration_matrix_fractional(params, shell, frac_order)
     return dataclasses.replace(shell, Pmu=Pmu)
-
-
-def basis_moment_vector(params: WaveletParams) -> np.ndarray:
-    """Integrals of each psi_j over [0, 1], from the local rule."""
-    s, w = _block_rule(params)
-    return np.einsum("anq,nq->na", local_wavelet_values(params, s), w).ravel()

@@ -27,7 +27,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    order: int
 
     def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
         return float(np.dot(self.weights, f(self.nodes)))
@@ -61,7 +60,7 @@ def gauss_legendre(
         raise ValueError(f"need a < b, got a={a}, b={b}")
     x, w = _legendre_reference(n)
     half = 0.5 * (b - a)
-    return QuadratureRule(nodes=a + half * (x + 1.0), weights=half * w, order=n)
+    return QuadratureRule(nodes=a + half * (x + 1.0), weights=half * w)
 
 
 @lru_cache(maxsize=None)
@@ -130,18 +129,14 @@ def gauss_jacobi_right(
     x, w = _jacobi_reference(n, exponent)
     half = 0.5 * (b - a)
     # (b - t) = half * (1 - x) under t = a + half * (x + 1)
-    return QuadratureRule(
-        nodes=a + half * (x + 1.0),
-        weights=(half ** (exponent + 1.0)) * w,
-        order=n,
-    )
+    return QuadratureRule(nodes=a + half * (x + 1.0), weights=(half ** (exponent + 1.0)) * w)
 
 
 def gauss_jacobi_left(n: int, a: float, b: float, exponent: float) -> QuadratureRule:
     """Rule for integrals of (t - a)^exponent * f(t) over [a, b]: the mirror
     image of ``gauss_jacobi_right``."""
     right = gauss_jacobi_right(n, a, b, exponent)
-    return QuadratureRule(nodes=a + b - right.nodes, weights=right.weights, order=n)
+    return QuadratureRule(nodes=a + b - right.nodes, weights=right.weights)
 
 
 def graded_breakpoints(
@@ -208,18 +203,11 @@ def spd_factor(A: np.ndarray) -> tuple[np.ndarray, bool] | None:
         return None
 
 
-def solve_spd(
-    A: np.ndarray, b: np.ndarray, factor: tuple[np.ndarray, bool] | None = None
-) -> np.ndarray:
-    """Cholesky solve for SPD matrices, falling back to the pivoted path.
-
-    ``factor`` is ``spd_factor(A)`` computed once and reused across calls;
-    without it A is factorized here.
-    """
+def solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cholesky solve for SPD matrices, falling back to the pivoted path."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    if factor is None:
-        factor = spd_factor(A)
+    factor = spd_factor(A)
     if factor is None:
         return solve_linear(A, b)
     return scipy.linalg.cho_solve(factor, b)

@@ -29,11 +29,10 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .basis import WaveletParams, eval_basis, eval_basis_many, local_basis_values
+from .basis import WaveletParams, eval_basis_many, local_basis_values
 from .fracops import rl_integral
 from .opmats import (
     OperationalMatrices,
-    basis_moment_vector,
     build_operational_matrices,
     diagonal_blocks,
     product_matrix,
@@ -424,38 +423,8 @@ def solve_focp(
     return solve_discretized(discretize(problem, params, mats), diagnostics)
 
 
-def reconstruct(solution: FocpSolution, zeta: float) -> tuple[float, float]:
-    """Pointwise state and control values."""
-    psi = eval_basis(solution.disc.params, zeta)
-    return float(solution.C2 @ psi), float(solution.U_hat @ psi)
-
-
 def reconstruct_many(
     solution: FocpSolution, zetas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     basis_vals = eval_basis_many(solution.disc.params, np.asarray(zetas, dtype=float))
     return solution.C2 @ basis_vals, solution.U_hat @ basis_vals
-
-
-def cost_via_product_chain(disc: DiscretizedFocp, solution: FocpSolution) -> float:
-    """Cost evaluated through the nested product-matrix chain.
-
-    Cross-check route only (homogeneous cost, no tracking targets): builds
-    the intermediate coefficient vectors for p*x^2 and q*u^2 with repeated
-    product-matrix applications, against projections of p and q, and
-    integrates their basis expansion.
-    """
-    problem, params, mats = disc.problem, disc.params, disc.mats
-    if problem.track_x is not None or problem.track_u is not None:
-        raise ValueError("product-matrix chain applies to the homogeneous cost only")
-    C2 = solution.C2
-    C_tilde = product_matrix(C2, mats)
-    C3 = C_tilde.T @ C2
-    C4 = product_matrix(C3, mats)
-    C5 = C4.T @ project(problem.p_fn, params, mats)
-    U2 = product_matrix(solution.U_hat, mats)
-    U3 = U2.T @ solution.U_hat
-    U4 = product_matrix(U3, mats)
-    U5 = U4.T @ project(problem.q_fn, params, mats)
-    moments = basis_moment_vector(params)
-    return 0.5 * float((C5 + U5) @ moments)

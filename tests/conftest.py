@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from wavefocp.basis import WaveletParams
-from wavefocp.opmats import build_operational_matrices
+from wavefocp.opmats import build_operational_matrices, product_matrix, project, quadrature_grid
 from wavefocp.quadrature import gamma, gauss_jacobi_right, gauss_legendre, graded_breakpoints
 
 # Published reference matrices for k=2, M=4 (8x8 basis). The Gram matrices
@@ -273,6 +273,35 @@ def finite_difference_derivative(
         return out if np.ndim(x) else float(out[0])
 
     return deriv
+
+
+def basis_moment_vector(params: WaveletParams) -> np.ndarray:
+    """Integrals of each psi_j over [0, 1], on the projection grid."""
+    return quadrature_grid(params).inner_products(1.0)
+
+
+def cost_via_product_chain(disc, solution) -> float:
+    """Cost evaluated through the nested product-matrix chain.
+
+    Cross-check route only (homogeneous cost, no tracking targets): builds
+    the intermediate coefficient vectors for p*x^2 and q*u^2 with repeated
+    product-matrix applications, against projections of p and q, and
+    integrates their basis expansion.
+    """
+    problem, params, mats = disc.problem, disc.params, disc.mats
+    if problem.track_x is not None or problem.track_u is not None:
+        raise ValueError("product-matrix chain applies to the homogeneous cost only")
+    C2 = solution.C2
+    C_tilde = product_matrix(C2, mats)
+    C3 = C_tilde.T @ C2
+    C4 = product_matrix(C3, mats)
+    C5 = C4.T @ project(problem.p_fn, params, mats)
+    U2 = product_matrix(solution.U_hat, mats)
+    U3 = U2.T @ solution.U_hat
+    U4 = product_matrix(U3, mats)
+    U5 = U4.T @ project(problem.q_fn, params, mats)
+    moments = basis_moment_vector(params)
+    return 0.5 * float((C5 + U5) @ moments)
 
 
 @pytest.fixture(scope="session")

@@ -30,6 +30,7 @@ from conftest import (
     P09_FRACTIONAL,
     P09_FRACTIONAL_ORACLE,
     P09_PLAIN,
+    cost_via_product_chain,
 )
 from wavefocp.basis import (
     WaveletParams,
@@ -44,7 +45,6 @@ from wavefocp.opmats import build_operational_matrices, project, quadrature_node
 from wavefocp.quadrature import gamma
 from wavefocp.solver import (
     FocpProblem,
-    cost_via_product_chain,
     discretize,
     reconstruct_many,
     solve_discretized,

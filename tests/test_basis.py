@@ -7,14 +7,23 @@ from hypothesis import strategies as st
 
 from wavefocp.basis import (
     WaveletParams,
-    block_of_point,
     eval_basis,
     eval_basis_many,
-    eval_wavelet,
+    local_basis_values,
+    local_wavelet_values,
     monomial_coefficients,
-    normalized_taylor_poly,
     support_interval,
 )
+
+
+def _wavelet_value(params, n, m, zeta):
+    """Value of wavelet (n, m) at zeta, read from ``eval_basis``."""
+    return eval_basis(params, zeta)[params.flat_index(n, m)]
+
+
+def _owning_block(params, zeta):
+    """1-based block owning zeta, read from ``local_basis_values``."""
+    return int(local_basis_values(params, np.array([zeta]))[0][0]) + 1
 
 
 class TestWaveletParams:
@@ -43,14 +52,19 @@ class TestWaveletParams:
 
 
 class TestNormalizedTaylorPoly:
+    """sqrt(2m+1) s^m: the local values at k = 1, where the scale
+    2^((k-1)/2) is 1."""
+
+    PARAMS = WaveletParams(k=1, M=4)
+
     def test_degree_zero(self):
-        assert normalized_taylor_poly(0, 0.37) == 1.0
+        assert local_wavelet_values(self.PARAMS, 0.37)[0] == 1.0
 
     def test_degree_one(self):
-        assert normalized_taylor_poly(1, 0.5) == pytest.approx(math.sqrt(3) * 0.5)
+        assert local_wavelet_values(self.PARAMS, 0.5)[1] == pytest.approx(math.sqrt(3) * 0.5)
 
     def test_degree_three(self):
-        assert normalized_taylor_poly(3, 0.9) == pytest.approx(math.sqrt(7) * 0.729)
+        assert local_wavelet_values(self.PARAMS, 0.9)[3] == pytest.approx(math.sqrt(7) * 0.729)
 
 
 class TestSupportInterval:
@@ -84,24 +98,29 @@ class TestSupportInterval:
 
 
 class TestEvalWavelet:
+    """Single wavelet values, each an entry of ``eval_basis``."""
+
     def test_constant_branch(self):
         p = WaveletParams(k=2, M=4, mu=1.0)
-        assert eval_wavelet(p, 1, 0, 0.25) == pytest.approx(math.sqrt(2))
+        assert _wavelet_value(p, 1, 0, 0.25) == pytest.approx(math.sqrt(2))
 
     def test_outside_support_is_zero(self):
         p = WaveletParams(k=2, M=4, mu=0.9)
-        assert eval_wavelet(p, 1, 0, 0.6) == 0.0
+        assert _wavelet_value(p, 1, 0, 0.6) == 0.0
 
     def test_second_block_linear(self):
         p = WaveletParams(k=2, M=4, mu=1.0)
         expected = math.sqrt(2) * math.sqrt(3) * (2 * 0.75 - 1)
-        assert eval_wavelet(p, 2, 1, 0.75) == pytest.approx(expected)
+        assert _wavelet_value(p, 2, 1, 0.75) == pytest.approx(expected)
         assert expected == pytest.approx(math.sqrt(6) / 2)
 
     def test_domain_error(self):
         p = WaveletParams(k=2, M=4)
-        with pytest.raises(ValueError):
-            eval_wavelet(p, 1, 0, 1.5)
+        for zeta in (1.5, -1e-12, math.nan):
+            with pytest.raises(ValueError):
+                eval_basis(p, zeta)
+            with pytest.raises(ValueError):
+                eval_basis_many(p, np.array([0.5, zeta]))
 
     @given(
         st.floats(min_value=1e-6, max_value=1.0 - 1e-9),
@@ -113,10 +132,11 @@ class TestEvalWavelet:
         """The stretched wavelet at zeta equals the plain one at zeta^mu."""
         frac = WaveletParams(k=2, M=4, mu=mu)
         plain = WaveletParams(k=2, M=4, mu=1.0)
+        a = eval_basis(frac, zeta)
+        b = eval_basis(plain, min(zeta**mu, 1.0))
         for n in (1, 2):
-            a = eval_wavelet(frac, n, m, zeta)
-            b = eval_wavelet(plain, n, m, min(zeta**mu, 1.0))
-            assert a == pytest.approx(b, abs=1e-12)
+            i = frac.flat_index(n, m)
+            assert a[i] == pytest.approx(b[i], abs=1e-12)
 
 
 class TestEvalBasis:
@@ -144,33 +164,45 @@ class TestEvalBasis:
     def test_constant_entry_value(self):
         p = WaveletParams(k=3, M=2, mu=1.0)
         for z in (0.1, 0.4, 0.6, 0.9):
-            n = block_of_point(p, z)
+            n = _owning_block(p, z)
             assert eval_basis(p, z)[p.flat_index(n, 0)] == pytest.approx(
                 2.0 ** ((p.k - 1) / 2)
             )
 
     def test_many_matches_single(self):
+        """Every column of ``eval_basis_many`` against the closed form
+        2^((k-1)/2) sqrt(2m+1) s^m in the owning block's coordinate
+        s = (zeta^mu - lo^mu) / (hi^mu - lo^mu), and against ``eval_basis``."""
         p = WaveletParams(k=2, M=4, mu=0.9)
         zs = np.linspace(0.0, 1.0, 23)
         many = eval_basis_many(p, zs)
         for j, z in enumerate(zs):
-            np.testing.assert_allclose(many[:, j], eval_basis(p, z), atol=1e-14)
+            n = _owning_block(p, z)
+            lo, hi = support_interval(p, n)
+            s = (z**p.mu - lo**p.mu) / (hi**p.mu - lo**p.mu)
+            expected = np.zeros(p.m_hat)
+            for m in range(p.M):
+                expected[p.flat_index(n, m)] = math.sqrt(2.0) * math.sqrt(2 * m + 1) * s**m
+            np.testing.assert_allclose(many[:, j], expected, rtol=1e-13, atol=1e-14)
+            np.testing.assert_array_equal(many[:, j], eval_basis(p, z))
 
 
 class TestBlockOfPoint:
+    """The block assignment of ``local_basis_values``."""
+
     def test_tie_goes_right(self):
         p = WaveletParams(k=2, M=4, mu=1.0)
-        assert block_of_point(p, 0.5) == 2
+        assert _owning_block(p, 0.5) == 2
 
     def test_endpoint_one(self):
         p = WaveletParams(k=3, M=2, mu=0.7)
-        assert block_of_point(p, 1.0) == p.n_blocks
+        assert _owning_block(p, 1.0) == p.n_blocks
 
     @given(st.floats(min_value=0.0, max_value=1.0), st.sampled_from([0.5, 0.9, 1.0]))
     @settings(max_examples=60, deadline=None)
     def test_point_in_claimed_support(self, zeta, mu):
         p = WaveletParams(k=3, M=2, mu=mu)
-        n = block_of_point(p, zeta)
+        n = _owning_block(p, zeta)
         lo, hi = support_interval(p, n)
         assert lo <= zeta <= hi
 
@@ -182,7 +214,7 @@ def test_monomial_coefficients_reproduce_wavelet():
         for m in range(p.M):
             c = monomial_coefficients(p, n, m)
             for z in np.linspace(lo + 1e-9, hi - 1e-9, 7):
-                direct = eval_wavelet(p, n, m, z)
+                direct = _wavelet_value(p, n, m, z)
                 via_monomials = sum(
                     ci * z ** (p.mu * s) for s, ci in enumerate(c)
                 )

@@ -3,13 +3,19 @@ import pytest
 import scipy.linalg
 from scipy.special import betainc
 
-from conftest import D1_BLOCK, D09_BLOCK1, D09_BLOCK2, P09_PLAIN, graded_nodes
+from conftest import (
+    D1_BLOCK,
+    D09_BLOCK1,
+    D09_BLOCK2,
+    P09_PLAIN,
+    basis_moment_vector,
+    graded_nodes,
+)
 from wavefocp import opmats, quadrature
 from wavefocp.basis import WaveletParams, eval_basis_many, local_basis_values
 from wavefocp.fracops import rl_integral
 from wavefocp.opmats import (
     OperationalMatrices,
-    basis_moment_vector,
     build_operational_matrices,
     diagonal_blocks,
     gram_matrix,
@@ -103,7 +109,7 @@ class TestProjection:
             z = np.atleast_1d(z)
             return f(z) - c @ eval_basis_many(params_frac09, z)
 
-        orth = inner_products(residual, params_frac09)
+        orth = inner_products(residual, mats_frac09.grid)
         assert np.abs(orth).max() <= 1e-8
 
 
@@ -203,16 +209,16 @@ class TestIntegrationMatrices:
 
 
 class TestTripleProducts:
-    def test_symmetry(self, mats_frac09):
-        T = mats_frac09.triple
+    def test_symmetry(self, params_frac09):
+        T = triple_product_tensor(params_frac09)
         assert np.abs(T - np.transpose(T, (0, 2, 1, 3))).max() <= 1e-12
         assert np.abs(T - np.transpose(T, (0, 1, 3, 2))).max() <= 1e-12
 
     def test_cross_block_zero(self, params_frac09, mats_frac09):
-        """T stores only the N diagonal blocks, and the product matrix built
-        from it is zero across blocks."""
+        """T stores only the N diagonal blocks, and the product matrix is
+        zero across blocks."""
         M, N = params_frac09.M, params_frac09.n_blocks
-        assert mats_frac09.triple.shape == (N, M, M, M)
+        assert triple_product_tensor(params_frac09).shape == (N, M, M, M)
         c = np.random.default_rng(3).standard_normal(params_frac09.m_hat)
         C_tilde = product_matrix(c, mats_frac09)
         assert np.all(C_tilde[:M, M:] == 0.0)
@@ -284,9 +290,31 @@ def test_local_products_match_oracle(k, M, mu):
 
 
 def test_basis_moments_match_projection_of_one(params_plain, mats_plain):
+    """The moments against the inner products of f = 1 and, on the plain
+    basis, against their closed form 2^((k-1)/2) sqrt(2m+1) / (N (m+1))."""
     moments = basis_moment_vector(params_plain)
-    quad = inner_products(lambda z: np.ones_like(np.asarray(z)), params_plain)
+    quad = inner_products(lambda z: np.ones_like(np.asarray(z)), mats_plain.grid)
     np.testing.assert_allclose(moments, quad, atol=1e-12)
+    k, M, N = params_plain.k, params_plain.M, params_plain.n_blocks
+    m = np.arange(M)
+    exact = 2.0 ** ((k - 1) / 2) * np.sqrt(2 * m + 1.0) / (N * (m + 1.0))
+    np.testing.assert_allclose(moments, np.tile(exact, N), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("k, M, mu", [(2, 4, 0.9), (6, 4, 0.9), (7, 4, 1.0)])
+def test_product_matrix_matches_triple_contraction(k, M, mu):
+    """C~ from the weighted Gram of c^T Psi on the grid against the paper's
+    route: block n is (sum_b T_n[a, b, c] c_b) D_n^-1, with T from
+    ``triple_product_tensor``, solved against the same factors of D."""
+    params = WaveletParams(k=k, M=M, mu=mu)
+    mats = build_operational_matrices(params)
+    N = params.n_blocks
+    c = np.random.default_rng(7).standard_normal(params.m_hat)
+    G = np.einsum("nabc,nb->nac", triple_product_tensor(params), c.reshape(N, M))
+    ref = mats.solve_D(G.transpose(0, 2, 1).reshape(N * M, M)).reshape(N, M, M)
+    ref = ref.transpose(0, 2, 1)
+    ours = diagonal_blocks(product_matrix(c, mats), M)
+    assert np.abs(ours - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_condition_estimate_reported(mats_frac09):
@@ -426,7 +454,7 @@ class TestBlockGrid:
 
     def test_blocks_follow_point_assignment(self):
         """Every node lies in the block whose rule placed it, under the
-        ``block_of_point`` assignment, also at (7, 1, 0.75), where round-off
+        ``local_basis_values`` assignment, also at (7, 1, 0.75), where round-off
         in zeta**mu moves points lying on a breakpoint into the block above."""
         for k, M, mu in ((3, 3, 0.7), (7, 1, 0.75)):
             params = WaveletParams(k=k, M=M, mu=mu)
@@ -439,7 +467,8 @@ class TestBlockGrid:
             # grid.local is taken at the rule's own s, the evaluator recomputes
             # s from zeta: they differ by round-off (2.9e-14 at (3, 3, 0.7))
             vals = eval_basis_many(params, grid.nodes)
-            for b, sl in enumerate(grid.block_slices()):
+            for b, (lo, hi) in enumerate(zip(grid.starts[:-1], grid.starts[1:])):
+                sl = slice(lo, hi)
                 np.testing.assert_allclose(
                     vals[b * M : (b + 1) * M, sl], grid.local[:, sl], rtol=1e-12, atol=0.0
                 )
@@ -449,7 +478,8 @@ class TestBlockGrid:
         f = lambda z: np.exp(np.asarray(z)) * np.sqrt(np.asarray(z))
         nodes, weights = quadrature_nodes(params)
         dense = eval_basis_many(params, nodes) @ (weights * f(nodes))
-        np.testing.assert_allclose(inner_products(f, params), dense, rtol=0.0, atol=1e-13)
+        grid = quadrature_grid(params)
+        np.testing.assert_allclose(inner_products(f, grid), dense, rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("k, M, mu", [(2, 4, 0.9), (6, 4, 0.9), (5, 8, 0.7)])
     def test_node_count(self, k, M, mu):
@@ -521,8 +551,7 @@ def test_pmu_is_built_from_local_rules(monkeypatch):
     params = WaveletParams(k=7, M=4, mu=1.0)
     D = gram_matrix(params)
     mats = OperationalMatrices(
-        params=params, frac_order=0.9, D=D, Pmu=np.empty(0), triple=np.empty(0),
-        cond_D=1.0, grid=None, D_factor=spd_block_factor(diagonal_blocks(D, params.M)),
+        params=params, frac_order=0.9, D=D, Pmu=np.empty(0), cond_D=1.0, grid=None, D_factor=spd_block_factor(diagonal_blocks(D, params.M)),
     )
     evaluated = []
 

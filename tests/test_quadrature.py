@@ -216,13 +216,6 @@ class TestSolveLinear:
         b = rng.standard_normal(6)
         np.testing.assert_allclose(solve_spd(A, b), solve_linear(A, b), atol=1e-11)
 
-    def test_solve_spd_with_stored_factor(self):
-        rng = np.random.default_rng(5)
-        B = rng.standard_normal((6, 6))
-        A = B @ B.T + 6.0 * np.eye(6)
-        b = rng.standard_normal(6)
-        assert np.array_equal(solve_spd(A, b, spd_factor(A)), solve_spd(A, b))
-
     def test_indefinite_falls_back_to_pivoted_solve(self):
         A = np.array([[1.0, 2.0], [2.0, 1.0]])
         b = np.array([1.0, -1.0])

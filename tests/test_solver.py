@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import COST_TABLE, POINTWISE_ERR_U, POINTWISE_ERR_X, rl_integral_by_segments
+from conftest import (
+    COST_TABLE,
+    POINTWISE_ERR_U,
+    POINTWISE_ERR_X,
+    cost_via_product_chain,
+    rl_integral_by_segments,
+)
 from wavefocp import quadrature, solver
 from wavefocp.basis import WaveletParams, eval_basis, eval_basis_many
 from wavefocp.opmats import build_operational_matrices
@@ -15,9 +21,7 @@ from wavefocp.solver import (
     _constraint_operators,
     _quadratic_cost,
     assemble_kkt,
-    cost_via_product_chain,
     discretize,
-    reconstruct,
     reconstruct_many,
     solve_discretized,
     solve_focp,
@@ -139,8 +143,8 @@ class TestSolutionStructure:
                                   (0.7, 1.0, 0.1)):
             sol = solve_focp(example1(mu), WaveletParams(k=2, M=4, mu=basis_mu),
                              diagnostics=False)
-            x0, _ = reconstruct(sol, 0.0)
-            assert x0 == pytest.approx(1.0, abs=tol)
+            x, _ = reconstruct_many(sol, np.array([0.0]))
+            assert x[0] == pytest.approx(1.0, abs=tol)
 
     def test_residual_diagnostics_small(self):
         sol = solve_focp(example1(0.9), WaveletParams(k=2, M=4, mu=0.9))
