@@ -20,6 +20,7 @@ import numpy as np
 
 from .basis import WaveletParams
 from .expressions import ExpressionError, as_function, parse_expression
+from .opmats import OperationalMatrices, build_operational_matrices
 from .quadrature import SingularMatrixError, gamma
 from .solver import FocpProblem, reconstruct_many, solve_focp
 
@@ -33,12 +34,8 @@ class UsageError(ValueError):
     """Bad flags or an invalid problem definition."""
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".9g")
-
-
 def _mu_tag(mu: float) -> str:
-    return _fmt(mu).replace(".", "p").replace("-", "m")
+    return format(mu, ".9g").replace(".", "p").replace("-", "m")
 
 
 @dataclass(frozen=True)
@@ -222,31 +219,44 @@ def parse_problem_file(path: Path) -> tuple[ProblemSpec, dict]:
     return spec, settings
 
 
-def _write_lines(path: Path, lines: Sequence[str]) -> None:
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+def _table_text(values: np.ndarray, sep: str) -> str:
+    """The rows of a 2-D array, values joined by sep, one row per line: one
+    ``%`` over a row template, which gives every value as
+    format(v, ".9g") does."""
+    values = np.asarray(values, dtype=float)
+    row = sep.join(["%.9g"] * values.shape[1]) + "\n"
+    return (row * values.shape[0]) % tuple(values.ravel().tolist())
 
 
 def run(config: RunConfig) -> list[Path]:
-    """Execute the batch run; returns the files written."""
+    """Execute the batch run; returns the files written.
+
+    Every mu is solved and every file's text made before any file is
+    written, so a numeric failure leaves no output. The run keeps one
+    operational-matrix bundle per basis: on the Taylor wavelets every mu
+    shares the grid, D and P1 of the (k, M, 1) bundle, and only ``Pmu`` is
+    built per order.
+    """
     if config.example is not None:
         spec = _example_spec(config.example)
     else:
         spec, _ = parse_problem_file(config.problem_path)
 
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    cost_rows = ["mu,basis,k,M,J"]
+    prefix = f"{spec.name}_{config.basis}"
+    outputs: list[tuple[str, str]] = []
+    costs: list = []
+    bundles: dict[WaveletParams, OperationalMatrices] = {}
+    dumps: dict[WaveletParams, tuple[str, str]] = {}
 
     for mu in config.mu_list:
         problem = spec.make_problem(mu)
-        basis_mu = mu if config.basis == "ftw" else 1.0
-        params = WaveletParams(k=config.k, M=config.M, mu=basis_mu)
-        sol = solve_focp(problem, params, diagnostics=False)
-        cost_rows.append(
-            ",".join(
-                [_fmt(mu), config.basis, str(config.k), str(config.M), _fmt(sol.J_value)]
-            )
-        )
+        params = WaveletParams(k=config.k, M=config.M, mu=mu if config.basis == "ftw" else 1.0)
+        base = bundles.get(params)
+        if base is None:
+            base = bundles[params] = build_operational_matrices(params, frac_order=mu)
+        mats = base.at_order(mu)
+        sol = solve_focp(problem, params, mats, diagnostics=False)
+        costs += [mu, config.basis, config.k, config.M, sol.J_value]
         tag = _mu_tag(mu)
         ex = spec.exact_x(mu)
         eu = spec.exact_u(mu)
@@ -260,12 +270,8 @@ def run(config: RunConfig) -> list[Path]:
                 ue = np.asarray(eu(_TABLE_GRID), dtype=float)
                 header += ",exact_x,exact_u,err_x,err_u"
                 cols += [xe, ue, np.abs(x - xe), np.abs(u - ue)]
-            rows = [header]
-            for vals in zip(*cols):
-                rows.append(",".join(_fmt(v) for v in vals))
-            f = config.out_dir / f"{spec.name}_{config.basis}_trajectory_mu{tag}.csv"
-            _write_lines(f, rows)
-            written.append(f)
+            text = header + "\n" + _table_text(np.column_stack(cols), ",")
+            outputs.append((f"{prefix}_trajectory_mu{tag}.csv", text))
 
         if "plotdata" in config.emit:
             x, u = reconstruct_many(sol, _PLOT_GRID)
@@ -275,24 +281,24 @@ def run(config: RunConfig) -> list[Path]:
                     np.asarray(ex(_PLOT_GRID), dtype=float),
                     np.asarray(eu(_PLOT_GRID), dtype=float),
                 ]
-            rows = [" ".join(_fmt(v) for v in vals) for vals in zip(*cols)]
-            f = config.out_dir / f"{spec.name}_{config.basis}_plot_mu{tag}.dat"
-            _write_lines(f, rows)
-            written.append(f)
+            outputs.append((f"{prefix}_plot_mu{tag}.dat", _table_text(np.column_stack(cols), " ")))
 
         if "matrices" in config.emit:
-            mats = sol.disc.mats
-            for label, matrix in (("D", mats.D), ("P1", mats.P1), ("Pmu", mats.Pmu)):
-                rows = [",".join(_fmt(v) for v in row) for row in matrix]
-                f = config.out_dir / (
-                    f"{spec.name}_{config.basis}_{label}_mu{tag}.csv"
-                )
-                _write_lines(f, rows)
-                written.append(f)
+            if params not in dumps:
+                dumps[params] = (_table_text(base.D, ","), _table_text(base.P1, ","))
+            texts = (*dumps[params], _table_text(mats.Pmu, ","))
+            for label, text in zip(("D", "P1", "Pmu"), texts):
+                outputs.append((f"{prefix}_{label}_mu{tag}.csv", text))
 
-    cost_file = config.out_dir / f"{spec.name}_{config.basis}_cost.csv"
-    _write_lines(cost_file, cost_rows)
-    written.append(cost_file)
+    cost_rows = "%.9g,%s,%d,%d,%.9g\n" * len(config.mu_list)
+    outputs.append((f"{prefix}_cost.csv", "mu,basis,k,M,J\n" + cost_rows % tuple(costs)))
+
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
+    for name, text in outputs:
+        path = config.out_dir / name
+        path.write_text(text, encoding="utf-8", newline="\n")
+        written.append(path)
     return written
 
 

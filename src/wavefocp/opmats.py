@@ -34,12 +34,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import betainc
 
-from .basis import (
-    WaveletParams,
-    local_wavelet_values,
-    monomial_coefficients,
-    support_interval,
-)
+from .basis import WaveletParams, local_wavelet_values
 from .quadrature import (
     QuadratureRule,
     condition_estimate,
@@ -48,7 +43,7 @@ from .quadrature import (
     gauss_legendre,
     solve_spd,
     solve_spd_blocks,
-    spd_block_factor,
+    spd_block_inverse_factor,
 )
 
 _COND_WARN_LIMIT = 1e12
@@ -190,51 +185,16 @@ def triple_product_tensor(params: WaveletParams) -> np.ndarray:
     return np.stack([grid.gram_blocks(values) for values in grid.local], axis=-1)
 
 
-def rl_integral_of_wavelet(
-    params: WaveletParams, i: int, order: float, zeta: np.ndarray
-) -> np.ndarray:
-    """Riemann-Liouville integral of order `order` of basis function i.
-
-    Closed form via the regularized incomplete beta function:
-    the wavelet is a sum of powers zeta**(mu*s) on [lo, hi), and
-    int_lo^up (z - t)^(order-1) t^q dt
-        = z^(q+order) B(q+1, order) [I_{up/z} - I_{lo/z}](q+1, order).
-    """
-    if not 0.0 < order <= 1.0:
-        raise ValueError(f"need 0 < order <= 1, got {order}")
-    zeta = np.asarray(zeta, dtype=float)
-    n = params.block_of_index(i)
-    m = params.degree_of_index(i)
-    lo, hi = support_interval(params, n)
-    coefs = monomial_coefficients(params, n, m)
-    out = np.zeros_like(zeta)
-    active = zeta > lo
-    z = zeta[active]
-    up = np.minimum(z, hi)
-    acc = np.zeros_like(z)
-    for s, c in enumerate(coefs):
-        if c == 0.0:  # block 1 wavelets are single powers
-            continue
-        q = params.mu * s
-        beta_qo = gamma(q + 1.0) * gamma(order) / gamma(q + 1.0 + order)
-        frac = betainc(q + 1.0, order, up / z)
-        if lo > 0.0:
-            frac = frac - betainc(q + 1.0, order, lo / z)
-        acc += c * z ** (q + order) * beta_qo * frac
-    out[active] = acc / gamma(order)
-    return out
-
-
 @dataclass(frozen=True)
 class OperationalMatrices:
     """Immutable bundle of the matrices a solve needs.
 
     ``grid`` is the quadrature that D and every integral against the basis
-    (projections, weighted and product Grams) run on, and ``D_factor``
-    the lower Cholesky factors of the N diagonal blocks of D, shape
-    (N, M, M) (None if a block is not numerically SPD). ``P1``, the
-    integration matrix of order 1, is built on first access; a solve never
-    reads it.
+    (projections, weighted and product Grams) run on, and
+    ``D_inverse_factor`` the inverses of the lower Cholesky factors of the
+    N diagonal blocks of D, shape (N, M, M) (None if a block is not
+    numerically SPD). ``P1``, the integration matrix of order 1, is built on
+    first access; a solve never reads it.
     """
 
     params: WaveletParams
@@ -243,19 +203,30 @@ class OperationalMatrices:
     Pmu: np.ndarray
     cond_D: float
     grid: QuadratureGrid
-    D_factor: np.ndarray | None
+    D_inverse_factor: np.ndarray | None
 
     @cached_property
     def P1(self) -> np.ndarray:
         return integration_matrix_first_order(self.params, self)
 
     def solve_D(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve D x = rhs (D is SPD) block by block with the stored factors;
-        rhs is (m_hat,) or (m_hat, k). Without factors the dense pivoted
-        solve runs, and raises SingularMatrixError if D is singular."""
-        if self.D_factor is None:
+        """Solve D x = rhs (D is SPD) block by block with the stored inverse
+        factors; rhs is (m_hat,) or (m_hat, k), and a column's result does
+        not depend on k. Without factors the dense pivoted solve runs, and
+        raises SingularMatrixError if D is singular."""
+        if self.D_inverse_factor is None:
             return solve_spd(self.D, rhs)
-        return solve_spd_blocks(self.D_factor, rhs)
+        return solve_spd_blocks(self.D_inverse_factor, rhs)
+
+    def at_order(self, frac_order: float) -> OperationalMatrices:
+        """The bundle of the same basis with ``Pmu`` of the given order
+        (this bundle if it has that order). The grid, D, its factors and
+        cond(D) depend on the basis only and are shared; only ``Pmu`` is
+        built."""
+        if frac_order == self.frac_order:
+            return self
+        Pmu = integration_matrix_fractional(self.params, self, frac_order)
+        return dataclasses.replace(self, frac_order=frac_order, Pmu=Pmu)
 
 
 def project(
@@ -340,15 +311,15 @@ def _row_block_one(params: WaveletParams, order: float, B: np.ndarray) -> None:
 
     - B_11 = c_m c_m' Gamma(mu m + 1) / Gamma(mu m + 1 + order)
       N^(-(order+1)/mu) / (mu (m + m') + order + 1);
-    - for b >= 2, ``rl_integral_of_wavelet`` at the target nodes only,
-      under Gauss-Legendre in s' for b >= 3 and, for b = 2, where the
-      integral behaves like (zeta - bp_1)^order near s' = 0, a composite
-      rule graded geometrically toward s' = 0.
+    - for b >= 2, ``_block_one_integrals`` at the target nodes only, under
+      Gauss-Legendre in s' for b >= 3 and, for b = 2, where the integral
+      behaves like (zeta - bp_1)^order near s' = 0, a composite rule graded
+      geometrically toward s' = 0.
     """
     N, M, mu = params.n_blocks, params.M, params.mu
     m = np.arange(M)
     c = local_wavelet_values(params, 1.0)
-    ratio = np.array([gamma(mu * j + 1.0) / gamma(mu * j + 1.0 + order) for j in m])
+    ratio = _gamma_ratios(mu * m, order)
     B[:M, :M] = (
         (c * ratio)[:, None] * c * N ** (-(order + 1.0) / mu)
         / (mu * (m[:, None] + m) + order + 1.0)
@@ -358,13 +329,34 @@ def _row_block_one(params: WaveletParams, order: float, B: np.ndarray) -> None:
     s, block, weights = _graded_rule(_LOCAL_RULE_POINTS, N - 1)
     block = block + 1
     t = (s + block) / N  # in target block b = block + 1
-    rl = np.vstack(
-        [rl_integral_of_wavelet(params, i, order, t ** (1.0 / mu)) for i in range(M)]
-    )
+    rl = _block_one_integrals(params, order, t ** (1.0 / mu))
     weights = weights * _dzeta(params, t)
     terms = rl[:, :, None] * (local_wavelet_values(params, s) * weights).T
     starts = np.searchsorted(block, np.arange(1, N))
     B[:M, M:] = np.add.reduceat(terms, starts, axis=1).reshape(M, -1)
+
+
+def _gamma_ratios(q: np.ndarray, order: float) -> np.ndarray:
+    """Gamma(q + 1) / Gamma(q + 1 + order) for every q."""
+    return np.array([gamma(x + 1.0) / gamma(x + 1.0 + order) for x in q])
+
+
+def _block_one_integrals(params: WaveletParams, order: float, zeta: np.ndarray) -> np.ndarray:
+    """(M, len(zeta)) Riemann-Liouville integrals of order ``order`` of the
+    block-1 wavelets at points zeta past block 1 (zeta > bp_1).
+
+    psi_{1,m} = c_m N^m zeta^q on [0, bp_1), q = mu m, and
+    int_0^bp_1 (z - t)^(order-1) t^q dt
+        = z^(q+order) B(q+1, order) I_{bp_1/z}(q+1, order),
+    so one incomplete-beta call covers every wavelet and point. N^m is a
+    float power: an integer one overflows from N = 64, M = 12.
+    """
+    N, M, mu = params.n_blocks, params.M, params.mu
+    q = mu * np.arange(M)
+    coef = local_wavelet_values(params, 1.0) * float(N) ** np.arange(M) * _gamma_ratios(q, order)
+    q, zeta = q[:, None], np.asarray(zeta, dtype=float)
+    frac = betainc(q + 1.0, order, params.breakpoints()[1] / zeta)
+    return coef[:, None] * zeta ** (q + order) * frac
 
 
 def _tile_row_block_one(params: WaveletParams, B: np.ndarray) -> None:
@@ -481,7 +473,8 @@ def build_operational_matrices(
         )
     shell = OperationalMatrices(
         params=params, frac_order=frac_order, D=_block_diagonal(D_blocks),
-        Pmu=np.empty(0), cond_D=cond_D, grid=grid, D_factor=spd_block_factor(D_blocks),
+        Pmu=np.empty(0), cond_D=cond_D, grid=grid,
+        D_inverse_factor=spd_block_inverse_factor(D_blocks),
     )
     Pmu = integration_matrix_fractional(params, shell, frac_order)
     return dataclasses.replace(shell, Pmu=Pmu)

@@ -9,7 +9,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
-from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi
 
 
@@ -52,20 +51,16 @@ def gauss_legendre(
 
     a and b may also be arrays that broadcast against the n reference
     points: column arrays of shape (S, 1) give S rules as the rows of
-    (S, n) nodes and weights.
+    (S, n) nodes and weights. The reference rule is the Gauss-Jacobi rule
+    of exponent 0, whose weights are accurate to rounding.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if not _is_interval(a, b):
         raise ValueError(f"need a < b, got a={a}, b={b}")
-    x, w = _legendre_reference(n)
+    x, w = _jacobi_reference(n, 0.0)
     half = 0.5 * (b - a)
     return QuadratureRule(nodes=a + half * (x + 1.0), weights=half * w)
-
-
-@lru_cache(maxsize=None)
-def _legendre_reference(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return leggauss(n)
 
 
 @lru_cache(maxsize=None)
@@ -213,32 +208,40 @@ def solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return scipy.linalg.cho_solve(factor, b)
 
 
-def spd_block_factor(blocks: np.ndarray) -> np.ndarray | None:
-    """Lower Cholesky factors of the stacked (N, M, M) SPD blocks of a
-    block-diagonal matrix, or None when a block is not numerically positive
-    definite."""
+def spd_block_inverse_factor(blocks: np.ndarray) -> np.ndarray | None:
+    """Inverses L^-1 of the lower Cholesky factors L of the stacked (N, M, M)
+    SPD blocks of a block-diagonal matrix (lower triangular, by forward
+    substitution on the identity), or None when a block is not numerically
+    positive definite."""
     try:
-        return np.linalg.cholesky(np.asarray(blocks, dtype=float))
+        factor = np.linalg.cholesky(np.asarray(blocks, dtype=float))
     except np.linalg.LinAlgError:
         return None
-
-
-def solve_spd_blocks(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for the block-diagonal A whose blocks have the (N, M, M)
-    lower Cholesky factors ``factor``; b is (N M,) or (N M, k), n-major.
-
-    Forward and back substitution run over the M rows of a block, each
-    step on all N blocks and all right-hand sides at once.
-    """
-    N, M, _ = factor.shape
-    b = np.asarray(b, dtype=float)
-    x = b.reshape(N, M, -1).copy()
+    M = factor.shape[-1]
+    inverse = np.broadcast_to(np.eye(M), factor.shape).copy()
     for i in range(M):
-        x[:, i] -= np.einsum("nj,njk->nk", factor[:, i, :i], x[:, :i])
-        x[:, i] /= factor[:, i, i, None]
-    for i in reversed(range(M)):
-        x[:, i] -= np.einsum("nj,njk->nk", factor[:, i + 1 :, i], x[:, i + 1 :])
-        x[:, i] /= factor[:, i, i, None]
+        inverse[:, i] -= np.einsum("nj,njk->nk", factor[:, i, :i], inverse[:, :i])
+        inverse[:, i] /= factor[:, i, i, None]
+    return inverse
+
+
+def solve_spd_blocks(inverse_factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b for the block-diagonal A whose blocks have the (N, M, M)
+    inverse Cholesky factors ``inverse_factor`` (L^-1, from
+    ``spd_block_inverse_factor``): x = L^-T (L^-1 b); b is (N M,) or
+    (N M, k), n-major.
+
+    Each product is one broadcast multiply into a C-ordered (N, M, M, k)
+    array whose summed index comes before the result index, and one sum
+    over that index. The sum then runs over j = 0, 1, ... for every entry
+    whatever k is, so a column solved alone gives the same bits as the same
+    column among others.
+    """
+    N, M, _ = inverse_factor.shape
+    b = np.asarray(b, dtype=float)
+    y = b.reshape(N, M, 1, -1)
+    y = np.multiply(inverse_factor.transpose(0, 2, 1)[..., None], y, order="C").sum(axis=1)
+    x = np.multiply(inverse_factor[..., None], y[:, :, None], order="C").sum(axis=1)
     return x.reshape(b.shape)
 
 

@@ -6,8 +6,9 @@ from typing import Callable
 
 import numpy as np
 import pytest
+from scipy.special import betainc
 
-from wavefocp.basis import WaveletParams
+from wavefocp.basis import WaveletParams, monomial_coefficients, support_interval
 from wavefocp.opmats import build_operational_matrices, product_matrix, project, quadrature_grid
 from wavefocp.quadrature import gamma, gauss_jacobi_right, gauss_legendre, graded_breakpoints
 
@@ -278,6 +279,42 @@ def finite_difference_derivative(
 def basis_moment_vector(params: WaveletParams) -> np.ndarray:
     """Integrals of each psi_j over [0, 1], on the projection grid."""
     return quadrature_grid(params).inner_products(1.0)
+
+
+def rl_integral_of_wavelet(
+    params: WaveletParams, i: int, order: float, zeta: np.ndarray
+) -> np.ndarray:
+    """Riemann-Liouville integral of order `order` of basis function i, for
+    any block: the reference for the block-1 closed form of P^mu.
+
+    Closed form via the regularized incomplete beta function:
+    the wavelet is a sum of powers zeta**(mu*s) on [lo, hi), and
+    int_lo^up (z - t)^(order-1) t^q dt
+        = z^(q+order) B(q+1, order) [I_{up/z} - I_{lo/z}](q+1, order).
+    """
+    if not 0.0 < order <= 1.0:
+        raise ValueError(f"need 0 < order <= 1, got {order}")
+    zeta = np.asarray(zeta, dtype=float)
+    n = params.block_of_index(i)
+    m = params.degree_of_index(i)
+    lo, hi = support_interval(params, n)
+    coefs = monomial_coefficients(params, n, m)
+    out = np.zeros_like(zeta)
+    active = zeta > lo
+    z = zeta[active]
+    up = np.minimum(z, hi)
+    acc = np.zeros_like(z)
+    for s, c in enumerate(coefs):
+        if c == 0.0:  # block 1 wavelets are single powers
+            continue
+        q = params.mu * s
+        beta_qo = gamma(q + 1.0) * gamma(order) / gamma(q + 1.0 + order)
+        frac = betainc(q + 1.0, order, up / z)
+        if lo > 0.0:
+            frac = frac - betainc(q + 1.0, order, lo / z)
+        acc += c * z ** (q + order) * beta_qo * frac
+    out[active] = acc / gamma(order)
+    return out
 
 
 def cost_via_product_chain(disc, solution) -> float:

@@ -1,9 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from wavefocp import cli, opmats
 from wavefocp.cli import (
     RunConfig,
     UsageError,
+    _table_text,
     main,
     parse_problem_file,
     run,
@@ -123,6 +129,12 @@ class TestCliRuns:
             assert main(args + ["--out", str(tmp_path)]) == 2
         assert "numeric failure" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+        # mu = 1 solves; mu = 0.3 fails afterwards, and nothing is written
+        args = ["--example", "1", "--basis", "ftw", "--k", "2", "--M", "10", "--mu", "1,0.3"]
+        with pytest.warns(UserWarning, match="condition"):
+            assert main(args + ["--out", str(tmp_path / "sweep")]) == 2
+        assert "numeric failure" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_emit_matrices(self, tmp_path):
         assert main([
@@ -164,3 +176,74 @@ class TestCliRuns:
         assert b"\r" not in raw
         value = raw.decode().strip().split("\n")[1].split(",")[-1]
         assert len(value.replace(".", "").replace("-", "").lstrip("0")) <= 9
+
+
+class TestSweepOutput:
+    MU = ["0.5", "0.75", "0.85", "0.9", "0.95", "1"]
+
+    def test_tw_sweep_shares_one_bundle(self, tmp_path, monkeypatch, capsys):
+        """A tw sweep builds the grid, D and P1 once and P^mu once per order,
+        and writes the bytes of runs that build a fresh bundle for each mu."""
+        base = ["--example", "3", "--basis", "tw", "--k", "2", "--M", "4",
+                "--emit", "tables,plotdata,matrices"]
+        for mu in self.MU:
+            assert main(base + ["--mu", mu, "--out", str(tmp_path / f"single{mu}")]) == 0
+
+        calls = {"quadrature_grid": 0, "build_operational_matrices": 0,
+                 "integration_matrix_first_order": 0, "integration_matrix_fractional": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(cli, "build_operational_matrices")
+        for name in ("quadrature_grid", "integration_matrix_first_order",
+                     "integration_matrix_fractional"):
+            counted(opmats, name)
+        sweep = tmp_path / "sweep"
+        assert main(base + ["--mu", ",".join(self.MU), "--out", str(sweep)]) == 0
+        capsys.readouterr()
+        assert calls == {"quadrature_grid": 1, "build_operational_matrices": 1,
+                         "integration_matrix_first_order": 1,
+                         "integration_matrix_fractional": 6}
+
+        cost_rows = ["mu,basis,k,M,J\n"]
+        for mu in self.MU:
+            single = tmp_path / f"single{mu}"
+            for path in single.iterdir():
+                if path.name.endswith("_cost.csv"):
+                    _, row = path.read_text().splitlines(keepends=True)
+                    cost_rows.append(row)
+                else:
+                    assert (sweep / path.name).read_bytes() == path.read_bytes(), path.name
+        assert (sweep / "example3_tw_cost.csv").read_text() == "".join(cost_rows)
+        assert len(list(sweep.iterdir())) == 5 * len(self.MU) + 1
+        for label in ("D", "P1"):
+            texts = {(sweep / f"example3_tw_{label}_mu{mu.replace('.', 'p')}.csv").read_bytes()
+                     for mu in self.MU}
+            assert len(texts) == 1
+
+
+_VALUES = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda cols: st.lists(st.lists(_VALUES, min_size=cols, max_size=cols), min_size=1, max_size=6)
+    ),
+    st.sampled_from([",", " "]),
+)
+@example([[-0.0, 0.0, 5e-324, 2.2250738585072009e-308]], ",")
+@example([[1e308, -1e308, math.inf, -math.inf, math.nan]], ",")
+@example([[0.1234567895, 1.0000000005, 99999999.95, 9.999999995e-5, 123456789012.0]], " ")
+def test_table_text_matches_per_value_format(rows, sep):
+    """One % over the row template writes what joining format(v, ".9g") per
+    value does, signed zeros, subnormals, overflow-edge values, inf and nan
+    included."""
+    expected = "".join(sep.join(format(v, ".9g") for v in row) + "\n" for row in rows)
+    assert _table_text(np.array(rows, dtype=float), sep) == expected

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,6 +12,7 @@ from conftest import (
     P09_PLAIN,
     basis_moment_vector,
     graded_nodes,
+    rl_integral_of_wavelet,
 )
 from wavefocp import opmats, quadrature
 from wavefocp.basis import WaveletParams, eval_basis_many, local_basis_values
@@ -26,10 +29,9 @@ from wavefocp.opmats import (
     project,
     quadrature_grid,
     quadrature_nodes,
-    rl_integral_of_wavelet,
     triple_product_tensor,
 )
-from wavefocp.quadrature import solve_spd, solve_spd_blocks, spd_block_factor
+from wavefocp.quadrature import solve_spd, solve_spd_blocks, spd_block_inverse_factor
 from wavefocp.solver import FocpProblem, _requadrature_cost, discretize
 
 
@@ -544,6 +546,27 @@ class TestBlockGrid:
         assert _requadrature_cost(disc, C2, U) == pytest.approx(dense, rel=0.0, abs=1e-13)
 
 
+@pytest.mark.parametrize("mu", [0.5, 0.75, 0.9, 1.0])
+def test_block_one_integrals_match_per_wavelet_loop(mu):
+    """The row of block 1 of B evaluates the RL integrals of all M block-1
+    wavelets in one incomplete-beta call; they match the per-wavelet
+    monomial loop (``rl_integral_of_wavelet``) within 1e-15 relative at
+    every target node, up to k = 7 and M = 12, where N^(M-1) = 64^11
+    overflows an int64."""
+    for k in (2, 5, 7):
+        for M in (1, 4, 8, 12):
+            params = WaveletParams(k=k, M=M, mu=mu)
+            N = params.n_blocks
+            s, block, _ = opmats._graded_rule(opmats._LOCAL_RULE_POINTS, N - 1)
+            zeta = ((s + block + 1) / N) ** (1.0 / mu)
+            for order in (0.5, 0.75, 0.9, 1.0):
+                ours = opmats._block_one_integrals(params, order, zeta)
+                ref = np.vstack(
+                    [rl_integral_of_wavelet(params, i, order, zeta) for i in range(M)]
+                )
+                assert np.all(np.abs(ours - ref) <= 1e-15 * np.abs(ref))
+
+
 def test_pmu_is_built_from_local_rules(monkeypatch):
     """P^mu reads only D (no quadrature grid) and evaluates the incomplete
     beta only for the row of block 1, at its target nodes: 5,056 values at
@@ -551,7 +574,8 @@ def test_pmu_is_built_from_local_rules(monkeypatch):
     params = WaveletParams(k=7, M=4, mu=1.0)
     D = gram_matrix(params)
     mats = OperationalMatrices(
-        params=params, frac_order=0.9, D=D, Pmu=np.empty(0), cond_D=1.0, grid=None, D_factor=spd_block_factor(diagonal_blocks(D, params.M)),
+        params=params, frac_order=0.9, D=D, Pmu=np.empty(0), cond_D=1.0, grid=None,
+        D_inverse_factor=spd_block_inverse_factor(diagonal_blocks(D, params.M)),
     )
     evaluated = []
 
@@ -586,23 +610,77 @@ def test_p1_built_on_request(params_frac09):
 
 
 def test_solve_d_reuses_stored_factor(monkeypatch, mats_frac09):
-    """solve_D runs on the per-block Cholesky factors stored in the bundle:
-    it factorizes nothing, and it agrees with the dense SPD solve."""
+    """solve_D runs on the per-block inverse Cholesky factors stored in the
+    bundle: it factorizes nothing, a 1-D right-hand side gives the bits of
+    the same column among three, and it agrees with the dense SPD solve."""
     params = mats_frac09.params
-    factor = mats_frac09.D_factor
-    assert factor.shape == (params.n_blocks, params.M, params.M)
+    inverse = mats_frac09.D_inverse_factor
+    assert inverse.shape == (params.n_blocks, params.M, params.M)
+    assert np.all(np.triu(inverse, 1) == 0.0)
     blocks = diagonal_blocks(mats_frac09.D, params.M)
-    np.testing.assert_allclose(factor @ factor.transpose(0, 2, 1), blocks, rtol=0, atol=1e-15)
+    identity = np.broadcast_to(np.eye(params.M), blocks.shape)
+    # forward substitution: a small residual L X - I
+    np.testing.assert_allclose(np.linalg.cholesky(blocks) @ inverse, identity, rtol=0, atol=1e-15)
     rhs = np.random.default_rng(2).standard_normal((params.m_hat, 3))
-    expected = solve_spd_blocks(factor, rhs)
+    expected = solve_spd_blocks(inverse, rhs)
 
     def refactor(*args, **kwargs):
         raise AssertionError("D factorized again")
 
-    for module, name in ((quadrature, "spd_factor"), (quadrature, "spd_block_factor"),
+    for module, name in ((quadrature, "spd_factor"), (quadrature, "spd_block_inverse_factor"),
                          (np.linalg, "cholesky"), (scipy.linalg, "cho_factor")):
         monkeypatch.setattr(module, name, refactor)
     assert np.array_equal(mats_frac09.solve_D(rhs), expected)
     assert np.array_equal(mats_frac09.solve_D(rhs[:, 0]), expected[:, 0])
     monkeypatch.undo()
     np.testing.assert_allclose(expected, solve_spd(mats_frac09.D, rhs), rtol=1e-12)
+
+
+@pytest.mark.parametrize("k, M, mu", [(2, 4, 0.9), (4, 6, 0.75), (3, 9, 1.0)])
+def test_solve_d_is_column_count_invariant(k, M, mu):
+    """A column solved alone, among 3, among M + 1 or among all m_hat
+    columns of the right-hand side that P^mu = B D^-1 solves gives the same
+    bits (M = 9 sums more than 8 terms per entry)."""
+    params = WaveletParams(k=k, M=M, mu=mu)
+    mats = build_operational_matrices(params)
+    rhs = (mats.Pmu @ mats.D).T
+    full = mats.solve_D(rhs)
+    for width in (1, 3, M + 1):
+        for start in range(0, params.m_hat - width + 1, width):
+            cols = slice(start, start + width)
+            assert np.array_equal(mats.solve_D(rhs[:, cols]), full[:, cols])
+    for j in range(params.m_hat):
+        assert np.array_equal(mats.solve_D(rhs[:, j]), full[:, j])
+
+
+@pytest.mark.parametrize("k, M, mu", [(1, 4, 0.5), (3, 4, 1.0)])
+def test_gram_matches_exact_rational(k, M, mu):
+    """D on the grid is within 1e-15 of the exact D, whose block entries are
+    2^(k-1) sqrt(2a+1) sqrt(2b+1) / (N (mu (a + b) + 1)) wherever every
+    block is block 1 or mu = 1 (numpy's Legendre weights gave 7.8e-15 and
+    5.2e-15 here)."""
+    from fractions import Fraction
+
+    params = WaveletParams(k=k, M=M, mu=mu)
+    N = params.n_blocks
+    assert N == 1 or mu == 1.0
+    block = np.array([
+        [float(Fraction(2 ** (k - 1), N) / (Fraction(mu) * (a + b) + 1))
+         * math.sqrt((2 * a + 1) * (2 * b + 1)) for b in range(M)]
+        for a in range(M)
+    ])
+    D = build_operational_matrices(params).D
+    assert np.abs(diagonal_blocks(D, M) - block).max() <= 1e-15
+
+
+def test_at_order_shares_the_basis_matrices():
+    """A bundle at another order shares the grid, D and its factors, and its
+    P^mu has the bits of a fresh build at that order."""
+    params = WaveletParams(k=3, M=4, mu=1.0)
+    base = build_operational_matrices(params, frac_order=0.5)
+    assert base.at_order(0.5) is base
+    mats = base.at_order(0.9)
+    assert mats.frac_order == 0.9
+    assert mats.grid is base.grid and mats.D is base.D
+    assert mats.D_inverse_factor is base.D_inverse_factor
+    assert np.array_equal(mats.Pmu, build_operational_matrices(params, frac_order=0.9).Pmu)

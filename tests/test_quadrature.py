@@ -19,7 +19,7 @@ from wavefocp.quadrature import (
     solve_linear,
     solve_spd,
     solve_spd_blocks,
-    spd_block_factor,
+    spd_block_inverse_factor,
     spd_factor,
 )
 
@@ -47,7 +47,34 @@ class TestGamma:
             gamma(float("nan"))
 
 
+def _golub_welsch_weights(n, exponent):
+    """Weights, by increasing node, of the n-point Gauss rule for the weight
+    (1 - x)^exponent on [-1, 1] from a 40-digit Golub-Welsch computation
+    (eigenvectors of the Jacobi matrix)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        a = mp.mpf(exponent)
+        J = mp.zeros(n, n)
+        J[0, 0] = -a / (a + 2)
+        for i in range(1, n):
+            c = 2 * i + a
+            J[i, i] = -a * a / (c * (c + 2))
+            J[i, i - 1] = J[i - 1, i] = 2 * i * (i + a) / (c * mp.sqrt((c + 1) * (c - 1)))
+        nodes, vectors = mp.eigsy(J)
+        total = 2 ** (a + 1) / (a + 1)
+        ref = sorted((float(nodes[i]), float(total * vectors[0, i] ** 2)) for i in range(n))
+    return np.array([w for _, w in ref])
+
+
 class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [17, 20, 24])
+    def test_weights_accurate_to_rounding(self, n):
+        """Every weight within 1e-15 relative of the 40-digit rule (numpy's
+        leggauss misses by up to 7e-14 at n = 20 and 1.2e-13 at n = 24)."""
+        w_ref = _golub_welsch_weights(n, 0.0)
+        w = gauss_legendre(n, -1.0, 1.0).weights
+        assert np.all(np.abs(w - w_ref) <= 1e-15 * w_ref)
+
     def test_midpoint_rule(self):
         rule = gauss_legendre(1, 0.0, 1.0)
         assert rule.nodes[0] == pytest.approx(0.5)
@@ -131,21 +158,7 @@ class TestGaussJacobiRight:
     def test_weights_match_golub_welsch(self, n, exponent):
         """Weights against a 40-digit Golub-Welsch rule (eigenvectors of the
         Jacobi matrix); scipy's roots_jacobi misses this by up to 6e-13."""
-        mp = pytest.importorskip("mpmath")
-        with mp.workdps(40):
-            a = mp.mpf(exponent)
-            J = mp.zeros(n, n)
-            J[0, 0] = -a / (a + 2)
-            for i in range(1, n):
-                c = 2 * i + a
-                J[i, i] = -a * a / (c * (c + 2))
-                J[i, i - 1] = J[i - 1, i] = 2 * i * (i + a) / (c * mp.sqrt((c + 1) * (c - 1)))
-            nodes, vectors = mp.eigsy(J)
-            total = 2 ** (a + 1) / (a + 1)
-            ref = sorted(
-                (float(nodes[i]), float(total * vectors[0, i] ** 2)) for i in range(n)
-            )
-        w_ref = np.array([w for _, w in ref])
+        w_ref = _golub_welsch_weights(n, exponent)
         w = gauss_jacobi_right(n, -1.0, 1.0, exponent).weights
         assert np.abs(w - w_ref).sum() <= 5e-14 * w_ref.sum()
 
@@ -242,20 +255,24 @@ def test_condition_estimate_of_blocks_is_that_of_block_diagonal():
 
 
 class TestBlockSolves:
-    @pytest.mark.parametrize("N, M", [(1, 1), (4, 3), (16, 6)])
+    @pytest.mark.parametrize("N, M", [(1, 1), (4, 3), (16, 6), (3, 12)])
     def test_matches_dense_cholesky_solve(self, N, M):
+        """Also: each column of a 5-column solve has the bits of that column
+        solved alone."""
         rng = np.random.default_rng(N + M)
         blocks = _spd_blocks(rng, N, M)
         dense = scipy.linalg.block_diag(*blocks)
-        factor = spd_block_factor(blocks)
+        inverse = spd_block_inverse_factor(blocks)
         for b in (rng.standard_normal(N * M), rng.standard_normal((N * M, 5))):
-            x = solve_spd_blocks(factor, b)
+            x = solve_spd_blocks(inverse, b)
             assert x.shape == b.shape
             np.testing.assert_allclose(x, solve_spd(dense, b), rtol=0, atol=1e-13)
+        for j in range(b.shape[1]):
+            assert np.array_equal(solve_spd_blocks(inverse, b[:, j]), x[:, j])
 
     def test_indefinite_block_has_no_factor(self):
         blocks = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])])
-        assert spd_block_factor(blocks) is None
+        assert spd_block_inverse_factor(blocks) is None
 
     def test_invert_blocks(self):
         blocks = _spd_blocks(np.random.default_rng(9), 3, 4)
