@@ -60,9 +60,15 @@ class RunConfig:
             raise UsageError("k and M must be positive integers")
         if not self.mu_list:
             raise UsageError("at least one mu value is required")
+        tags: dict[str, float] = {}
         for mu in self.mu_list:
             if not 0.0 < mu <= 1.0:
                 raise UsageError(f"mu values must lie in (0, 1], got {mu}")
+            # output files are named by tag: a repeated tag would overwrite
+            tag = _mu_tag(mu)
+            if tag in tags:
+                raise UsageError(f"mu values {tags[tag]!r} and {mu!r} share the file tag {tag!r}")
+            tags[tag] = mu
         bad = set(self.emit) - {"tables", "plotdata", "matrices"}
         if bad:
             raise UsageError(f"unknown emit flags: {sorted(bad)}")

@@ -32,11 +32,11 @@ from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import betainc
 
 from .basis import WaveletParams, local_wavelet_values
 from .quadrature import (
     QuadratureRule,
+    betainc,
     condition_estimate,
     gamma,
     gauss_jacobi_left,

@@ -1,4 +1,9 @@
-"""Low-level numerics: gamma, Gauss rules, graded breakpoints, dense solves."""
+"""Low-level numerics: gamma, the incomplete beta, Gauss rules, graded
+breakpoints, dense solves.
+
+Everything here runs on NumPy alone; SciPy is imported only inside
+``solve_linear``, the pivoted fallback.
+"""
 
 from __future__ import annotations
 
@@ -8,8 +13,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy.special import roots_jacobi
 
 
 class SingularMatrixError(ValueError):
@@ -36,6 +39,149 @@ def gamma(x: float) -> float:
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"gamma requires finite x > 0, got {x!r}")
     return math.gamma(x)
+
+
+# Series tails are cut below this fraction of the series' first term.
+_LOG_TAIL = math.log(1e-17)
+# Baby-step sizes L of the series; a series of size L sums L^2 terms.
+_SERIES_SIZES = 2 ** np.arange(1, 7)
+_SERIES_TERMS = _SERIES_SIZES**2
+# The complement 1 - I_y(b, a) is used only where I_y(b, a) <= this, so
+# that the subtraction magnifies I_y's rounding error at most 1/(1 - it)-fold.
+_COMPLEMENT_LIMIT = 0.8
+_TINY, _BELOW_ONE = np.finfo(float).tiny, np.nextafter(1.0, 0.0)
+
+
+def betainc(a, b: float, x) -> np.ndarray:
+    """Regularized incomplete beta I_x(a, b) for a >= 1, 0 < b <= 1 and
+    0 <= x <= 1; a and x broadcast, b is a scalar.
+
+    One of two positive-coefficient power series in z, with c_0 = 1:
+
+    - direct, z = x: I = x^a / (a B(a, b)) sum_k c_k z^k,
+      c_k = (1-b)_k / k! a / (a + k);
+    - complement, z = y = 1 - x: I = 1 - y^b / (b B(a, b)) sum_k c_k z^k,
+      c_k = (1-a)_k / k! b / (b + k).
+
+    The complement is taken for x > 1/2 where the bound
+    I_y(b, a) <= (a y)^b / Gamma(1 + b) keeps I_y(b, a) <= 0.8, so that
+    I >= 0.2, and wherever the direct series would need more than 4096
+    terms. A series is summed as L blocks of L terms (baby-step/giant-step),
+    with L the smallest of ``_SERIES_SIZES`` whose L^2 terms bring the
+    element's tail below 1e-17 of the sum. Elements of one size are summed
+    together, each pairwise in an order fixed by L, so that an element's
+    value depends on its own a and x only.
+    """
+    a = np.asarray(a, dtype=float)
+    b = float(b)
+    shape = np.broadcast_shapes(a.shape, np.shape(x))
+    ua = np.sort(a, axis=None)  # repeated values are harmless
+    if not (0.0 < b <= 1.0 and ua[0] >= 1.0):
+        raise ValueError(f"need a >= 1 and 0 < b <= 1, got min(a)={ua[0]}, b={b}")
+    U = ua.size
+    rows = np.empty(shape, dtype=np.intp)
+    rows[...] = np.searchsorted(ua, a)
+    rows = rows.ravel()
+    xs = np.empty(shape)
+    xs[...] = x
+    x = xs.ravel()
+    if x.size == 0:
+        return xs
+    if not (x.min() >= 0.0 and x.max() <= 1.0):
+        raise ValueError("need 0 <= x <= 1")
+    ae = ua[rows]
+    if b == 1.0:
+        return np.power(x, ae).reshape(shape)
+    comp, code = _series_choice(ua, rows, b, x)
+    z = np.where(comp, 1.0 - x, x)
+    cols = rows + U * comp
+    # row k: a (1-b)_k / (k! (a + k)) in the U direct columns, then
+    # b (1-a)_k / (k! (b + k)) in the U complement columns
+    K = int(_SERIES_TERMS[code.max()])
+    k = np.arange(1.0, K)
+    table = np.empty((2 * U, K))
+    table[:, 0] = 1.0
+    table[:U, 1:] = (k - b) / k
+    table[U:, 1:] = (k - ua[:, None]) / k
+    np.cumprod(table, axis=1, out=table)
+    k = np.arange(K, dtype=float)
+    table[:U] *= ua[:, None] / (ua[:, None] + k)
+    table[U:] *= b / (b + k)
+    table = table.T.copy()
+    S = np.empty(x.size)
+    for c in np.unique(code):
+        sel = np.flatnonzero(code == c)
+        S[sel] = _series(table, cols[sel], z[sel], int(_SERIES_SIZES[c]))
+    g = np.array([_gamma_ratio(v, b) for v in ua])
+    prefactor = np.concatenate([g, g * ua / b])
+    v = np.power(z, np.where(comp, b, ae)) * prefactor[cols] * S
+    return np.where(comp, 1.0 - v, v).reshape(shape)
+
+
+def _series_choice(ua: np.ndarray, rows: np.ndarray, b: float, x: np.ndarray):
+    """Per element of ``betainc``: whether the complement series is used,
+    and the index into ``_SERIES_SIZES`` of its size; a = ua[rows]."""
+    ae = ua[rows]
+    y = 1.0 - x
+    # logs of x and y kept finite and negative at x = 0 and x = 1
+    lx, ly = np.log(np.clip(np.stack([x, y]), _TINY, _BELOW_ONE))
+    comp = (ae * y <= (_COMPLEMENT_LIMIT * math.gamma(1.0 + b)) ** (1.0 / b)) & (y < x)
+    # tails: direct x^K / (1 - x); complement 2^(ceil(a) - 1) y^K / x^a, as
+    # |(1-a)_k / k!| <= 2^(ceil(a) - 1) and the complement sum is >= x^(a-1)
+    log_m = (np.ceil(ua) - 1.0) * math.log(2.0)
+    direct = (_LOG_TAIL + ly) / lx
+    comp |= direct > _SERIES_TERMS[-1]  # direct series too long: complement
+    terms = np.where(comp, (_LOG_TAIL - log_m[rows] + ae * lx) / ly, direct)
+    return comp, np.minimum(np.searchsorted(_SERIES_TERMS, terms), _SERIES_SIZES.size - 1)
+
+
+def _powers(z: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """z^0 .. z^(L-1) as the rows of an (L, n) array, built by doubling,
+    and z^L; L is a power of two."""
+    P = np.empty((L, z.size))
+    P[0] = 1.0
+    P[1] = z
+    h, zh = 2, z * z
+    while h < L:
+        np.multiply(P[:h], zh, out=P[h : 2 * h])
+        h, zh = 2 * h, zh * zh
+    return P, zh
+
+
+def _series(table: np.ndarray, cols: np.ndarray, z: np.ndarray, L: int) -> np.ndarray:
+    """sum over k < L^2 of table[k, cols] z^k for each element: block i
+    holds the terms k = i L + j, j < L, so the powers are z^j and (z^L)^i.
+    Both sums halve pairwise in an order fixed by L, whatever the number of
+    elements."""
+    n = z.size
+    P, Z = _powers(z, L)
+    G, _ = _powers(Z, L)
+    T = table[: L * L, cols].reshape(L, L * n)
+    T *= P.reshape(1, L * n)
+    T = T.reshape(L, L, n)
+    while T.shape[1] > 1:
+        h = T.shape[1] // 2
+        T = T[:, :h] + T[:, h:]
+    B = T[:, 0] * G
+    while B.shape[0] > 1:
+        h = B.shape[0] // 2
+        B = B[:h] + B[h:]
+    return B[0]
+
+
+def _gamma_ratio(a: float, b: float) -> float:
+    """1 / (a B(a, b)) = Gamma(a + b) / (Gamma(a + 1) Gamma(b)) for a >= 1.
+
+    ``math.gamma`` runs only on (0, 3), where it is good to about 3 ulp (it
+    misses by up to 8e-15 for arguments near 10); the rest is the product of
+    the ratios of the recurrence Gamma(s + 1) = s Gamma(s).
+    """
+    n = math.floor(a) - 1
+    f = a - n
+    r = math.gamma(f + b) / (math.gamma(f + 1.0) * math.gamma(b))
+    for i in range(n):
+        r *= (f + b + i) / (f + 1.0 + i)
+    return r
 
 
 def _is_interval(a, b) -> bool:
@@ -67,23 +213,38 @@ def gauss_legendre(
 def _jacobi_reference(n: int, exponent: float) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss rule for the weight (1 - x)^exponent on [-1, 1].
 
-    scipy's nodes are polished by Newton steps on the three-term
-    recurrence, and the weights come from the derivative formula
-    w_i = 2^(exponent+1) / ((1 - x_i^2) P_n'(x_i)^2); scipy's own weights
-    miss by up to 6e-13 (summed, relative) at n = 24. Near x = 1 the weight
-    changes by 1e-13 relative within one float spacing of x, so both steps
-    run in long double: 80-bit on x86-64 Linux, where the weights are
-    accurate to rounding; where long double is plain double the rule keeps
-    that node-rounding error.
+    The eigenvalues of the Jacobi matrix (Golub-Welsch) start the nodes,
+    Newton steps on the three-term recurrence polish them, and the weights
+    come from the derivative formula
+    w_i = 2^(exponent+1) / ((1 - x_i^2) P_n'(x_i)^2); the eigenvectors'
+    weights would miss by up to 6e-13 (summed, relative) at n = 24. Near
+    x = 1 the weight changes by 1e-13 relative within one float spacing of
+    x, so the polish and the weights run in long double: 80-bit on x86-64
+    Linux, where the weights are accurate to rounding; where long double is
+    plain double the rule keeps that node-rounding error.
     """
     a = np.longdouble(exponent)
-    x = roots_jacobi(n, exponent, 0.0)[0].astype(np.longdouble)
-    for _ in range(3):
+    x = _jacobi_matrix_eigenvalues(n, exponent)
+    # Newton steps from the double nodes, the last one kept in long double:
+    # the rule depends on its start only through the polished double nodes
+    for step in range(4):
+        x = x.astype(np.longdouble)
         p, dp = _jacobi_value_and_slope(n, a, x)
-        x = x - p / dp
+        x = x - p / dp if step == 3 else (x - p / dp).astype(float)
     _, dp = _jacobi_value_and_slope(n, a, x)
     w = 2.0 ** (a + 1.0) / ((1.0 - x) * (1.0 + x) * dp**2)
     return x.astype(float), w.astype(float)
+
+
+def _jacobi_matrix_eigenvalues(n: int, a: float) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric tridiagonal Jacobi matrix of
+    the weight (1 - x)^a: the zeros of P_n^(a,0), to about 1e-15."""
+    j = np.arange(n, dtype=float)
+    c = 2.0 * j + a
+    diag = -a * a / np.where(c == 0.0, 1.0, c * (c + 2.0))  # 0 at j = 0 when a = 0
+    j, c = j[1:], c[1:]
+    off = 2.0 * j * (j + a) / (c * np.sqrt(c * c - 1.0))
+    return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
 
 
 def _jacobi_value_and_slope(
@@ -170,7 +331,13 @@ _PIVOT_RTOL = 1e-14
 
 
 def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Partial-pivoted dense solve with an explicit singularity check."""
+    """Partial-pivoted dense solve with an explicit singularity check.
+
+    The fallback where the structured solve does not apply; the only caller
+    of SciPy, imported here so that no other path loads it.
+    """
+    import scipy.linalg
+
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -189,13 +356,108 @@ def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return scipy.linalg.lu_solve((lu, piv), b)
 
 
-def spd_factor(A: np.ndarray) -> tuple[np.ndarray, bool] | None:
-    """Cholesky factor of A in ``scipy.linalg.cho_factor`` form, or None
-    when A is not numerically positive definite."""
-    try:
-        return scipy.linalg.cho_factor(np.asarray(A, dtype=float))
-    except scipy.linalg.LinAlgError:
-        return None
+# rows per leaf of the blocked Cholesky factorization, and the fewest rows
+# per leaf of a blocked triangular solve
+_LEAF = 32
+# above this cond of a leaf's Schur complement spd_factor reports no factor
+_SPD_COND_LIMIT = 1e40
+
+
+@dataclass(frozen=True)
+class LowerTriangular:
+    """Lower-triangular L with the inverses of its diagonal leaves, top to
+    bottom. A solve substitutes leaf by leaf: one product with the rows left
+    of (or, transposed, below) the leaf and one with the leaf's inverse."""
+
+    L: np.ndarray
+    leaf_inverses: tuple[np.ndarray, ...]
+
+    @classmethod
+    def unit_block(cls, L: np.ndarray, M: int) -> LowerTriangular:
+        """L whose diagonal M x M blocks are the identity and whose number of
+        blocks is a power of two. A leaf holds M 2^j rows, at least
+        ``_LEAF`` of them or all of L; its inverse comes by doubling: the
+        inverse of [[A, 0], [C, D]] is [[A^-1, 0], [-D^-1 C A^-1, D^-1]],
+        applied to the diagonal pairs of size h of every leaf at once, from
+        h = M (where A and D are the identity) up."""
+        m = L.shape[0]
+        s = min(m, M << max(0, math.ceil(math.log2(_LEAF / M))))
+        X = np.stack([np.tril(L[k : k + s, k : k + s]) for k in range(0, m, s)])
+        n, sn, sr, sc = X.shape[0], *X.strides
+        h = M
+        while h < s:
+            # the diagonal blocks of size 2h of every leaf, as one writable view
+            V = np.lib.stride_tricks.as_strided(
+                X, shape=(n, s // (2 * h), 2 * h, 2 * h), strides=(sn, 2 * h * (sr + sc), sr, sc)
+            )
+            V[..., h:, :h] = -(V[..., h:, :h] @ V[..., :h, :h])
+            V[..., h:, :h] = V[..., h:, h:] @ V[..., h:, :h]
+            h *= 2
+        return cls(L=L, leaf_inverses=tuple(X))
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """L^-1 b for b of shape (m,) or (m, k)."""
+        L = self.L
+        x = np.array(b, dtype=float)
+        k = 0
+        for inverse in self.leaf_inverses:
+            e = k + inverse.shape[0]
+            if k:
+                x[k:e] -= L[k:e, :k] @ x[:k]
+            x[k:e] = inverse @ x[k:e]
+            k = e
+        return x
+
+    def solve_transposed(self, b: np.ndarray) -> np.ndarray:
+        """L^-T b for b of shape (m,) or (m, k)."""
+        L = self.L
+        x = np.array(b, dtype=float)
+        e = L.shape[0]
+        for inverse in reversed(self.leaf_inverses):
+            k = e - inverse.shape[0]
+            if e < L.shape[0]:
+                x[k:e] -= L[e:, k:e].T @ x[e:]
+            x[k:e] = inverse.T @ x[k:e]
+            e = k
+        return x
+
+
+def spd_factor(A: np.ndarray) -> LowerTriangular | None:
+    """Lower Cholesky factor of A with its leaf inverses, or None when A is
+    not numerically positive definite.
+
+    Left-looking and blocked by leaves of ``_LEAF`` rows. Each leaf's
+    Schur complement S comes with the inverse of its factor from one
+    ``np.linalg.cholesky`` of [[S, .], [I, c I]]: the lower-left block of
+    that factor is L_S^-T, and c, far above ||S^-1||, keeps the trailing
+    block positive definite. The columns below the leaf are then one
+    product with L_S^-T.
+    """
+    A = np.asarray(A, dtype=float)
+    m = A.shape[0]
+    L = np.zeros((m, m))
+    inverses = []
+    for k in range(0, m, _LEAF):
+        e = min(k + _LEAF, m)
+        n = e - k
+        panel = A[k:, k:e] - L[k:, :k] @ L[k:e, :k].T if k else A[:, :e]
+        scale = panel[:n].diagonal().max()
+        if not scale > 0.0:
+            return None
+        W = np.zeros((2 * n, 2 * n))
+        W[:n, :n] = panel[:n]
+        i = np.arange(n, 2 * n)
+        W[i, i - n] = 1.0
+        W[i, i] = _SPD_COND_LIMIT / scale
+        try:
+            F = np.linalg.cholesky(W)
+        except np.linalg.LinAlgError:
+            return None
+        L[k:e, k:e] = F[:n, :n]
+        inverses.append(F[n:, :n].T)
+        if e < m:
+            L[e:, k:e] = panel[n:] @ F[n:, :n]
+    return LowerTriangular(L=L, leaf_inverses=tuple(inverses))
 
 
 def solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -205,7 +467,10 @@ def solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     factor = spd_factor(A)
     if factor is None:
         return solve_linear(A, b)
-    return scipy.linalg.cho_solve(factor, b)
+    x = factor.solve_transposed(factor.solve(b))
+    # one refinement step with the same factor; near the structured route's
+    # limit (cond(A) about 1e13 at M = 10) it cuts the error of x 1.1- to 8-fold
+    return x + factor.solve_transposed(factor.solve(b - A @ x))
 
 
 def spd_block_inverse_factor(blocks: np.ndarray) -> np.ndarray | None:

@@ -27,7 +27,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .basis import WaveletParams, eval_basis_many, local_basis_values
 from .fracops import rl_integral
@@ -38,7 +37,13 @@ from .opmats import (
     product_matrix,
     project,
 )
-from .quadrature import SingularMatrixError, invert_blocks, solve_linear, solve_spd
+from .quadrature import (
+    LowerTriangular,
+    SingularMatrixError,
+    invert_blocks,
+    solve_linear,
+    solve_spd,
+)
 
 _VALIDATION_GRID = np.linspace(0.0, 1.0, 100)
 # Above this cond(D), Pmu and L = Pmu^T G_c^-1 G_B are so large (|Pmu| 7.4e3
@@ -233,10 +238,10 @@ class _BlockTriangular:
     """G_c = I - G_A Pmu^T, block lower-triangular, stored as G_c = Dg T:
     Dg holds its N diagonal blocks, which are close to the identity, and
     T = Dg^-1 G_c is unit lower-triangular, so G_c and G_c^T solve by one
-    triangular solve and N small block products."""
+    blocked triangular solve and N small block products."""
 
     G_c: np.ndarray
-    T: np.ndarray
+    T: LowerTriangular
     Dg_inv: np.ndarray
 
     @classmethod
@@ -251,20 +256,15 @@ class _BlockTriangular:
         T = _apply_blocks(Dg_inv, G_c)
         diag = np.arange(N)
         T.reshape(N, M, N, M)[diag, :, diag, :] = np.eye(M)
-        return cls(G_c=G_c, T=T, Dg_inv=Dg_inv)
+        return cls(G_c=G_c, T=LowerTriangular.unit_block(T, M), Dg_inv=Dg_inv)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """G_c^-1 rhs."""
-        return scipy.linalg.solve_triangular(
-            self.T, _apply_blocks(self.Dg_inv, rhs), lower=True, unit_diagonal=True
-        )
+        return self.T.solve(_apply_blocks(self.Dg_inv, rhs))
 
     def solve_transposed(self, rhs: np.ndarray) -> np.ndarray:
         """G_c^-T rhs."""
-        y = scipy.linalg.solve_triangular(
-            self.T, rhs, lower=True, trans="T", unit_diagonal=True
-        )
-        return _apply_blocks(self.Dg_inv.transpose(0, 2, 1), y)
+        return _apply_blocks(self.Dg_inv.transpose(0, 2, 1), self.T.solve_transposed(rhs))
 
 
 def _apply_blocks(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:

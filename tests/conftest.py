@@ -6,10 +6,15 @@ from typing import Callable
 
 import numpy as np
 import pytest
-from scipy.special import betainc
 
 from wavefocp.basis import WaveletParams, monomial_coefficients, support_interval
-from wavefocp.opmats import build_operational_matrices, product_matrix, project, quadrature_grid
+from wavefocp.opmats import (
+    betainc,
+    build_operational_matrices,
+    product_matrix,
+    project,
+    quadrature_grid,
+)
 from wavefocp.quadrature import gamma, gauss_jacobi_right, gauss_legendre, graded_breakpoints
 
 # Published reference matrices for k=2, M=4 (8x8 basis). The Gram matrices

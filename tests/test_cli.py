@@ -123,6 +123,19 @@ class TestCliRuns:
         assert main(["--problem", str(tmp_path / "missing.txt")]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("mu_arg, first, second", [
+        ("0.5,0.5", "0.5", "0.5"),
+        ("0.5,0.5000000001", "0.5", "0.5000000001"),
+    ])
+    def test_mu_values_sharing_a_file_tag_rejected(self, tmp_path, capsys, mu_arg, first, second):
+        """Both values would write ..._trajectory_mu0p5.csv: the second run
+        would overwrite the first while the cost table listed both."""
+        out = tmp_path / "out"
+        assert main(["--example", "1", "--mu", mu_arg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"mu values {first} and {second} share the file tag '0p5'" in err
+        assert not out.exists()
+
     def test_numeric_failure_exit_code(self, tmp_path, capsys):
         args = ["--example", "1", "--basis", "tw", "--k", "1", "--M", "14", "--mu", "0.7"]
         with pytest.warns(UserWarning, match="condition"):
