@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import integrate_piecewise
+from wavefocp import quadrature
 from wavefocp.quadrature import (
+    LowerTriangular,
     SingularMatrixError,
+    betainc,
     condition_estimate,
     gamma,
     gauss_jacobi_left,
@@ -290,3 +293,132 @@ def test_graded_breakpoints_refine_toward_ends():
     assert pts[0] == 0.0 and pts[-1] == 1.0
     assert np.all(np.diff(pts) > 0)
     assert pts[1] == pytest.approx(0.2**4)
+
+
+# The incomplete-beta grid: a = q + 1, q = mu m for m < M (M = 12 holds the
+# a of M = 4 and 8), at the orders b that the operational matrices use.
+BETAINC_MU = (0.3, 0.5, 0.75, 0.9, 1.0)
+BETAINC_B = (0.2, 0.3, 0.5, 0.75, 0.9, 1.0)
+
+
+def _betainc_edges(a, b):
+    """x on both sides of every point where betainc changes its series or
+    the series' size, for a single a, located by bisection."""
+    ua, rows = np.array([a]), np.zeros(1, dtype=np.intp)
+
+    def plan(x):
+        comp, code = quadrature._series_choice(ua, np.zeros(x.size, dtype=np.intp), b, x)
+        return comp * 100 + code
+
+    grid = np.unique(np.concatenate([
+        np.linspace(0.0, 1.0, 2001), 10.0 ** -np.linspace(1, 15, 400),
+        1.0 - 10.0 ** -np.linspace(1, 15, 400),
+    ]))
+    kinds = plan(grid)
+    change = np.flatnonzero(kinds[1:] != kinds[:-1])
+    lo, hi = grid[change], grid[change + 1]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        left = plan(mid) == plan(lo)
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+    return np.concatenate([lo, hi])
+
+
+class TestBetainc:
+    @pytest.mark.parametrize("mu", [0.3, 0.75, 1.0])
+    @pytest.mark.parametrize("b", [0.2, 0.5, 0.9, 1.0])
+    def test_rows_have_the_bits_of_their_own_calls(self, mu, b):
+        """An element's value does not depend on the other elements of the
+        call: the (M, n) call equals its per-row and per-element calls."""
+        rng = np.random.default_rng(11)
+        x = np.concatenate([rng.random(200), 10.0 ** -rng.uniform(1, 12, 40),
+                            1.0 - 10.0 ** -rng.uniform(1, 12, 60), [0.0, 1.0]])
+        a = 1.0 + mu * np.arange(12)[:, None]
+        full = betainc(a, b, x)
+        assert full.shape == (12, x.size)
+        for i in range(12):
+            assert np.array_equal(betainc(a[i : i + 1], b, x), full[i : i + 1])
+            assert np.array_equal(betainc(a[i, 0], b, x[::7]), full[i, ::7])
+        assert betainc(a[3, 0], b, x[5]) == full[3, 5]
+
+    @pytest.mark.parametrize("mu", BETAINC_MU)
+    def test_matches_mpmath(self, mu):
+        """Relative error against 30-digit mpmath at random x, x near 0 and
+        near 1, and both sides of every switch of series or size: at most
+        5e-15 for b >= 0.5 and 1e-14 below (SciPy's own worst on this grid
+        is 5.0e-15)."""
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(int(mu * 100))
+        worst = {True: 0.0, False: 0.0}
+        with mp.workdps(30):
+            for a in 1.0 + mu * np.arange(12):
+                for b in BETAINC_B:
+                    x = np.concatenate([rng.random(14), 10.0 ** -rng.uniform(1, 12, 4),
+                                        1.0 - 10.0 ** -rng.uniform(1, 12, 6),
+                                        _betainc_edges(a, b)])
+                    got = betainc(a, b, x)
+                    ref = np.array([float(mp.betainc(a, b, 0, v, regularized=True)) for v in x])
+                    err = np.abs(got - ref) / ref
+                    worst[b >= 0.5] = max(worst[b >= 0.5], err.max())
+        assert worst[True] <= 5e-15
+        assert worst[False] <= 1e-14
+
+    def test_ends_and_order_one(self):
+        a = np.array([[1.0], [2.5], [7.0]])
+        assert np.array_equal(betainc(a, 0.6, np.array([0.0, 1.0])), [[0.0, 1.0]] * 3)
+        x = np.linspace(0.0, 1.0, 11)
+        assert np.array_equal(betainc(a, 1.0, x), x ** a)
+
+    @pytest.mark.parametrize("a, b, x", [(0.9, 0.5, 0.3), (2.0, 0.0, 0.3), (2.0, 1.5, 0.3),
+                                         (2.0, 0.5, 1.2), (2.0, 0.5, -0.1)])
+    def test_rejects_outside_its_domain(self, a, b, x):
+        with pytest.raises(ValueError):
+            betainc(a, b, x)
+
+
+def _unit_block_lower(rng, N, M):
+    m = N * M
+    T = np.eye(m) + np.tril(rng.standard_normal((m, m)), -1) * (0.5 / np.sqrt(m))
+    for n in range(N):
+        T[n * M : (n + 1) * M, n * M : (n + 1) * M] = np.eye(M)
+    return T
+
+
+class TestLowerTriangular:
+    def _check(self, factor, L, rng):
+        m = L.shape[0]
+        for b in (rng.standard_normal(m), rng.standard_normal((m, 3))):
+            for trans, got in ((0, factor.solve(b)), ("T", factor.solve_transposed(b))):
+                ref = scipy.linalg.solve_triangular(L, b, lower=True, trans=trans)
+                assert got.shape == b.shape
+                assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("m", [1, 4, 31, 32, 33, 128, 257])
+    def test_cholesky_factor_solves_match_solve_triangular(self, m):
+        rng = np.random.default_rng(m)
+        B = rng.standard_normal((m, m))
+        A = B @ B.T + m * np.eye(m)
+        factor = spd_factor(A)
+        np.testing.assert_allclose(factor.L, np.linalg.cholesky(A), rtol=0, atol=1e-13 * m)
+        self._check(factor, factor.L, rng)
+
+    @pytest.mark.parametrize("N, M", [(1, 1), (4, 1), (32, 1), (128, 1), (8, 4), (64, 4), (16, 6), (2, 12)])
+    def test_unit_block_solves_match_solve_triangular(self, N, M):
+        rng = np.random.default_rng(N + M)
+        T = _unit_block_lower(rng, N, M)
+        self._check(LowerTriangular.unit_block(T, M), T, rng)
+
+
+@pytest.mark.parametrize("exponent", sorted(
+    {0.0} | {1.0 / mu - 1.0 for mu in BETAINC_MU} | {b - 1.0 for b in BETAINC_B}))
+def test_jacobi_rule_does_not_depend_on_its_start(monkeypatch, exponent):
+    """The Newton polish of the Gauss-Jacobi nodes gives the same nodes and
+    weights from the Jacobi-matrix eigenvalues as from SciPy's roots."""
+    from scipy.special import roots_jacobi
+
+    rules = [quadrature._jacobi_reference.__wrapped__(n, exponent) for n in range(1, 41)]
+    monkeypatch.setattr(quadrature, "_jacobi_matrix_eigenvalues",
+                        lambda n, a: roots_jacobi(n, a, 0.0)[0])
+    for n, (x, w) in enumerate(rules, start=1):
+        x_scipy, w_scipy = quadrature._jacobi_reference.__wrapped__(n, exponent)
+        assert np.array_equal(x, x_scipy) and np.array_equal(w, w_scipy)
