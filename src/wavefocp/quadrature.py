@@ -74,7 +74,7 @@ def betainc(a, b: float, x) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     b = float(b)
-    shape = np.broadcast_shapes(a.shape, np.shape(x))
+    shape = np.broadcast(a, x).shape
     ua = np.sort(a, axis=None)  # repeated values are harmless
     if not (0.0 < b <= 1.0 and ua[0] >= 1.0):
         raise ValueError(f"need a >= 1 and 0 < b <= 1, got min(a)={ua[0]}, b={b}")
@@ -92,7 +92,7 @@ def betainc(a, b: float, x) -> np.ndarray:
     ae = ua[rows]
     if b == 1.0:
         return np.power(x, ae).reshape(shape)
-    comp, code = _series_choice(ua, rows, b, x)
+    comp, code = _series_choice(ua, ae, rows, b, x)
     z = np.where(comp, 1.0 - x, x)
     cols = rows + U * comp
     # row k: a (1-b)_k / (k! (a + k)) in the U direct columns, then
@@ -109,7 +109,7 @@ def betainc(a, b: float, x) -> np.ndarray:
     table[U:] *= b / (b + k)
     table = table.T.copy()
     S = np.empty(x.size)
-    for c in np.unique(code):
+    for c in np.flatnonzero(np.bincount(code)):
         sel = np.flatnonzero(code == c)
         S[sel] = _series(table, cols[sel], z[sel], int(_SERIES_SIZES[c]))
     g = np.array([_gamma_ratio(v, b) for v in ua])
@@ -118,10 +118,9 @@ def betainc(a, b: float, x) -> np.ndarray:
     return np.where(comp, 1.0 - v, v).reshape(shape)
 
 
-def _series_choice(ua: np.ndarray, rows: np.ndarray, b: float, x: np.ndarray):
+def _series_choice(ua: np.ndarray, ae: np.ndarray, rows: np.ndarray, b: float, x: np.ndarray):
     """Per element of ``betainc``: whether the complement series is used,
-    and the index into ``_SERIES_SIZES`` of its size; a = ua[rows]."""
-    ae = ua[rows]
+    and the index into ``_SERIES_SIZES`` of its size; ae = ua[rows] = a."""
     y = 1.0 - x
     # logs of x and y kept finite and negative at x = 0 and x = 1
     lx, ly = np.log(np.clip(np.stack([x, y]), _TINY, _BELOW_ONE))
@@ -225,12 +224,14 @@ def _jacobi_reference(n: int, exponent: float) -> tuple[np.ndarray, np.ndarray]:
     """
     a = np.longdouble(exponent)
     x = _jacobi_matrix_eigenvalues(n, exponent)
-    # Newton steps from the double nodes, the last one kept in long double:
-    # the rule depends on its start only through the polished double nodes
-    for step in range(4):
-        x = x.astype(np.longdouble)
-        p, dp = _jacobi_value_and_slope(n, a, x)
-        x = x - p / dp if step == 3 else (x - p / dp).astype(float)
+    # Newton steps rounded to double, then one kept in long double: the rule
+    # depends on its start only through the polished double nodes
+    for _ in range(3):
+        p, dp = _jacobi_value_and_slope(n, a, x.astype(np.longdouble))
+        x = (x - p / dp).astype(float)
+    x = x.astype(np.longdouble)
+    p, dp = _jacobi_value_and_slope(n, a, x)
+    x = x - p / dp
     _, dp = _jacobi_value_and_slope(n, a, x)
     w = 2.0 ** (a + 1.0) / ((1.0 - x) * (1.0 + x) * dp**2)
     return x.astype(float), w.astype(float)

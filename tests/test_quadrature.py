@@ -304,10 +304,9 @@ BETAINC_B = (0.2, 0.3, 0.5, 0.75, 0.9, 1.0)
 def _betainc_edges(a, b):
     """x on both sides of every point where betainc changes its series or
     the series' size, for a single a, located by bisection."""
-    ua, rows = np.array([a]), np.zeros(1, dtype=np.intp)
-
     def plan(x):
-        comp, code = quadrature._series_choice(ua, np.zeros(x.size, dtype=np.intp), b, x)
+        rows = np.zeros(x.size, dtype=np.intp)
+        comp, code = quadrature._series_choice(np.array([a]), np.full(x.size, a), rows, b, x)
         return comp * 100 + code
 
     grid = np.unique(np.concatenate([
