@@ -303,7 +303,11 @@ BETAINC_B = (0.2, 0.3, 0.5, 0.75, 0.9, 1.0)
 
 def _betainc_edges(a, b):
     """x on both sides of every point where betainc changes its series or
-    the series' size, for a single a, located by bisection."""
+    the series' size, for a single a, located by bisection (none at b = 1,
+    where I_x(a, 1) = x^a)."""
+    if b == 1.0:
+        return np.empty(0)
+
     def plan(x):
         rows = np.zeros(x.size, dtype=np.intp)
         comp, code = quadrature._series_choice(np.array([a]), np.full(x.size, a), rows, b, x)
