@@ -56,7 +56,8 @@ def betainc(a, b: float, x) -> np.ndarray:
     """Regularized incomplete beta I_x(a, b) for a >= 1, 0 < b <= 1 and
     0 <= x <= 1; a and x broadcast, b is a scalar.
 
-    One of two positive-coefficient power series in z, with c_0 = 1:
+    One of two power series in z, with c_0 = 1 (the direct one has positive
+    terms):
 
     - direct, z = x: I = x^a / (a B(a, b)) sum_k c_k z^k,
       c_k = (1-b)_k / k! a / (a + k);
@@ -387,14 +388,12 @@ class LowerTriangular:
         h = M (where A and D are the identity) up."""
         m = L.shape[0]
         s = min(m, M << max(0, math.ceil(math.log2(_LEAF / M))))
-        X = np.stack([np.tril(L[k : k + s, k : k + s]) for k in range(0, m, s)])
-        n, sn, sr, sc = X.shape[0], *X.strides
+        n = m // s
+        X = np.tril(np.einsum("pipj->pij", L.reshape(n, s, n, s)))
         h = M
         while h < s:
             # the diagonal blocks of size 2h of every leaf, as one writable view
-            V = np.lib.stride_tricks.as_strided(
-                X, shape=(n, s // (2 * h), 2 * h, 2 * h), strides=(sn, 2 * h * (sr + sc), sr, sc)
-            )
+            V = np.einsum("apipj->apij", X.reshape(n, s // (2 * h), 2 * h, s // (2 * h), 2 * h))
             V[..., h:, :h] = -(V[..., h:, :h] @ V[..., :h, :h])
             V[..., h:, :h] = V[..., h:, h:] @ V[..., h:, :h]
             h *= 2
