@@ -36,12 +36,12 @@ import numpy as np
 from .basis import WaveletParams, local_wavelet_values
 from .quadrature import (
     QuadratureRule,
+    SingularMatrixError,
     betainc,
     condition_estimate,
     gamma,
     gauss_jacobi_left,
     gauss_legendre,
-    solve_spd,
     solve_spd_blocks,
     spd_block_inverse_factor,
 )
@@ -192,9 +192,8 @@ class OperationalMatrices:
     ``grid`` is the quadrature that D and every integral against the basis
     (projections, weighted and product Grams) run on, and
     ``D_inverse_factor`` the inverses of the lower Cholesky factors of the
-    N diagonal blocks of D, shape (N, M, M) (None if a block is not
-    numerically SPD). ``P1``, the integration matrix of order 1, is built on
-    first access; a solve never reads it.
+    N diagonal blocks of D, shape (N, M, M). ``P1``, the integration matrix
+    of order 1, is built on first access; a solve never reads it.
     """
 
     params: WaveletParams
@@ -203,7 +202,7 @@ class OperationalMatrices:
     Pmu: np.ndarray
     cond_D: float
     grid: QuadratureGrid
-    D_inverse_factor: np.ndarray | None
+    D_inverse_factor: np.ndarray
 
     @cached_property
     def P1(self) -> np.ndarray:
@@ -212,10 +211,7 @@ class OperationalMatrices:
     def solve_D(self, rhs: np.ndarray) -> np.ndarray:
         """Solve D x = rhs (D is SPD) block by block with the stored inverse
         factors; rhs is (m_hat,) or (m_hat, k), and a column's result does
-        not depend on k. Without factors the dense pivoted solve runs, and
-        raises SingularMatrixError if D is singular."""
-        if self.D_inverse_factor is None:
-            return solve_spd(self.D, rhs)
+        not depend on k."""
         return solve_spd_blocks(self.D_inverse_factor, rhs)
 
     def at_order(self, frac_order: float) -> OperationalMatrices:
@@ -460,7 +456,8 @@ def product_matrix(c: np.ndarray, mats: OperationalMatrices) -> np.ndarray:
 def build_operational_matrices(
     params: WaveletParams, frac_order: float | None = None
 ) -> OperationalMatrices:
-    """Construct the bundle for the given basis and integration order."""
+    """Construct the bundle for the given basis and integration order; raises
+    SingularMatrixError where a diagonal block of D is not numerically SPD."""
     frac_order = params.mu if frac_order is None else frac_order
     grid = quadrature_grid(params)
     D_blocks = grid.gram_blocks(1.0)
@@ -471,10 +468,14 @@ def build_operational_matrices(
             f"{_COND_WARN_LIMIT:.0e}; results may lose accuracy",
             stacklevel=2,
         )
+    D_inverse_factor = spd_block_inverse_factor(D_blocks)
+    if D_inverse_factor is None:
+        raise SingularMatrixError(
+            f"Gram matrix D not numerically SPD (cond {cond_D:.2e})", pivot=1.0 / cond_D
+        )
     shell = OperationalMatrices(
         params=params, frac_order=frac_order, D=_block_diagonal(D_blocks),
-        Pmu=np.empty(0), cond_D=cond_D, grid=grid,
-        D_inverse_factor=spd_block_inverse_factor(D_blocks),
+        Pmu=np.empty(0), cond_D=cond_D, grid=grid, D_inverse_factor=D_inverse_factor,
     )
     Pmu = integration_matrix_fractional(params, shell, frac_order)
     return dataclasses.replace(shell, Pmu=Pmu)

@@ -2,7 +2,7 @@
 breakpoints, dense solves.
 
 Everything here runs on NumPy alone; SciPy is imported only inside
-``solve_linear``, the pivoted fallback.
+``solve_linear``, the pivoted LU of the solver's dense KKT route.
 """
 
 from __future__ import annotations
@@ -325,12 +325,17 @@ def condition_estimate(A: np.ndarray) -> float:
     """1-norm condition number of a matrix, or of the block-diagonal matrix
     whose diagonal blocks are the stacked (N, M, M) A: its norm is
     max_n ||A_n||_1 and the norm of its inverse max_n ||A_n^-1||_1."""
+    return _condition_and_inverse(A)[0]
+
+
+def _condition_and_inverse(A: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """``condition_estimate(A)`` and A^-1 (inf and None if A is singular)."""
     A = np.asarray(A, dtype=float)
     try:
         inverse = np.linalg.inv(A)
     except np.linalg.LinAlgError:
-        return float("inf")
-    return float(np.abs(A).sum(axis=-2).max() * np.abs(inverse).sum(axis=-2).max())
+        return float("inf"), None
+    return float(np.abs(A).sum(axis=-2).max() * np.abs(inverse).sum(axis=-2).max()), inverse
 
 
 _PIVOT_RTOL = 1e-14
@@ -339,17 +344,13 @@ _PIVOT_RTOL = 1e-14
 def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Partial-pivoted dense solve with an explicit singularity check.
 
-    The fallback where the structured solve does not apply; the only caller
-    of SciPy, imported here so that no other path loads it.
+    The solver's dense KKT route; the only caller of SciPy, imported here so
+    that no other path loads it.
     """
     import scipy.linalg
 
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"A must be square, got shape {A.shape}")
-    if b.shape[0] != A.shape[0]:
-        raise ValueError(f"dimension mismatch: A is {A.shape}, b has {b.shape[0]} rows")
     lu, piv = scipy.linalg.lu_factor(A)
     pivots = np.abs(np.diag(lu))
     threshold = _PIVOT_RTOL * np.linalg.norm(A, np.inf)
@@ -465,22 +466,19 @@ def spd_factor(A: np.ndarray) -> LowerTriangular | None:
 
 
 def solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cholesky solve for SPD matrices, falling back to the pivoted path,
-    followed by one step of iterative refinement with the same solve."""
+    """Cholesky solve for SPD matrices and one step of iterative refinement;
+    raises SingularMatrixError where ``spd_factor`` finds A not numerically
+    positive definite (the solver then re-solves by its dense KKT route)."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     factor = spd_factor(A)
     if factor is None:
-        def solve(r):
-            return solve_linear(A, r)
-    else:
-        def solve(r):
-            return factor.solve_transposed(factor.solve(r))
-    x = solve(b)
+        raise SingularMatrixError("matrix not numerically positive definite", pivot=math.nan)
+    x = factor.solve_transposed(factor.solve(b))
     # near the structured route's limit (reduced Hessian cond about 1e13 at
     # M = 10) the refinement brings J within 1e-11 of the exact solution of
     # the system, from up to 2e-9 off
-    return x + solve(b - A @ x)
+    return x + factor.solve_transposed(factor.solve(b - A @ x))
 
 
 def spd_block_inverse_factor(blocks: np.ndarray) -> np.ndarray | None:
@@ -528,11 +526,11 @@ def invert_blocks(blocks: np.ndarray) -> np.ndarray:
     block-diagonal matrix reaches the reciprocal of the pivot threshold of
     ``solve_linear``.
     """
-    cond = condition_estimate(blocks)
+    cond, inverse = _condition_and_inverse(blocks)
     if not cond * _PIVOT_RTOL < 1.0:
         raise SingularMatrixError(
             f"blocks numerically singular: condition {cond:.3e} "
             f"above {1.0 / _PIVOT_RTOL:.0e}",
             pivot=1.0 / cond,
         )
-    return np.linalg.inv(blocks)
+    return inverse

@@ -15,13 +15,14 @@ because the RL integral is causal), so C_hat is eliminated by one
 triangular solve. What remains is the SPD reduced Hessian in U_hat, of
 size m_hat; the multipliers come from a transposed G_c solve (the
 null-space method, Nocedal & Wright, Numerical Optimization, 2nd ed.,
-section 16.2). ``assemble_kkt`` builds the full system: the tests use it
-as the dense oracle, and the solve falls back to its pivoted LU where
-cond(D) is too large for the reduced Hessian (``_STRUCTURED_COND_LIMIT``).
+section 16.2). ``assemble_kkt`` builds the full system, whose pivoted LU
+is the one other route: where cond(D) reaches ``_STRUCTURED_COND_LIMIT``
+and wherever the reduced route raises SingularMatrixError.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -159,32 +160,26 @@ def discretize(
     d1 = project(lambda z: np.full(np.shape(z), problem.x0), params, mats)
 
     grid = mats.grid
-    nodes, weights = grid.nodes, grid.weights
-    Wp = grid.weighted_gram(_as_grid_fn(problem.p_fn)(nodes))
-    Wq = grid.weighted_gram(_as_grid_fn(problem.q_fn)(nodes))
 
-    m_hat = params.m_hat
-    wp_track = np.zeros(m_hat)
-    wq_track = np.zeros(m_hat)
-    track_p_const = 0.0
-    track_q_const = 0.0
-    if problem.track_x is not None:
-        pr = _as_grid_fn(problem.p_fn)(nodes) * _as_grid_fn(problem.track_x)(nodes)
-        wp_track = grid.inner_products(pr)
-        track_p_const = float(
-            np.dot(weights, pr * _as_grid_fn(problem.track_x)(nodes))
-        )
-    if problem.track_u is not None:
-        qr = _as_grid_fn(problem.q_fn)(nodes) * _as_grid_fn(problem.track_u)(nodes)
-        wq_track = grid.inner_products(qr)
-        track_q_const = float(
-            np.dot(weights, qr * _as_grid_fn(problem.track_u)(nodes))
-        )
+    def tracking(w: np.ndarray, target: Fn | None) -> tuple[np.ndarray, float]:
+        """Integrals of w r psi_j and of w r^2 for the target r, or zeros."""
+        if target is None:
+            return np.zeros(params.m_hat), 0.0
+        r = _as_grid_fn(target)(grid.nodes)
+        wr = w * r
+        return grid.inner_products(wr), float(np.dot(grid.weights, wr * r))
+
+    # each function is sampled once on the grid
+    p = _as_grid_fn(problem.p_fn)(grid.nodes)
+    q = _as_grid_fn(problem.q_fn)(grid.nodes)
+    wp_track, track_p_const = tracking(p, problem.track_x)
+    wq_track, track_q_const = tracking(q, problem.track_u)
 
     return DiscretizedFocp(
         problem=problem, params=params, mats=mats,
         A_hat=A_hat, B_hat=B_hat, d1=d1,
-        Wp=Wp, Wq=Wq, wp_track=wp_track, wq_track=wq_track,
+        Wp=grid.weighted_gram(p), Wq=grid.weighted_gram(q),
+        wp_track=wp_track, wq_track=wq_track,
         track_p_const=track_p_const, track_q_const=track_q_const,
     )
 
@@ -215,7 +210,7 @@ def _kkt_rhs(disc: DiscretizedFocp) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def assemble_kkt(disc: DiscretizedFocp) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric KKT system in (C_hat, U_hat, eta_star), size 3 m_hat: the
     dense form of what ``solve_discretized`` solves, for the tests and for
-    the solve where cond(D) reaches ``_STRUCTURED_COND_LIMIT``."""
+    its dense route (``_dense_solve``)."""
     m = disc.params.m_hat
     Pm = disc.mats.Pmu
     G_A, G_B = disc.constraint_operators
@@ -304,8 +299,8 @@ def _structured_solve(
 def _dense_solve(
     disc: DiscretizedFocp,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``_structured_solve`` through the pivoted LU of the assembled KKT
-    matrix."""
+    """What ``_structured_solve`` returns, from the pivoted LU of the
+    assembled KKT matrix."""
     m = disc.params.m_hat
     K, rhs = assemble_kkt(disc)
     sol = solve_linear(K, rhs)
@@ -381,13 +376,18 @@ def _dynamics_defect(disc: DiscretizedFocp, C_hat: np.ndarray, U_hat: np.ndarray
 def solve_discretized(disc: DiscretizedFocp, diagnostics: bool = True) -> FocpSolution:
     """Solve the KKT conditions and package diagnostics.
 
-    The solve runs through the reduced Hessian while cond(D) is below
-    ``_STRUCTURED_COND_LIMIT``, and through the dense KKT LU above it.
+    The reduced Hessian solves below ``_STRUCTURED_COND_LIMIT`` of cond(D).
+    The dense KKT LU solves above it and wherever the reduced route raises
+    SingularMatrixError (a reduced Hessian not numerically SPD, or G_c
+    blocks that ``invert_blocks`` refuses); if it refuses too, so does this.
     """
     m = disc.params.m_hat
-    solve = _structured_solve if disc.mats.cond_D < _STRUCTURED_COND_LIMIT else _dense_solve
+    solved = None
+    if disc.mats.cond_D < _STRUCTURED_COND_LIMIT:
+        with contextlib.suppress(SingularMatrixError):
+            solved = _structured_solve(disc)
     try:
-        C_hat, U_hat, eta, G_c = solve(disc)
+        C_hat, U_hat, eta, G_c = _dense_solve(disc) if solved is None else solved
     except SingularMatrixError as exc:
         raise SingularMatrixError(
             f"KKT system singular (m_hat={m}); check q > 0 and the "

@@ -169,6 +169,20 @@ POINTWISE_ERR_U = [1.48744e-4, 1.07836e-4, 1.4746e-4, 1.59711e-4,
                    2.10423e-4, 2.23537e-4, 2.63508e-4, 2.9988e-4,
                    3.37278e-4]
 
+# Problem file of strongly unstable dynamics (a from 3.8 to 25.6), the
+# problem that the benchmark's problem drawer (perfbench/inputs.py) gives
+# for seed 2002. At k = 4 and 6, M = 4, its reduced Hessian is not
+# numerically SPD on either basis, and the dense KKT LU solves it.
+
+UNSTABLE_PROBLEM_FILE = """\
+p = 1.785*exp(1.54*t) + 1.277*gamma(t + 0.5)
+q = 1.101 + 0.681*sinh(1.27*t)
+a = 1.783 + 1.988*cosh(pi*t) + 0.814*t^1.41
+b = 1.625 + 0.84/(1 + t^2)
+x0 = -0.941
+mu = 0.6
+"""
+
 
 def graded_nodes(params: WaveletParams):
     """Reference nodes and weights in zeta over [0, 1], independent of the

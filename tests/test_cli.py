@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import UNSTABLE_PROBLEM_FILE
 from wavefocp import cli, opmats
 from wavefocp.cli import (
     RunConfig,
@@ -148,6 +149,20 @@ class TestCliRuns:
             assert main(args + ["--out", str(tmp_path / "sweep")]) == 2
         assert "numeric failure" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    def test_unstable_problem_file_solves(self, tmp_path):
+        """At (4, 4) tw the reduced Hessian of ``UNSTABLE_PROBLEM_FILE`` is
+        not numerically SPD; the dense KKT LU solves it and the run writes
+        its cost row."""
+        path = tmp_path / "unstable.txt"
+        path.write_text(UNSTABLE_PROBLEM_FILE, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--problem", str(path), "--basis", "tw", "--k", "4", "--M", "4",
+                     "--out", str(out)]) == 0
+        header, row = (out / "unstable_tw_cost.csv").read_text().splitlines()
+        assert header == "mu,basis,k,M,J"
+        assert row.startswith("0.6,tw,4,4,")
+        assert float(row.split(",")[-1]) == pytest.approx(0.28835, abs=1e-5)
 
     def test_emit_matrices(self, tmp_path):
         assert main([

@@ -1,5 +1,5 @@
-"""A normal run loads NumPy only: SciPy is imported by the pivoted fallback
-(``quadrature.solve_linear``) alone."""
+"""A normal run loads NumPy only: SciPy is imported by the solver's one
+other route, the dense KKT LU (``quadrature.solve_linear``), alone."""
 
 import os
 import subprocess

@@ -30,7 +30,12 @@ from wavefocp.opmats import (
     quadrature_nodes,
     triple_product_tensor,
 )
-from wavefocp.quadrature import solve_spd, solve_spd_blocks, spd_block_inverse_factor
+from wavefocp.quadrature import (
+    SingularMatrixError,
+    solve_spd,
+    solve_spd_blocks,
+    spd_block_inverse_factor,
+)
 from wavefocp.solver import FocpProblem, _requadrature_cost, discretize
 
 
@@ -321,6 +326,15 @@ def test_product_matrix_matches_triple_contraction(k, M, mu):
 def test_condition_estimate_reported(mats_frac09):
     assert mats_frac09.cond_D > 1.0
     assert np.isfinite(mats_frac09.cond_D)
+
+
+def test_d_without_cholesky_factor_is_refused():
+    """Where a block of D is not numerically SPD (the Taylor wavelets at
+    M = 13, k = 1) the bundle is refused at build: every bundle carries D's
+    factors, and ``solve_D`` has no second route."""
+    with pytest.warns(UserWarning, match="condition"):
+        with pytest.raises(SingularMatrixError, match="Gram matrix D"):
+            build_operational_matrices(WaveletParams(1, 13, 1.0))
 
 
 @pytest.mark.parametrize("k, M, mu", [(2, 4, 0.9), (5, 6, 0.7), (3, 8, 1.0)])

@@ -232,13 +232,15 @@ class TestSolveLinear:
         b = rng.standard_normal(6)
         np.testing.assert_allclose(solve_spd(A, b), solve_linear(A, b), atol=1e-11)
 
-    def test_indefinite_falls_back_to_pivoted_solve(self):
-        A = np.array([[1.0, 2.0], [2.0, 1.0]])
+    def test_solve_spd_refuses_indefinite_and_singular(self):
+        """``solve_spd`` has no second route: where Cholesky fails it raises,
+        and the solver re-solves by its dense KKT LU."""
         b = np.array([1.0, -1.0])
-        assert spd_factor(A) is None
-        np.testing.assert_allclose(solve_spd(A, b), solve_linear(A, b), atol=1e-15)
-        with pytest.raises(SingularMatrixError):
-            solve_spd(np.array([[1.0, 2.0], [2.0, 4.0]]), b)
+        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+        assert spd_factor(indefinite) is None
+        for A in (indefinite, np.array([[1.0, 2.0], [2.0, 4.0]])):
+            with pytest.raises(SingularMatrixError):
+                solve_spd(A, b)
 
 
 def test_condition_estimate_identity():
@@ -286,6 +288,21 @@ class TestBlockSolves:
             invert_blocks(singular)
         with pytest.raises(SingularMatrixError):
             invert_blocks(np.stack([np.eye(2), np.diag([1.0, 1e-15])]))
+
+    def test_invert_blocks_inverts_once(self, monkeypatch):
+        """The condition check and the result share one inverse."""
+        blocks = _spd_blocks(np.random.default_rng(9), 3, 4)
+        inverses = []
+        inv = np.linalg.inv
+
+        def counted(A):
+            inverses.append(inv(A))
+            return inverses[-1]
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        result = invert_blocks(blocks)
+        assert len(inverses) == 1
+        assert np.array_equal(result, inv(blocks))
 
 
 def test_graded_breakpoints_refine_toward_ends():

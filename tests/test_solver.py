@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -8,11 +9,13 @@ from conftest import (
     COST_TABLE,
     POINTWISE_ERR_U,
     POINTWISE_ERR_X,
+    UNSTABLE_PROBLEM_FILE,
     cost_via_product_chain,
     rl_integral_by_segments,
 )
 from wavefocp import quadrature, solver
 from wavefocp.basis import WaveletParams, eval_basis, eval_basis_many
+from wavefocp.cli import parse_problem_file
 from wavefocp.opmats import build_operational_matrices
 from wavefocp.quadrature import SingularMatrixError, gamma, solve_linear
 from wavefocp.solver import (
@@ -236,6 +239,26 @@ class TestSolutionStructure:
         assert len(calls) == 2
         assert sol.residuals["constraint"] <= 1e-12
 
+    def test_discretize_samples_each_function_once(self):
+        calls = collections.Counter()
+
+        def counted(name, f):
+            def g(z):
+                calls[name] += 1
+                return f(z)
+
+            return g
+
+        base = example3(0.8)
+        problem = FocpProblem(
+            p_fn=counted("p", base.p_fn), q_fn=counted("q", base.q_fn),
+            a_fn=counted("a", base.a_fn), b_fn=counted("b", base.b_fn), x0=base.x0, mu=0.8,
+            track_x=counted("rx", base.track_x), track_u=counted("ru", base.track_u),
+        )
+        calls.clear()  # the checks of FocpProblem sample p, q and b
+        discretize(problem, WaveletParams(k=2, M=4, mu=0.8))
+        assert calls == dict.fromkeys(["p", "q", "a", "b", "rx", "ru"], 1)
+
     def test_kkt_feasible_direction_optimality(self):
         disc = discretize(example1(0.9), WaveletParams(k=2, M=4, mu=0.9))
         sol = solve_discretized(disc, diagnostics=False)
@@ -301,27 +324,57 @@ class TestStructuredSolve:
     def test_reduced_hessian_pivoted_fallback(self, monkeypatch, k, M, mu, basis):
         """At M = 10 (cond(D) 8.5e12 to 3.2e13 here) the reduced Hessian is
         near the edge of numerical definiteness, and rounding decides whether
-        its Cholesky factorization succeeds. With Cholesky made to fail,
-        ``solve_spd`` falls back to the pivoted LU and the configuration is
-        still solved, to the same answer."""
+        its Cholesky factorization succeeds. With Cholesky made to fail, the
+        solve assembles the KKT system once and solves it by the pivoted LU;
+        J, x and u match a 50-digit solve of that same float system."""
+        mp = pytest.importorskip("mpmath")
         params = WaveletParams(k=k, M=M, mu=1.0 if basis == "tw" else mu)
         with pytest.warns(UserWarning, match="condition"):
             disc = discretize(example1(mu), params)
         assert disc.mats.cond_D < solver._STRUCTURED_COND_LIMIT
-        sol = solve_discretized(disc, diagnostics=False)
-        pivoted = []
+        factored, assembled = [], []
+        assemble = solver.assemble_kkt
 
         def no_cholesky(A):
-            pivoted.append(A.shape)
+            factored.append(A.shape)
             return None
 
+        def counted(d):
+            assembled.append(d.params.m_hat)
+            return assemble(d)
+
         monkeypatch.setattr(quadrature, "spd_factor", no_cholesky)
+        monkeypatch.setattr(solver, "assemble_kkt", counted)
         fallback = solve_discretized(disc, diagnostics=False)
-        assert pivoted == [(params.m_hat, params.m_hat)]
-        assert fallback.J_value == pytest.approx(sol.J_value, rel=1e-9)
+        m = params.m_hat
+        assert factored == [(m, m)]
+        assert assembled == [m]
+        K, rhs = assemble(disc)
+        with mp.workdps(50):
+            exact = mp.lu_solve(mp.matrix(K.tolist()), mp.matrix(rhs.tolist()))
+            exact = np.array([float(v) for v in exact])
+        C2, U_hat = state_from_coeffs(exact[:m], disc.d1, disc.mats), exact[m : 2 * m]
+        assert fallback.J_value == pytest.approx(_quadratic_cost(disc, C2, U_hat), rel=1e-9)
         grid = np.linspace(0.0, 1.0, 201)
-        for a, b in zip(reconstruct_many(fallback, grid), reconstruct_many(sol, grid)):
-            assert np.abs(a - b).max() <= 1e-5
+        basis_vals = eval_basis_many(params, grid)
+        for ours, ref in zip(reconstruct_many(fallback, grid), (C2 @ basis_vals, U_hat @ basis_vals)):
+            assert np.abs(ours - ref).max() <= 1e-5
+
+    @pytest.mark.parametrize("basis", ["tw", "ftw"])
+    @pytest.mark.parametrize("k", [4, 6])
+    def test_unstable_dynamics_solved_by_dense_kkt(self, tmp_path, k, basis):
+        """Strongly unstable dynamics (``UNSTABLE_PROBLEM_FILE``): the reduced
+        Hessian is not numerically SPD, and the solve returns the J of the
+        pivoted LU of the assembled KKT system."""
+        path = tmp_path / "unstable.txt"
+        path.write_text(UNSTABLE_PROBLEM_FILE, encoding="utf-8")
+        problem = parse_problem_file(path)[0].make_problem(0.6)
+        disc = discretize(problem, WaveletParams(k=k, M=4, mu=0.6 if basis == "ftw" else 1.0))
+        sol = solve_discretized(disc, diagnostics=False)
+        m = disc.params.m_hat
+        dense = solve_linear(*assemble_kkt(disc))
+        C2 = state_from_coeffs(dense[:m], disc.d1, disc.mats)
+        assert abs(sol.J_value - _quadratic_cost(disc, C2, dense[m : 2 * m])) <= 1e-12
 
     def test_dense_kkt_above_cond_limit(self, monkeypatch):
         """Where cond(D) reaches ``_STRUCTURED_COND_LIMIT`` (M = 12 here) the
