@@ -40,10 +40,9 @@ def _mu_tag(mu: float) -> str:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One batch run: problem source, basis family, discretization, outputs."""
+    """One batch run: problem, basis family, discretization, outputs."""
 
-    example: int | None
-    problem_path: Path | None
+    spec: ProblemSpec
     basis: str
     k: int
     M: int
@@ -52,8 +51,6 @@ class RunConfig:
     emit: tuple[str, ...]
 
     def __post_init__(self):
-        if (self.example is None) == (self.problem_path is None):
-            raise UsageError("exactly one of --example and --problem is required")
         if self.basis not in ("tw", "ftw"):
             raise UsageError(f"basis must be tw or ftw, got {self.basis!r}")
         if self.k < 1 or self.M < 1:
@@ -243,11 +240,7 @@ def run(config: RunConfig) -> list[Path]:
     shares the grid, D and P1 of the (k, M, 1) bundle, and only ``Pmu`` is
     built per order.
     """
-    if config.example is not None:
-        spec = _example_spec(config.example)
-    else:
-        spec, _ = parse_problem_file(config.problem_path)
-
+    spec = config.spec
     prefix = f"{spec.name}_{config.basis}"
     outputs: list[tuple[str, str]] = []
     costs: list = []
@@ -319,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Solve linear-quadratic fractional optimal control "
         "problems with Taylor-wavelet operational matrices.",
     )
-    source = parser.add_mutually_exclusive_group()
+    source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--example", type=int, help="built-in problem 1, 2, or 3")
     source.add_argument("--problem", type=Path, help="path to a problem file")
     parser.add_argument("--basis", choices=["tw", "ftw"], default=None)
@@ -335,9 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    file_settings: dict = {}
     if args.problem is not None:
-        _, file_settings = parse_problem_file(args.problem)
+        spec, file_settings = parse_problem_file(args.problem)
+    else:
+        spec, file_settings = _example_spec(args.example), {}
 
     basis = args.basis or file_settings.get("basis", "ftw")
     k = args.k if args.k is not None else file_settings.get("k", 2)
@@ -351,8 +345,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         mu_list = file_settings.get("mu_list", (1.0,))
     emit = tuple(tok.strip() for tok in args.emit.split(",") if tok.strip())
     return RunConfig(
-        example=args.example, problem_path=args.problem,
-        basis=basis, k=k, M=M, mu_list=mu_list, out_dir=args.out, emit=emit,
+        spec=spec, basis=basis, k=k, M=M, mu_list=mu_list, out_dir=args.out, emit=emit,
     )
 
 

@@ -11,13 +11,17 @@ and the Lagrange-multiplier (KKT) conditions yield the coefficients.
 The 3 m_hat KKT system is not formed. The constraint
 G_c C_hat = G_B U_hat + G_A d1 has G_c = I - G_A Pmu^T block
 lower-triangular (G_A is block-diagonal and Pmu block upper-triangular,
-because the RL integral is causal), so C_hat is eliminated by one
-triangular solve. What remains is the SPD reduced Hessian in U_hat, of
-size m_hat; the multipliers come from a transposed G_c solve (the
-null-space method, Nocedal & Wright, Numerical Optimization, 2nd ed.,
-section 16.2). ``assemble_kkt`` builds the full system, whose pivoted LU
-is the one other route: where cond(D) reaches ``_STRUCTURED_COND_LIMIT``
-and wherever the reduced route raises SingularMatrixError.
+because the RL integral is causal); ``_g_c`` forms it by block rows for
+both routes. ``_structured_solve`` scales G_c by the inverses of its
+diagonal blocks and eliminates C_hat by one unit block-triangular solve.
+What remains is the SPD reduced Hessian in U_hat, of size m_hat; the
+multipliers come from a transposed G_c solve (the null-space method,
+Nocedal & Wright, Numerical Optimization, 2nd ed., section 16.2).
+``assemble_kkt`` builds the full system, whose pivoted LU is the one other
+route: where cond(D) reaches ``_STRUCTURED_COND_LIMIT`` and wherever the
+reduced route raises SingularMatrixError. Either route returns
+(C_hat, U_hat, eta_star); one residual pass, ``_kkt_residual_rows``, then
+forms the three KKT block rows from G_A, G_B, Pmu, Wp and Wq without G_c.
 """
 
 from __future__ import annotations
@@ -118,9 +122,18 @@ class DiscretizedFocp:
 
     @cached_property
     def constraint_operators(self) -> tuple[np.ndarray, np.ndarray]:
-        """(G_A, G_B) of ``_constraint_operators``, built once and shared by
-        the solve, the KKT assembly and the residual checks."""
-        return _constraint_operators(self)
+        """Linear maps G_A, G_B with the dynamics constraint
+        C_hat - G_A (Pmu^T C_hat + d1) - G_B U_hat = 0, built once and shared
+        by the solve, the KKT assembly and the residual rows."""
+        G_A = product_matrix(self.A_hat, self.mats).T
+        G_B = product_matrix(self.B_hat, self.mats).T
+        return G_A, G_B
+
+    @cached_property
+    def kkt_rhs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Right-hand side of the KKT system, one block per row block."""
+        G_A, _ = self.constraint_operators
+        return self.mats.Pmu @ (self.wp_track - self.Wp @ self.d1), self.wq_track, G_A @ self.d1
 
 
 @dataclass(frozen=True)
@@ -191,20 +204,16 @@ def state_from_coeffs(
     return mats.Pmu.T @ np.asarray(C_hat, dtype=float) + np.asarray(d1, dtype=float)
 
 
-def _constraint_operators(disc: DiscretizedFocp) -> tuple[np.ndarray, np.ndarray]:
-    """Linear maps G_A, G_B with the dynamics constraint
-    C_hat - G_A (Pmu^T C_hat + d1) - G_B U_hat = 0."""
-    mats = disc.mats
-    G_A = product_matrix(disc.A_hat, mats).T
-    G_B = product_matrix(disc.B_hat, mats).T
-    return G_A, G_B
-
-
-def _kkt_rhs(disc: DiscretizedFocp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Right-hand side of the KKT system, one block per row block."""
-    Pm = disc.mats.Pmu
+def _g_c(disc: DiscretizedFocp) -> np.ndarray:
+    """G_c = I - G_A Pmu^T, the Jacobian of the dynamics constraint in C_hat.
+    G_A is block-diagonal, so row block n is (G_A)_n times the rows of block
+    n of Pmu^T; Pmu is block upper-triangular (the RL integral is causal), so
+    G_c is block lower-triangular."""
+    N, M = disc.params.n_blocks, disc.params.M
+    m = N * M
     G_A, _ = disc.constraint_operators
-    return Pm @ (disc.wp_track - disc.Wp @ disc.d1), disc.wq_track, G_A @ disc.d1
+    product = diagonal_blocks(G_A, M) @ disc.mats.Pmu.T.reshape(N, M, m)
+    return np.eye(m) - product.reshape(m, m)
 
 
 def assemble_kkt(disc: DiscretizedFocp) -> tuple[np.ndarray, np.ndarray]:
@@ -213,53 +222,17 @@ def assemble_kkt(disc: DiscretizedFocp) -> tuple[np.ndarray, np.ndarray]:
     its dense route (``_dense_solve``)."""
     m = disc.params.m_hat
     Pm = disc.mats.Pmu
-    G_A, G_B = disc.constraint_operators
-
-    H_cc = Pm @ disc.Wp @ Pm.T
-    G_c = np.eye(m) - G_A @ Pm.T
+    _, G_B = disc.constraint_operators
+    G_c = _g_c(disc)
 
     K = np.zeros((3 * m, 3 * m))
-    K[:m, :m] = H_cc
+    K[:m, :m] = Pm @ disc.Wp @ Pm.T
     K[m : 2 * m, m : 2 * m] = disc.Wq
     K[:m, 2 * m :] = G_c.T
     K[2 * m :, :m] = G_c
     K[m : 2 * m, 2 * m :] = -G_B.T
     K[2 * m :, m : 2 * m] = -G_B
-    return K, np.concatenate(_kkt_rhs(disc))
-
-
-@dataclass(frozen=True)
-class _BlockTriangular:
-    """G_c = I - G_A Pmu^T, block lower-triangular, stored as G_c = Dg T:
-    Dg holds its N diagonal blocks, which are close to the identity, and
-    T = Dg^-1 G_c is unit lower-triangular, so G_c and G_c^T solve by one
-    blocked triangular solve and N small block products."""
-
-    G_c: np.ndarray
-    T: LowerTriangular
-    Dg_inv: np.ndarray
-
-    @classmethod
-    def build(cls, disc: DiscretizedFocp) -> "_BlockTriangular":
-        N, M = disc.params.n_blocks, disc.params.M
-        m = N * M
-        Pm = disc.mats.Pmu
-        G_A, _ = disc.constraint_operators
-        # row block n of G_A Pmu^T is (G_A)_n times the rows of block n of Pmu^T
-        G_c = np.eye(m) - (diagonal_blocks(G_A, M) @ Pm.T.reshape(N, M, m)).reshape(m, m)
-        Dg_inv = invert_blocks(diagonal_blocks(G_c, M))
-        T = _apply_blocks(Dg_inv, G_c)
-        diag = np.arange(N)
-        T.reshape(N, M, N, M)[diag, :, diag, :] = np.eye(M)
-        return cls(G_c=G_c, T=LowerTriangular.unit_block(T, M), Dg_inv=Dg_inv)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """G_c^-1 rhs."""
-        return self.T.solve(_apply_blocks(self.Dg_inv, rhs))
-
-    def solve_transposed(self, rhs: np.ndarray) -> np.ndarray:
-        """G_c^-T rhs."""
-        return _apply_blocks(self.Dg_inv.transpose(0, 2, 1), self.T.solve_transposed(rhs))
+    return K, np.concatenate(disc.kkt_rhs)
 
 
 def _apply_blocks(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -269,22 +242,28 @@ def _apply_blocks(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (blocks @ x.reshape(N, M, -1)).reshape(x.shape)
 
 
-def _structured_solve(
-    disc: DiscretizedFocp,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(C_hat, U_hat, eta_star) of the KKT system, and G_c.
+def _structured_solve(disc: DiscretizedFocp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(C_hat, U_hat, eta_star) of the KKT system.
 
-    C_hat = G_c^-1 (G_B U_hat + G_A d1) makes the state L U_hat + x_aff with
-    L = Pmu^T G_c^-1 G_B, so U_hat solves the reduced Hessian system
-    (L^T Wp L + Wq) U_hat = L^T (wp_track - Wp x_aff) + wq_track, and the
-    first KKT row gives G_c^T eta_star = Pmu (wp_track - Wp C2).
+    G_c is stored as G_c = Dg T: Dg holds its N diagonal blocks, which are
+    close to the identity, and T = Dg^-1 G_c is unit block lower-triangular,
+    so G_c and G_c^T solve by one blocked triangular solve and N small block
+    products. C_hat = G_c^-1 (G_B U_hat + G_A d1) makes the state
+    L U_hat + x_aff with L = Pmu^T G_c^-1 G_B, so U_hat solves the reduced
+    Hessian system (L^T Wp L + Wq) U_hat = L^T (wp_track - Wp x_aff) +
+    wq_track, and the first KKT row gives G_c^T eta_star = Pmu (wp_track -
+    Wp C2).
     """
-    M, m = disc.params.M, disc.params.m_hat
+    N, M, m = disc.params.n_blocks, disc.params.M, disc.params.m_hat
     Pm = disc.mats.Pmu
     _, G_B = disc.constraint_operators
-    _, _, rhs_eta = _kkt_rhs(disc)
-    G_c = _BlockTriangular.build(disc)
-    Z = G_c.solve(np.column_stack([G_B, rhs_eta]))
+    G_c = _g_c(disc)
+    Dg_inv = invert_blocks(diagonal_blocks(G_c, M))
+    T = _apply_blocks(Dg_inv, G_c)
+    diag = np.arange(N)
+    T.reshape(N, M, N, M)[diag, :, diag, :] = np.eye(M)
+    T = LowerTriangular.unit_block(T, M)
+    Z = T.solve(_apply_blocks(Dg_inv, np.column_stack([G_B, disc.kkt_rhs[2]])))
     state = Pm.T @ Z
     L, x_aff = state[:, :m], state[:, m] + disc.d1
     H = L.T @ _apply_blocks(diagonal_blocks(disc.Wp, M), L) + disc.Wq
@@ -292,35 +271,32 @@ def _structured_solve(
     U_hat = solve_spd(0.5 * (H + H.T), g)
     C_hat = Z[:, :m] @ U_hat + Z[:, m]
     C2 = state_from_coeffs(C_hat, disc.d1, disc.mats)
-    eta = G_c.solve_transposed(Pm @ (disc.wp_track - disc.Wp @ C2))
-    return C_hat, U_hat, eta, G_c.G_c
+    eta = T.solve_transposed(Pm @ (disc.wp_track - disc.Wp @ C2))
+    return C_hat, U_hat, _apply_blocks(Dg_inv.transpose(0, 2, 1), eta)
 
 
-def _dense_solve(
-    disc: DiscretizedFocp,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _dense_solve(disc: DiscretizedFocp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What ``_structured_solve`` returns, from the pivoted LU of the
     assembled KKT matrix."""
     m = disc.params.m_hat
-    K, rhs = assemble_kkt(disc)
-    sol = solve_linear(K, rhs)
-    return sol[:m], sol[m : 2 * m], sol[2 * m :], K[2 * m :, :m]
+    sol = solve_linear(*assemble_kkt(disc))
+    return sol[:m], sol[m : 2 * m], sol[2 * m :]
 
 
-def _stationarity(
-    disc: DiscretizedFocp, G_c: np.ndarray, C_hat: np.ndarray, U_hat: np.ndarray, eta: np.ndarray
-) -> float:
-    """Largest entry of K sol - rhs, from the three KKT block rows as
-    matrix-vector products."""
+def _kkt_residual_rows(
+    disc: DiscretizedFocp, C_hat: np.ndarray, U_hat: np.ndarray, eta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three block rows of K sol - rhs, as matrix-vector products with
+    G_c C = C - G_A (Pmu^T C) and G_c^T eta = eta - Pmu (G_A^T eta); the
+    third row is the dynamics constraint."""
     Pm = disc.mats.Pmu
-    _, G_B = disc.constraint_operators
-    rhs_c, rhs_u, rhs_eta = _kkt_rhs(disc)
-    rows = (
-        Pm @ (disc.Wp @ (Pm.T @ C_hat)) + G_c.T @ eta - rhs_c,
+    G_A, G_B = disc.constraint_operators
+    rhs_c, rhs_u, rhs_eta = disc.kkt_rhs
+    return (
+        Pm @ (disc.Wp @ (Pm.T @ C_hat)) + eta - Pm @ (G_A.T @ eta) - rhs_c,
         disc.Wq @ U_hat - G_B.T @ eta - rhs_u,
-        G_c @ C_hat - G_B @ U_hat - rhs_eta,
+        C_hat - G_A @ (Pm.T @ C_hat) - G_B @ U_hat - rhs_eta,
     )
-    return max(float(np.abs(row).max()) for row in rows)
 
 
 def _quadratic_cost(disc: DiscretizedFocp, C2: np.ndarray, U_hat: np.ndarray) -> float:
@@ -387,7 +363,7 @@ def solve_discretized(disc: DiscretizedFocp, diagnostics: bool = True) -> FocpSo
         with contextlib.suppress(SingularMatrixError):
             solved = _structured_solve(disc)
     try:
-        C_hat, U_hat, eta, G_c = _dense_solve(disc) if solved is None else solved
+        C_hat, U_hat, eta = _dense_solve(disc) if solved is None else solved
     except SingularMatrixError as exc:
         raise SingularMatrixError(
             f"KKT system singular (m_hat={m}); check q > 0 and the "
@@ -399,11 +375,12 @@ def solve_discretized(disc: DiscretizedFocp, diagnostics: bool = True) -> FocpSo
     J_quad = _quadratic_cost(disc, C2, U_hat)
     J_requad = _requadrature_cost(disc, C2, U_hat)
 
-    residuals: dict = {"cost_discrepancy": abs(J_quad - J_requad)}
-    G_A, G_B = disc.constraint_operators
-    constraint = C_hat - G_A @ C2 - G_B @ U_hat
-    residuals["constraint"] = float(np.abs(constraint).max())
-    residuals["stationarity"] = _stationarity(disc, G_c, C_hat, U_hat, eta)
+    rows = [float(np.abs(row).max()) for row in _kkt_residual_rows(disc, C_hat, U_hat, eta)]
+    residuals: dict = {
+        "cost_discrepancy": abs(J_quad - J_requad),
+        "constraint": rows[2],
+        "stationarity": max(rows),
+    }
     if diagnostics:
         residuals["dynamics_defect"] = _dynamics_defect(disc, C_hat, U_hat)
 

@@ -295,9 +295,9 @@ def test_criterion_6_property_suite():
         failures.append(f"chain equivalence {chain_gap:.1e}")
 
     # feasible-direction optimality
-    from wavefocp.solver import _constraint_operators, _quadratic_cost, state_from_coeffs
+    from wavefocp.solver import _quadratic_cost, state_from_coeffs
 
-    G_A, G_B = _constraint_operators(disc)
+    G_A, G_B = disc.constraint_operators
     m = disc.params.m_hat
     G_c = np.eye(m) - G_A @ disc.mats.Pmu.T
     null = scipy.linalg.null_space(np.hstack([G_c, -G_B]))

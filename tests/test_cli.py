@@ -30,24 +30,28 @@ M = 4
 """
 
 
+def _config(tmp_path, **overrides):
+    fields = dict(spec=cli._example_spec(1), basis="tw", k=2, M=4, mu_list=(1.0,),
+                  out_dir=tmp_path, emit=("tables",))
+    return RunConfig(**{**fields, **overrides})
+
+
 class TestRunConfig:
-    def test_requires_exactly_one_source(self, tmp_path):
-        with pytest.raises(UsageError):
-            RunConfig(example=None, problem_path=None, basis="tw", k=2, M=4,
-                      mu_list=(1.0,), out_dir=tmp_path, emit=("tables",))
-        with pytest.raises(UsageError):
-            RunConfig(example=1, problem_path=tmp_path / "p.txt", basis="tw",
-                      k=2, M=4, mu_list=(1.0,), out_dir=tmp_path, emit=("tables",))
+    def test_requires_exactly_one_source(self, tmp_path, capsys):
+        path = tmp_path / "p.txt"
+        path.write_text(EXAMPLE1_FILE, encoding="utf-8")
+        assert main(["--out", str(tmp_path)]) == 1
+        assert main(["--example", "1", "--problem", str(path), "--out", str(tmp_path)]) == 1
+        capsys.readouterr()
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_validates_mu_range(self, tmp_path):
         with pytest.raises(UsageError):
-            RunConfig(example=1, problem_path=None, basis="tw", k=2, M=4,
-                      mu_list=(1.5,), out_dir=tmp_path, emit=("tables",))
+            _config(tmp_path, mu_list=(1.5,))
 
     def test_validates_emit_flags(self, tmp_path):
         with pytest.raises(UsageError):
-            RunConfig(example=1, problem_path=None, basis="tw", k=2, M=4,
-                      mu_list=(1.0,), out_dir=tmp_path, emit=("pictures",))
+            _config(tmp_path, emit=("pictures",))
 
 
 class TestProblemFiles:
@@ -96,6 +100,28 @@ class TestProblemFiles:
         want = (out_builtin / "example1_tw_cost.csv").read_bytes()
         # same numbers; only the problem name column is absent from both
         assert got == want
+
+    def test_problem_file_parsed_once(self, tmp_path, monkeypatch, capsys):
+        """A --problem run reads its file once: the settings and the spec come
+        from the same parse, and each expression key is parsed once."""
+        path = tmp_path / "prob.txt"
+        path.write_text(EXAMPLE1_FILE, encoding="utf-8")
+        calls = {"parse_problem_file": 0, "parse_expression": 0}
+
+        def counted(name):
+            original = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, wrapper)
+
+        counted("parse_problem_file")
+        counted("parse_expression")
+        assert main(["--problem", str(path), "--out", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+        assert calls == {"parse_problem_file": 1, "parse_expression": 4}
 
     def test_exact_columns_from_expressions(self, tmp_path):
         path = tmp_path / "prob.txt"

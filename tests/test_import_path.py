@@ -1,5 +1,6 @@
 """A normal run loads NumPy only: SciPy is imported by the solver's one
-other route, the dense KKT LU (``quadrature.solve_linear``), alone."""
+other route, the dense KKT LU (``quadrature.solve_linear``), alone, and no
+package of the ``test`` extra (mpmath, pytest, hypothesis) is imported."""
 
 import os
 import subprocess
@@ -22,7 +23,8 @@ with tempfile.TemporaryDirectory() as out:
 problem = cli._example_spec(3).make_problem(0.8)
 sol = solve_focp(problem, WaveletParams(k=5, M=8, mu=0.8), diagnostics=True)
 assert "dynamics_defect" in sol.residuals  # the diagnostics ran
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] in ("scipy", "mpmath", "pytest", "hypothesis")))
 """
 
 

@@ -21,7 +21,6 @@ from wavefocp.quadrature import SingularMatrixError, gamma, solve_linear
 from wavefocp.solver import (
     ConfigurationError,
     FocpProblem,
-    _constraint_operators,
     _quadratic_cost,
     assemble_kkt,
     discretize,
@@ -262,7 +261,7 @@ class TestSolutionStructure:
     def test_kkt_feasible_direction_optimality(self):
         disc = discretize(example1(0.9), WaveletParams(k=2, M=4, mu=0.9))
         sol = solve_discretized(disc, diagnostics=False)
-        G_A, G_B = _constraint_operators(disc)
+        G_A, G_B = disc.constraint_operators
         m = disc.params.m_hat
         Pm = disc.mats.Pmu
         G_c = np.eye(m) - G_A @ Pm.T
@@ -359,6 +358,55 @@ class TestStructuredSolve:
         basis_vals = eval_basis_many(params, grid)
         for ours, ref in zip(reconstruct_many(fallback, grid), (C2 @ basis_vals, U_hat @ basis_vals)):
             assert np.abs(ours - ref).max() <= 1e-5
+
+    @pytest.mark.parametrize("k, M, mu, basis", [(3, 4, 0.9, "ftw"), (2, 6, 0.7, "tw")])
+    def test_g_c_matches_dense_product(self, k, M, mu, basis):
+        """The block-row G_c against the dense m_hat^3 product it replaces."""
+        params = WaveletParams(k=k, M=M, mu=1.0 if basis == "tw" else mu)
+        disc = discretize(variable_coefficient(mu), params)
+        G_A, _ = disc.constraint_operators
+        dense = np.eye(params.m_hat) - G_A @ disc.mats.Pmu.T
+        G_c = solver._g_c(disc)
+        assert np.abs(G_c - dense).max() <= 1e-15 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("route", ["structured", "dense"])
+    @pytest.mark.parametrize("problem", sorted(_PROBLEMS))
+    def test_constraint_residual_is_kkt_row_three(self, monkeypatch, problem, route):
+        """residuals["constraint"] is the dynamics block row of K sol - rhs
+        on either route; the dense route is forced by a failing Cholesky."""
+        if route == "dense":
+            monkeypatch.setattr(quadrature, "spd_factor", lambda A: None)
+        disc = discretize(_PROBLEMS[problem](0.8), WaveletParams(k=3, M=4, mu=0.8))
+        sol = solve_discretized(disc, diagnostics=False)
+        K, rhs = assemble_kkt(disc)
+        m = disc.params.m_hat
+        residual = K @ np.concatenate([sol.C_hat, sol.U_hat, sol.eta_star]) - rhs
+        assert abs(sol.residuals["constraint"] - np.abs(residual[2 * m :]).max()) <= 1e-12
+        assert abs(sol.residuals["stationarity"] - np.abs(residual).max()) <= 1e-12
+
+    def test_g_c_refusal_falls_back_to_dense_kkt(self, monkeypatch):
+        """G_c diagonal blocks that ``invert_blocks`` refuses send the solve
+        to the dense KKT LU, whose J matches the structured J."""
+        disc = discretize(example1(0.9), WaveletParams(k=3, M=4, mu=0.9))
+        structured = solve_discretized(disc, diagnostics=False)
+        assembled = []
+        assemble = solver.assemble_kkt
+
+        def refuse(blocks):
+            raise SingularMatrixError("G_c blocks refused", pivot=0.0)
+
+        def counted(d):
+            assembled.append(d.params.m_hat)
+            return assemble(d)
+
+        monkeypatch.setattr(solver, "invert_blocks", refuse)
+        monkeypatch.setattr(solver, "assemble_kkt", counted)
+        fallback = solve_discretized(disc, diagnostics=False)
+        m = disc.params.m_hat
+        assert assembled == [m]
+        dense = solve_linear(*assemble(disc))
+        assert np.array_equal(fallback.U_hat, dense[m : 2 * m])
+        assert fallback.J_value == pytest.approx(structured.J_value, rel=1e-12)
 
     @pytest.mark.parametrize("basis", ["tw", "ftw"])
     @pytest.mark.parametrize("k", [4, 6])
