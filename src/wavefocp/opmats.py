@@ -42,8 +42,6 @@ from .quadrature import (
     gamma,
     gauss_jacobi_left,
     gauss_legendre,
-    solve_spd_blocks,
-    spd_block_inverse_factor,
 )
 
 _COND_WARN_LIMIT = 1e12
@@ -190,33 +188,38 @@ class OperationalMatrices:
     """Immutable bundle of the matrices a solve needs.
 
     ``grid`` is the quadrature that D and every integral against the basis
-    (projections, weighted and product Grams) run on, and
-    ``D_inverse_factor`` the inverses of the lower Cholesky factors of the
-    N diagonal blocks of D, shape (N, M, M). ``P1``, the integration matrix
-    of order 1, is built on first access; a solve never reads it.
+    (projections, weighted and product Grams) run on. D is block-diagonal
+    and stored once, as its N diagonal blocks ``D_blocks``, shape
+    (N, M, M). The dense ``D`` and ``P1``, the integration matrix of order
+    1, are built on first access; a solve reads neither.
     """
 
     params: WaveletParams
     frac_order: float
-    D: np.ndarray
+    D_blocks: np.ndarray
     Pmu: np.ndarray
     cond_D: float
     grid: QuadratureGrid
-    D_inverse_factor: np.ndarray
+
+    @cached_property
+    def D(self) -> np.ndarray:
+        return _block_diagonal(self.D_blocks)
 
     @cached_property
     def P1(self) -> np.ndarray:
         return integration_matrix_first_order(self.params, self)
 
     def solve_D(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve D x = rhs (D is SPD) block by block with the stored inverse
-        factors; rhs is (m_hat,) or (m_hat, k), and a column's result does
-        not depend on k."""
-        return solve_spd_blocks(self.D_inverse_factor, rhs)
+        """Solve D x = rhs block by block, by one batched LU solve with
+        partial pivoting on ``D_blocks``; rhs is (m_hat,) or (m_hat, k),
+        n-major."""
+        N, M, _ = self.D_blocks.shape
+        rhs = np.asarray(rhs, dtype=float)
+        return np.linalg.solve(self.D_blocks, rhs.reshape(N, M, -1)).reshape(rhs.shape)
 
     def at_order(self, frac_order: float) -> OperationalMatrices:
         """The bundle of the same basis with ``Pmu`` of the given order
-        (this bundle if it has that order). The grid, D, its factors and
+        (this bundle if it has that order). The grid, ``D_blocks`` and
         cond(D) depend on the basis only and are shared; only ``Pmu`` is
         built."""
         if frac_order == self.frac_order:
@@ -468,14 +471,15 @@ def build_operational_matrices(
             f"{_COND_WARN_LIMIT:.0e}; results may lose accuracy",
             stacklevel=2,
         )
-    D_inverse_factor = spd_block_inverse_factor(D_blocks)
-    if D_inverse_factor is None:
+    try:
+        np.linalg.cholesky(D_blocks)
+    except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(
             f"Gram matrix D not numerically SPD (cond {cond_D:.2e})", pivot=1.0 / cond_D
-        )
+        ) from exc
     shell = OperationalMatrices(
-        params=params, frac_order=frac_order, D=_block_diagonal(D_blocks),
-        Pmu=np.empty(0), cond_D=cond_D, grid=grid, D_inverse_factor=D_inverse_factor,
+        params=params, frac_order=frac_order, D_blocks=D_blocks,
+        Pmu=np.empty(0), cond_D=cond_D, grid=grid,
     )
     Pmu = integration_matrix_fractional(params, shell, frac_order)
     return dataclasses.replace(shell, Pmu=Pmu)

@@ -481,43 +481,6 @@ def solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x + factor.solve_transposed(factor.solve(b - A @ x))
 
 
-def spd_block_inverse_factor(blocks: np.ndarray) -> np.ndarray | None:
-    """Inverses L^-1 of the lower Cholesky factors L of the stacked (N, M, M)
-    SPD blocks of a block-diagonal matrix (lower triangular, by forward
-    substitution on the identity), or None when a block is not numerically
-    positive definite."""
-    try:
-        factor = np.linalg.cholesky(np.asarray(blocks, dtype=float))
-    except np.linalg.LinAlgError:
-        return None
-    M = factor.shape[-1]
-    inverse = np.broadcast_to(np.eye(M), factor.shape).copy()
-    for i in range(M):
-        inverse[:, i] -= np.einsum("nj,njk->nk", factor[:, i, :i], inverse[:, :i])
-        inverse[:, i] /= factor[:, i, i, None]
-    return inverse
-
-
-def solve_spd_blocks(inverse_factor: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for the block-diagonal A whose blocks have the (N, M, M)
-    inverse Cholesky factors ``inverse_factor`` (L^-1, from
-    ``spd_block_inverse_factor``): x = L^-T (L^-1 b); b is (N M,) or
-    (N M, k), n-major.
-
-    Each product is one broadcast multiply into a C-ordered (N, M, M, k)
-    array whose summed index comes before the result index, and one sum
-    over that index. The sum then runs over j = 0, 1, ... for every entry
-    whatever k is, so a column solved alone gives the same bits as the same
-    column among others.
-    """
-    N, M, _ = inverse_factor.shape
-    b = np.asarray(b, dtype=float)
-    y = b.reshape(N, M, 1, -1)
-    y = np.multiply(inverse_factor.transpose(0, 2, 1)[..., None], y, order="C").sum(axis=1)
-    x = np.multiply(inverse_factor[..., None], y[:, :, None], order="C").sum(axis=1)
-    return x.reshape(b.shape)
-
-
 def invert_blocks(blocks: np.ndarray) -> np.ndarray:
     """Inverses of the stacked (N, M, M) blocks, for blocks conditioned well
     enough that an explicit inverse is accurate.

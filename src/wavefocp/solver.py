@@ -20,8 +20,9 @@ Nocedal & Wright, Numerical Optimization, 2nd ed., section 16.2).
 ``assemble_kkt`` builds the full system, whose pivoted LU is the one other
 route: where cond(D) reaches ``_STRUCTURED_COND_LIMIT`` and wherever the
 reduced route raises SingularMatrixError. Either route returns
-(C_hat, U_hat, eta_star); one residual pass, ``_kkt_residual_rows``, then
-forms the three KKT block rows from G_A, G_B, Pmu, Wp and Wq without G_c.
+(C_hat, U_hat, eta_star) and the state coefficients C2; one residual pass,
+``_kkt_residual_rows``, then forms the three KKT block rows from G_A, G_B,
+Pmu, Wp and Wq without G_c.
 """
 
 from __future__ import annotations
@@ -163,6 +164,10 @@ def discretize(
         )
     if mats is None:
         mats = build_operational_matrices(params, frac_order=problem.mu)
+    elif mats.params != params:
+        raise ConfigurationError(
+            f"operational matrices built for {mats.params}, basis is {params}"
+        )
     elif mats.frac_order != problem.mu:
         raise ConfigurationError(
             f"operational matrices built for order {mats.frac_order}, "
@@ -242,8 +247,11 @@ def _apply_blocks(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (blocks @ x.reshape(N, M, -1)).reshape(x.shape)
 
 
-def _structured_solve(disc: DiscretizedFocp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(C_hat, U_hat, eta_star) of the KKT system.
+def _structured_solve(
+    disc: DiscretizedFocp,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(C_hat, U_hat, eta_star) of the KKT system and the state coefficients
+    C2 = Pmu^T C_hat + d1.
 
     G_c is stored as G_c = Dg T: Dg holds its N diagonal blocks, which are
     close to the identity, and T = Dg^-1 G_c is unit block lower-triangular,
@@ -272,15 +280,18 @@ def _structured_solve(disc: DiscretizedFocp) -> tuple[np.ndarray, np.ndarray, np
     C_hat = Z[:, :m] @ U_hat + Z[:, m]
     C2 = state_from_coeffs(C_hat, disc.d1, disc.mats)
     eta = T.solve_transposed(Pm @ (disc.wp_track - disc.Wp @ C2))
-    return C_hat, U_hat, _apply_blocks(Dg_inv.transpose(0, 2, 1), eta)
+    return C_hat, U_hat, _apply_blocks(Dg_inv.transpose(0, 2, 1), eta), C2
 
 
-def _dense_solve(disc: DiscretizedFocp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _dense_solve(
+    disc: DiscretizedFocp,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """What ``_structured_solve`` returns, from the pivoted LU of the
     assembled KKT matrix."""
     m = disc.params.m_hat
     sol = solve_linear(*assemble_kkt(disc))
-    return sol[:m], sol[m : 2 * m], sol[2 * m :]
+    C_hat = sol[:m]
+    return C_hat, sol[m : 2 * m], sol[2 * m :], state_from_coeffs(C_hat, disc.d1, disc.mats)
 
 
 def _kkt_residual_rows(
@@ -363,14 +374,13 @@ def solve_discretized(disc: DiscretizedFocp, diagnostics: bool = True) -> FocpSo
         with contextlib.suppress(SingularMatrixError):
             solved = _structured_solve(disc)
     try:
-        C_hat, U_hat, eta = _dense_solve(disc) if solved is None else solved
+        C_hat, U_hat, eta, C2 = _dense_solve(disc) if solved is None else solved
     except SingularMatrixError as exc:
         raise SingularMatrixError(
             f"KKT system singular (m_hat={m}); check q > 0 and the "
             f"dynamics coefficients: {exc}",
             pivot=exc.pivot,
         ) from exc
-    C2 = state_from_coeffs(C_hat, disc.d1, disc.mats)
 
     J_quad = _quadratic_cost(disc, C2, U_hat)
     J_requad = _requadrature_cost(disc, C2, U_hat)

@@ -21,8 +21,6 @@ from wavefocp.quadrature import (
     invert_blocks,
     solve_linear,
     solve_spd,
-    solve_spd_blocks,
-    spd_block_inverse_factor,
     spd_factor,
 )
 
@@ -260,25 +258,6 @@ def test_condition_estimate_of_blocks_is_that_of_block_diagonal():
 
 
 class TestBlockSolves:
-    @pytest.mark.parametrize("N, M", [(1, 1), (4, 3), (16, 6), (3, 12)])
-    def test_matches_dense_cholesky_solve(self, N, M):
-        """Also: each column of a 5-column solve has the bits of that column
-        solved alone."""
-        rng = np.random.default_rng(N + M)
-        blocks = _spd_blocks(rng, N, M)
-        dense = scipy.linalg.block_diag(*blocks)
-        inverse = spd_block_inverse_factor(blocks)
-        for b in (rng.standard_normal(N * M), rng.standard_normal((N * M, 5))):
-            x = solve_spd_blocks(inverse, b)
-            assert x.shape == b.shape
-            np.testing.assert_allclose(x, solve_spd(dense, b), rtol=0, atol=1e-13)
-        for j in range(b.shape[1]):
-            assert np.array_equal(solve_spd_blocks(inverse, b[:, j]), x[:, j])
-
-    def test_indefinite_block_has_no_factor(self):
-        blocks = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])])
-        assert spd_block_inverse_factor(blocks) is None
-
     def test_invert_blocks(self):
         blocks = _spd_blocks(np.random.default_rng(9), 3, 4)
         identity = np.broadcast_to(np.eye(4), blocks.shape)

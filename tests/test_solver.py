@@ -91,6 +91,18 @@ class TestProblemValidation:
         with pytest.raises(ConfigurationError):
             discretize(problem, params, mats)
 
+    @pytest.mark.parametrize(
+        "built, passed", [((2, 4, 1.0), (2, 4, 0.9)), ((3, 2, 0.9), (2, 4, 0.9))],
+        ids=["tw-bundle-ftw-basis", "same-m_hat"],
+    )
+    def test_rejects_matrices_of_another_basis(self, built, passed):
+        """A bundle of the right order built for other basis parameters is
+        refused, also where m_hat is the same; solved, the tw bundle with
+        ftw params moved the state by 3.6e-2."""
+        mats = build_operational_matrices(WaveletParams(*built), frac_order=0.9)
+        with pytest.raises(ConfigurationError, match="basis"):
+            discretize(example1(0.9), WaveletParams(*passed), mats)
+
 
 class TestReferenceCosts:
     def test_plain_basis_mu_one(self):
@@ -383,6 +395,25 @@ class TestStructuredSolve:
         residual = K @ np.concatenate([sol.C_hat, sol.U_hat, sol.eta_star]) - rhs
         assert abs(sol.residuals["constraint"] - np.abs(residual[2 * m :]).max()) <= 1e-12
         assert abs(sol.residuals["stationarity"] - np.abs(residual).max()) <= 1e-12
+
+    @pytest.mark.parametrize("route", ["structured", "dense"])
+    def test_state_formed_once_per_solve(self, monkeypatch, route):
+        """C2 = Pmu^T C_hat + d1 is formed once per solve on either route,
+        with the bits of ``state_from_coeffs`` of the returned C_hat."""
+        if route == "dense":
+            monkeypatch.setattr(quadrature, "spd_factor", lambda A: None)
+        calls = []
+        original = solver.state_from_coeffs
+
+        def counted(C_hat, d1, mats):
+            calls.append(1)
+            return original(C_hat, d1, mats)
+
+        monkeypatch.setattr(solver, "state_from_coeffs", counted)
+        disc = discretize(example1(0.9), WaveletParams(k=3, M=4, mu=0.9))
+        sol = solve_discretized(disc, diagnostics=False)
+        assert len(calls) == 1
+        assert np.array_equal(sol.C2, original(sol.C_hat, disc.d1, disc.mats))
 
     def test_g_c_refusal_falls_back_to_dense_kkt(self, monkeypatch):
         """G_c diagonal blocks that ``invert_blocks`` refuses send the solve
