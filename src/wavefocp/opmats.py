@@ -18,9 +18,10 @@ plain monomial. Kernel differences are formed from the exact step in the
 local coordinate, so nothing cancels near the diagonal. The weakly singular
 same-block kernel gets Gauss-Jacobi rules after s = s'(1 - v); the
 adjacent block, singular at one corner, gets Duffy's split into two
-triangles; blocks further apart get tensor Gauss-Legendre; and the row of
-block 1, whose wavelets are single powers, the incomplete-beta closed form
-at the target nodes only.
+triangles; blocks further apart get tensor Gauss-Legendre. The row of
+block 1, whose wavelets are single powers y^(mu m) of y = zeta / bp_1,
+gets Gauss-Jacobi rules in y (weight y^(mu m)) where its kernel is smooth,
+and the same corner split next to block 2.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .basis import WaveletParams, local_wavelet_values
 from .quadrature import (
     QuadratureRule,
     SingularMatrixError,
-    betainc,
     condition_estimate,
     gamma,
     gauss_jacobi_left,
@@ -48,9 +48,8 @@ _COND_WARN_LIMIT = 1e12
 # points per local coordinate of every rule that fills B in P^mu = B D^-1;
 # the projection grid uses this many plus M
 _LOCAL_RULE_POINTS = 16
-# power behaviour at s = 0 (the block-2 targets of block 1 in P^mu, smooth
-# functions of zeta on block 1): a composite rule on [0, ratio^levels], ...,
-# [ratio, 1]
+# power behaviour at s = 0 (smooth functions of zeta on block 1 of the
+# projection rule): a composite rule on [0, ratio^levels], ..., [ratio, 1]
 _GRADED_RATIO = 0.2
 _GRADED_LEVELS = 16
 
@@ -263,7 +262,8 @@ def integration_matrix_fractional(
 
     Every block comes from a fixed rule in (s, s') with
     ``_LOCAL_RULE_POINTS`` points per coordinate: ``_row_block_one`` fills
-    the row of block 1, whose wavelets are single powers of zeta;
+    the row of block 1, whose wavelets are single powers of zeta, in
+    (zeta / bp_1, s');
     ``_near_field`` the same-block and adjacent-block pairs of the other
     rows, whose kernel is singular; and ``_far_field`` the rest, where it is
     smooth. No rule uses the cancelling global-power expansion of the
@@ -305,57 +305,60 @@ def _zeta_gap(t: np.ndarray, dt: np.ndarray, mu: float) -> np.ndarray:
 def _row_block_one(params: WaveletParams, order: float, B: np.ndarray) -> None:
     """Fill row block 1 of B.
 
-    psi_{1,m} = c_m (N zeta^mu)^m with c_m = phi_m(1), a single power, so
-    its closed form does not cancel:
+    In y = zeta / bp_1 in [0, 1], psi_{1,m} = c_m y^(mu m) with
+    c_m = phi_m(1), dzeta = bp_1 dy, and the kernel's argument is
+    zeta_b(s') - bp_1 y = (zeta_b(s') - bp_1) + bp_1 (1 - y), two terms from
+    the exact step that do not cancel:
 
     - B_11 = c_m c_m' Gamma(mu m + 1) / Gamma(mu m + 1 + order)
       N^(-(order+1)/mu) / (mu (m + m') + order + 1);
-    - for b >= 2, ``_block_one_integrals`` at the target nodes only, under
-      Gauss-Legendre in s' for b >= 3 and, for b = 2, where the integral
-      behaves like (zeta - bp_1)^order near s' = 0, a composite rule graded
-      geometrically toward s' = 0.
+    - target blocks b >= 3, and b = 2 over s = y^mu <= 1/2, where the kernel
+      is smooth: Gauss-Jacobi in y (weight y^(mu m), one rule per m, built
+      on [0, 1] and scaled to [0, 2^(-1/mu)]) times Gauss-Legendre in s',
+      summed over y before the target values enter;
+    - b = 2 over s >= 1/2, where w_1(s) is smooth, in u = 1 - s as
+      ``_near_field`` takes d = 1: tensor Gauss-Legendre on s' >= 1/2, and
+      ``_duffy_corner`` on the square u, s' <= 1/2, whose corner (0, 0) is
+      the kernel's singularity.
+
+    The split at s = 1/2, not y = 1/2, keeps the kernel's singularity in
+    s' at least 1/2 from the rules for every mu.
     """
-    N, M, mu = params.n_blocks, params.M, params.mu
+    N, M, mu, Q = params.n_blocks, params.M, params.mu, _LOCAL_RULE_POINTS
     m = np.arange(M)
     c = local_wavelet_values(params, 1.0)
-    ratio = _gamma_ratios(mu * m, order)
+    ratio = np.array([gamma(q + 1.0) / gamma(q + 1.0 + order) for q in mu * m])
     B[:M, :M] = (
         (c * ratio)[:, None] * c * N ** (-(order + 1.0) / mu)
         / (mu * (m[:, None] + m) + order + 1.0)
     )
     if N == 1:
         return
-    s, block, weights = _graded_rule(_LOCAL_RULE_POINTS, N - 1)
-    block = block + 1
-    t = (s + block) / N  # in target block b = block + 1
-    rl = _block_one_integrals(params, order, t ** (1.0 / mu))
-    weights = weights * _dzeta(params, t)
-    terms = rl[:, :, None] * (local_wavelet_values(params, s) * weights).T
-    starts = np.searchsorted(block, np.arange(1, N))
-    B[:M, M:] = np.add.reduceat(terms, starts, axis=1).reshape(M, -1)
-
-
-def _gamma_ratios(q: np.ndarray, order: float) -> np.ndarray:
-    """Gamma(q + 1) / Gamma(q + 1 + order) for every q."""
-    return np.array([gamma(x + 1.0) / gamma(x + 1.0 + order) for x in q])
-
-
-def _block_one_integrals(params: WaveletParams, order: float, zeta: np.ndarray) -> np.ndarray:
-    """(M, len(zeta)) Riemann-Liouville integrals of order ``order`` of the
-    block-1 wavelets at points zeta past block 1 (zeta > bp_1).
-
-    psi_{1,m} = c_m N^m zeta^q on [0, bp_1), q = mu m, and
-    int_0^bp_1 (z - t)^(order-1) t^q dt
-        = z^(q+order) B(q+1, order) I_{bp_1/z}(q+1, order),
-    so one incomplete-beta call covers every wavelet and point. N^m is a
-    float power: an integer one overflows from N = 64, M = 12.
-    """
-    N, M, mu = params.n_blocks, params.M, params.mu
-    q = mu * np.arange(M)
-    coef = local_wavelet_values(params, 1.0) * float(N) ** np.arange(M) * _gamma_ratios(q, order)
-    q, zeta = q[:, None], np.asarray(zeta, dtype=float)
-    frac = betainc(q + 1.0, order, params.breakpoints()[1] / zeta)
-    return coef[:, None] * zeta ** (q + order) * frac
+    bp1 = params.breakpoints()[1]
+    rule = gauss_legendre(Q, 0.0, 1.0)
+    s_to = rule.nodes
+    t = (s_to + np.arange(1, N)[:, None]) / N  # t_b(s') for block b = row b - 2
+    vals = local_wavelet_values(params, s_to) * (_dzeta(params, t) * rule.weights)[:, None]
+    gap = _zeta_gap(1.0 / N, (s_to + np.arange(N - 1)[:, None]) / N, mu)
+    jacobi = [gauss_jacobi_left(Q, 0.0, 1.0, mu * j) for j in m]
+    # the y-rules of target block b at row b - 2: on [0, 2^(-1/mu)] for b = 2
+    scale = np.r_[0.5 ** (1.0 / mu), np.ones(N - 2)][:, None]
+    y = np.array([g.nodes for g in jacobi])[:, None] * scale
+    wy = np.array([g.weights for g in jacobi])[:, None] * scale ** (mu * m[:, None, None] + 1.0)
+    kernel = (gap[:, None] + bp1 * (1.0 - y)[..., None]) ** (order - 1.0)
+    row = np.einsum("mbj,bpj->mbp", (wy[:, :, None] @ kernel)[:, :, 0], vals)
+    row *= (c * bp1)[:, None, None]
+    u, s_to, weights = _tensor(gauss_legendre(Q, 0.0, 0.5), gauss_legendre(Q, 0.5, 1.0))
+    du, ds, r, dw = _duffy_corner(order)
+    u, s_to = np.concatenate([u, du / 2.0]), np.concatenate([s_to, ds / 2.0])
+    factor = np.concatenate([np.ones_like(weights), r])
+    weights = np.concatenate([weights, dw / 4.0])
+    t = (1.0 - u) / N
+    kernel = weights * (_zeta_gap(t, (u + s_to) / N, mu) / factor) ** (order - 1.0)
+    source = local_wavelet_values(params, 1.0 - u) * (_dzeta(params, t) * kernel)
+    target = local_wavelet_values(params, s_to) * _dzeta(params, (s_to + 1.0) / N)
+    row[:, 0] += source @ target.T
+    B[:M, M:] = (row / gamma(order)).reshape(M, -1)
 
 
 def _tile_row_block_one(params: WaveletParams, B: np.ndarray) -> None:
@@ -365,6 +368,31 @@ def _tile_row_block_one(params: WaveletParams, B: np.ndarray) -> None:
     blocks = B.reshape(N, params.M, N, params.M)
     for n in range(1, N):
         blocks[n, :, n:, :] = blocks[0, :, : N - n, :]
+
+
+def _tensor(a: QuadratureRule, b: QuadratureRule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Points (x, y) and weights of the tensor rule of a and b, flattened."""
+    x, y = np.meshgrid(a.nodes, b.nodes, indexing="ij")
+    return x.ravel(), y.ravel(), np.outer(a.weights, b.weights).ravel()
+
+
+def _duffy_corner(order: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Points (u, v), radius r and weights of Duffy's rule on the unit square
+    for a kernel gap^(order-1) whose gap vanishes like u + v at the corner
+    (0, 0) only.
+
+    The split along u = v and the maps (u, v) = (r, r theta) and
+    (r theta, r) have Jacobian r, and gap = r h(r, theta) with h smooth and
+    positive, so the integrand is r^order times a smooth factor: Gauss-Jacobi
+    in r (weight r^order) times Gauss-Legendre in theta. The caller raises
+    gap / r to order - 1.
+    """
+    Q = _LOCAL_RULE_POINTS
+    r, theta, w = _tensor(gauss_jacobi_left(Q, 0.0, 1.0, order), gauss_legendre(Q, 0.0, 1.0))
+    return (
+        np.concatenate([r, r * theta]), np.concatenate([r * theta, r]),
+        np.tile(r, 2), np.tile(w, 2),
+    )
 
 
 def _near_field(params: WaveletParams, order: float, B: np.ndarray) -> None:
@@ -380,31 +408,19 @@ def _near_field(params: WaveletParams, order: float, B: np.ndarray) -> None:
       factor: Gauss-Jacobi in s' (weight s'^order) times Gauss-Jacobi in v
       (weight v^(order-1)).
     - d = 1: with u = 1 - s, the kernel is singular only at the corner
-      (u, s') = (0, 0). Duffy's transform splits the square along u = s'
-      and maps the halves by (u, s') = (r, r theta) and (r theta, r): both
-      have Jacobian r and kernel (r h(r, theta))^(order-1) with h smooth, so
-      the integrand is r^order times a smooth factor: Gauss-Jacobi in r
-      (weight r^order) times Gauss-Legendre in theta.
+      (u, s') = (0, 0), and ``_duffy_corner`` gives the rule.
 
     Each rule lists points (s, s') with weights, the step N (t' - t) and the
     factor of it that the rule's weight absorbs (s' v, or r), so that
     (gap / factor)^(order-1) is smooth.
     """
     N, M, Q = params.n_blocks, params.M, _LOCAL_RULE_POINTS
-    jacobi = gauss_jacobi_left(Q, 0.0, 1.0, order)
-
-    def tensor(a: QuadratureRule, b: QuadratureRule):
-        x, y = np.meshgrid(a.nodes, b.nodes, indexing="ij")
-        return x.ravel(), y.ravel(), np.outer(a.weights, b.weights).ravel()
-
-    sp, v, w = tensor(jacobi, gauss_jacobi_left(Q, 0.0, 1.0, order - 1.0))
-    same = (sp * (1.0 - v), sp, sp * v, sp * v, w)
-    r, theta, w = tensor(jacobi, gauss_legendre(Q, 0.0, 1.0))
-    u = np.concatenate([r, r * theta])
-    adjacent = (
-        1.0 - u, np.concatenate([r * theta, r]),
-        np.tile(r * (1.0 + theta), 2), np.tile(r, 2), np.tile(w, 2),
+    sp, v, w = _tensor(
+        gauss_jacobi_left(Q, 0.0, 1.0, order), gauss_jacobi_left(Q, 0.0, 1.0, order - 1.0)
     )
+    same = (sp * (1.0 - v), sp, sp * v, sp * v, w)
+    u, s_to, r, w = _duffy_corner(order)
+    adjacent = (1.0 - u, s_to, u + s_to, r, w)
     blocks = B.reshape(N, M, N, M)
     for d, (s, s_to, step, factor, weights) in enumerate((same, adjacent)):
         n = np.arange(2, N - d + 1)[:, None]

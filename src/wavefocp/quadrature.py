@@ -1,5 +1,5 @@
-"""Low-level numerics: gamma, the incomplete beta, Gauss rules, graded
-breakpoints, dense solves.
+"""Low-level numerics: gamma, Gauss rules, graded breakpoints, dense
+solves.
 
 Everything here runs on NumPy alone; SciPy is imported only inside
 ``solve_linear``, the pivoted LU of the solver's dense KKT route.
@@ -39,153 +39,6 @@ def gamma(x: float) -> float:
     if not math.isfinite(x) or x <= 0.0:
         raise ValueError(f"gamma requires finite x > 0, got {x!r}")
     return math.gamma(x)
-
-
-# Series tails are cut below this fraction of the series' first term.
-_LOG_TAIL = math.log(1e-17)
-# Baby-step sizes L of the series; a series of size L sums L^2 terms.
-_SERIES_SIZES = 2 ** np.arange(1, 7)
-_SERIES_TERMS = _SERIES_SIZES**2
-# The complement 1 - I_y(b, a) is used only where I_y(b, a) <= this, so
-# that the subtraction magnifies I_y's rounding error at most 1/(1 - it)-fold.
-_COMPLEMENT_LIMIT = 0.9
-_TINY, _BELOW_ONE = np.finfo(float).tiny, np.nextafter(1.0, 0.0)
-
-
-def betainc(a, b: float, x) -> np.ndarray:
-    """Regularized incomplete beta I_x(a, b) for a >= 1, 0 < b <= 1 and
-    0 <= x <= 1; a and x broadcast, b is a scalar.
-
-    One of two power series in z, with c_0 = 1 (the direct one has positive
-    terms):
-
-    - direct, z = x: I = x^a / (a B(a, b)) sum_k c_k z^k,
-      c_k = (1-b)_k / k! a / (a + k);
-    - complement, z = y = 1 - x: I = 1 - y^b / (b B(a, b)) sum_k c_k z^k,
-      c_k = (1-a)_k / k! b / (b + k).
-
-    The complement is taken where it needs fewer terms and the bound
-    I_y(b, a) <= (a y)^b / Gamma(1 + b) keeps I_y(b, a) <= 0.9, so that
-    I >= 0.1, and wherever the direct series would need more than 4096
-    terms. A series is summed as L blocks of L terms (baby-step/giant-step),
-    with L the smallest of ``_SERIES_SIZES`` whose L^2 terms bring the
-    element's tail below 1e-17 of the sum. Elements of one size are summed
-    together, each pairwise in an order fixed by L, so that an element's
-    value depends on its own a and x only.
-    """
-    a = np.asarray(a, dtype=float)
-    b = float(b)
-    shape = np.broadcast(a, x).shape
-    ua = np.sort(a, axis=None)  # repeated values are harmless
-    if not (0.0 < b <= 1.0 and ua[0] >= 1.0):
-        raise ValueError(f"need a >= 1 and 0 < b <= 1, got min(a)={ua[0]}, b={b}")
-    U = ua.size
-    rows = np.empty(shape, dtype=np.intp)
-    rows[...] = np.searchsorted(ua, a)
-    rows = rows.ravel()
-    xs = np.empty(shape)
-    xs[...] = x
-    x = xs.ravel()
-    if x.size == 0:
-        return xs
-    if not (x.min() >= 0.0 and x.max() <= 1.0):
-        raise ValueError("need 0 <= x <= 1")
-    ae = ua[rows]
-    if b == 1.0:
-        return np.power(x, ae).reshape(shape)
-    comp, code = _series_choice(ua, ae, rows, b, x)
-    z = np.where(comp, 1.0 - x, x)
-    cols = rows + U * comp
-    # row k: a (1-b)_k / (k! (a + k)) in the U direct columns, then
-    # b (1-a)_k / (k! (b + k)) in the U complement columns
-    K = int(_SERIES_TERMS[code.max()])
-    k = np.arange(1.0, K)
-    table = np.empty((2 * U, K))
-    table[:, 0] = 1.0
-    table[:U, 1:] = (k - b) / k
-    table[U:, 1:] = (k - ua[:, None]) / k
-    np.cumprod(table, axis=1, out=table)
-    k = np.arange(K, dtype=float)
-    table[:U] *= ua[:, None] / (ua[:, None] + k)
-    table[U:] *= b / (b + k)
-    table = table.T.copy()
-    S = np.empty(x.size)
-    for c in np.flatnonzero(np.bincount(code)):
-        sel = np.flatnonzero(code == c)
-        S[sel] = _series(table, cols[sel], z[sel], int(_SERIES_SIZES[c]))
-    g = np.array([_gamma_ratio(v, b) for v in ua])
-    prefactor = np.concatenate([g, g * ua / b])
-    v = np.power(z, np.where(comp, b, ae)) * prefactor[cols] * S
-    return np.where(comp, 1.0 - v, v).reshape(shape)
-
-
-def _series_choice(ua: np.ndarray, ae: np.ndarray, rows: np.ndarray, b: float, x: np.ndarray):
-    """Per element of ``betainc`` (b < 1): whether the complement series is
-    used, and the index into ``_SERIES_SIZES`` of its size; ae = ua[rows]."""
-    y = 1.0 - x
-    # logs of x and y kept finite and negative at x = 0 and x = 1
-    lx, ly = np.log(np.clip(np.stack([x, y]), _TINY, _BELOW_ONE))
-    # tails: direct (1 - b) x^K / (1 - x), as (1-b)_k / k! <= 1 - b for
-    # k >= 1; complement 2^(ceil(a) - 1) y^K / x^a, as |(1-a)_k / k!| <=
-    # 2^(ceil(a) - 1) and the complement sum is >= x^(a-1)
-    log_m = (np.ceil(ua) - 1.0) * math.log(2.0)
-    direct = (_LOG_TAIL - math.log1p(-b) + ly) / lx
-    complement = (_LOG_TAIL - log_m[rows] + ae * lx) / ly
-    comp = (ae * y <= (_COMPLEMENT_LIMIT * math.gamma(1.0 + b)) ** (1.0 / b)) & (
-        complement < direct
-    )
-    comp |= direct > _SERIES_TERMS[-1]  # direct series too long: complement
-    terms = np.where(comp, complement, direct)
-    return comp, np.minimum(np.searchsorted(_SERIES_TERMS, terms), _SERIES_SIZES.size - 1)
-
-
-def _powers(z: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """z^0 .. z^(L-1) as the rows of an (L, n) array, built by doubling,
-    and z^L; L is a power of two."""
-    P = np.empty((L, z.size))
-    P[0] = 1.0
-    P[1] = z
-    h, zh = 2, z * z
-    while h < L:
-        np.multiply(P[:h], zh, out=P[h : 2 * h])
-        h, zh = 2 * h, zh * zh
-    return P, zh
-
-
-def _series(table: np.ndarray, cols: np.ndarray, z: np.ndarray, L: int) -> np.ndarray:
-    """sum over k < L^2 of table[k, cols] z^k for each element: block i
-    holds the terms k = i L + j, j < L, so the powers are z^j and (z^L)^i.
-    Both sums halve pairwise in an order fixed by L, whatever the number of
-    elements."""
-    n = z.size
-    P, Z = _powers(z, L)
-    G, _ = _powers(Z, L)
-    T = table[: L * L, cols].reshape(L, L * n)
-    T *= P.reshape(1, L * n)
-    T = T.reshape(L, L, n)
-    while T.shape[1] > 1:
-        h = T.shape[1] // 2
-        T = T[:, :h] + T[:, h:]
-    B = T[:, 0] * G
-    while B.shape[0] > 1:
-        h = B.shape[0] // 2
-        B = B[:h] + B[h:]
-    return B[0]
-
-
-def _gamma_ratio(a: float, b: float) -> float:
-    """1 / (a B(a, b)) = Gamma(a + b) / (Gamma(a + 1) Gamma(b)) for a >= 1.
-
-    ``math.gamma`` runs only on (0, 3), where it is good to about 3 ulp (it
-    misses by up to 8e-15 for arguments near 10); the rest is the product of
-    the ratios of the recurrence Gamma(s + 1) = s Gamma(s).
-    """
-    n = math.floor(a) - 1
-    f = a - n
-    r = math.gamma(f + b) / (math.gamma(f + 1.0) * math.gamma(b))
-    for i in range(n):
-        r *= (f + b + i) / (f + 1.0 + i)
-    return r
 
 
 def _is_interval(a, b) -> bool:

@@ -6,10 +6,10 @@ from typing import Callable
 
 import numpy as np
 import pytest
+from scipy.special import betainc
 
 from wavefocp.basis import WaveletParams, monomial_coefficients, support_interval
 from wavefocp.opmats import (
-    betainc,
     build_operational_matrices,
     product_matrix,
     project,
@@ -304,9 +304,9 @@ def rl_integral_of_wavelet(
     params: WaveletParams, i: int, order: float, zeta: np.ndarray
 ) -> np.ndarray:
     """Riemann-Liouville integral of order `order` of basis function i, for
-    any block: the reference for the block-1 closed form of P^mu.
+    any block: the pointwise reference of the dense assembly of P^mu.
 
-    Closed form via the regularized incomplete beta function:
+    Closed form via SciPy's regularized incomplete beta function:
     the wavelet is a sum of powers zeta**(mu*s) on [lo, hi), and
     int_lo^up (z - t)^(order-1) t^q dt
         = z^(q+order) B(q+1, order) [I_{up/z} - I_{lo/z}](q+1, order).

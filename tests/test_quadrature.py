@@ -11,7 +11,6 @@ from wavefocp import quadrature
 from wavefocp.quadrature import (
     LowerTriangular,
     SingularMatrixError,
-    betainc,
     condition_estimate,
     gamma,
     gauss_jacobi_left,
@@ -153,8 +152,11 @@ class TestGaussJacobiRight:
         with pytest.raises(ValueError):
             gauss_jacobi_right(4, 0.0, 1.0, -1.0)
 
-    # 1/0.7 - 1 and 1.0 are the exponents of block 1 of D at mu = 0.7, 0.5
-    @pytest.mark.parametrize("exponent", [-0.9, -0.5, -0.1, 0.5, 0.9, 1 / 0.7 - 1, 1.0])
+    # 1/0.7 - 1 and 1.0 are the exponents of block 1 of D at mu = 0.7, 0.5;
+    # 2.7 to 11.0 those mu m of the y-rules of P^mu's row of block 1, up to M = 12
+    @pytest.mark.parametrize(
+        "exponent", [-0.9, -0.5, -0.1, 0.5, 0.9, 1 / 0.7 - 1, 1.0, 2.7, 5.5, 9.9, 11.0]
+    )
     @pytest.mark.parametrize("n", [12, 24])
     def test_weights_match_golub_welsch(self, n, exponent):
         """Weights against a 40-digit Golub-Welsch rule (eigenvectors of the
@@ -291,90 +293,6 @@ def test_graded_breakpoints_refine_toward_ends():
     assert pts[1] == pytest.approx(0.2**4)
 
 
-# The incomplete-beta grid: a = q + 1, q = mu m for m < M (M = 12 holds the
-# a of M = 4 and 8), at the orders b that the operational matrices use.
-BETAINC_MU = (0.3, 0.5, 0.75, 0.9, 1.0)
-BETAINC_B = (0.2, 0.3, 0.5, 0.75, 0.9, 1.0)
-
-
-def _betainc_edges(a, b):
-    """x on both sides of every point where betainc changes its series or
-    the series' size, for a single a, located by bisection (none at b = 1,
-    where I_x(a, 1) = x^a)."""
-    if b == 1.0:
-        return np.empty(0)
-
-    def plan(x):
-        rows = np.zeros(x.size, dtype=np.intp)
-        comp, code = quadrature._series_choice(np.array([a]), np.full(x.size, a), rows, b, x)
-        return comp * 100 + code
-
-    grid = np.unique(np.concatenate([
-        np.linspace(0.0, 1.0, 2001), 10.0 ** -np.linspace(1, 15, 400),
-        1.0 - 10.0 ** -np.linspace(1, 15, 400),
-    ]))
-    kinds = plan(grid)
-    change = np.flatnonzero(kinds[1:] != kinds[:-1])
-    lo, hi = grid[change], grid[change + 1]
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        left = plan(mid) == plan(lo)
-        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
-    return np.concatenate([lo, hi])
-
-
-class TestBetainc:
-    @pytest.mark.parametrize("mu", [0.3, 0.75, 1.0])
-    @pytest.mark.parametrize("b", [0.2, 0.5, 0.9, 1.0])
-    def test_rows_have_the_bits_of_their_own_calls(self, mu, b):
-        """An element's value does not depend on the other elements of the
-        call: the (M, n) call equals its per-row and per-element calls."""
-        rng = np.random.default_rng(11)
-        x = np.concatenate([rng.random(200), 10.0 ** -rng.uniform(1, 12, 40),
-                            1.0 - 10.0 ** -rng.uniform(1, 12, 60), [0.0, 1.0]])
-        a = 1.0 + mu * np.arange(12)[:, None]
-        full = betainc(a, b, x)
-        assert full.shape == (12, x.size)
-        for i in range(12):
-            assert np.array_equal(betainc(a[i : i + 1], b, x), full[i : i + 1])
-            assert np.array_equal(betainc(a[i, 0], b, x[::7]), full[i, ::7])
-        assert betainc(a[3, 0], b, x[5]) == full[3, 5]
-
-    @pytest.mark.parametrize("mu", BETAINC_MU)
-    def test_matches_mpmath(self, mu):
-        """Relative error against 30-digit mpmath at random x, x near 0 and
-        near 1, and both sides of every switch of series or size: at most
-        5e-15 for b >= 0.5 and 1e-14 below (SciPy's own worst on this grid
-        is 5.0e-15)."""
-        mp = pytest.importorskip("mpmath")
-        rng = np.random.default_rng(int(mu * 100))
-        worst = {True: 0.0, False: 0.0}
-        with mp.workdps(30):
-            for a in 1.0 + mu * np.arange(12):
-                for b in BETAINC_B:
-                    x = np.concatenate([rng.random(14), 10.0 ** -rng.uniform(1, 12, 4),
-                                        1.0 - 10.0 ** -rng.uniform(1, 12, 6),
-                                        _betainc_edges(a, b)])
-                    got = betainc(a, b, x)
-                    ref = np.array([float(mp.betainc(a, b, 0, v, regularized=True)) for v in x])
-                    err = np.abs(got - ref) / ref
-                    worst[b >= 0.5] = max(worst[b >= 0.5], err.max())
-        assert worst[True] <= 5e-15
-        assert worst[False] <= 1e-14
-
-    def test_ends_and_order_one(self):
-        a = np.array([[1.0], [2.5], [7.0]])
-        assert np.array_equal(betainc(a, 0.6, np.array([0.0, 1.0])), [[0.0, 1.0]] * 3)
-        x = np.linspace(0.0, 1.0, 11)
-        assert np.array_equal(betainc(a, 1.0, x), x ** a)
-
-    @pytest.mark.parametrize("a, b, x", [(0.9, 0.5, 0.3), (2.0, 0.0, 0.3), (2.0, 1.5, 0.3),
-                                         (2.0, 0.5, 1.2), (2.0, 0.5, -0.1)])
-    def test_rejects_outside_its_domain(self, a, b, x):
-        with pytest.raises(ValueError):
-            betainc(a, b, x)
-
-
 def _unit_block_lower(rng, N, M):
     m = N * M
     T = np.eye(m) + np.tril(rng.standard_normal((m, m)), -1) * (0.5 / np.sqrt(m))
@@ -408,8 +326,11 @@ class TestLowerTriangular:
         self._check(LowerTriangular.unit_block(T, M), T, rng)
 
 
+# 1/mu - 1, the exponent of block 1's weight w_1(s), and order - 1, of the
+# same-block rule of P^mu
 @pytest.mark.parametrize("exponent", sorted(
-    {0.0} | {1.0 / mu - 1.0 for mu in BETAINC_MU} | {b - 1.0 for b in BETAINC_B}))
+    {0.0} | {1.0 / mu - 1.0 for mu in (0.3, 0.5, 0.75, 0.9, 1.0)}
+    | {order - 1.0 for order in (0.2, 0.3, 0.5, 0.75, 0.9, 1.0)}))
 def test_jacobi_rule_does_not_depend_on_its_start(monkeypatch, exponent):
     """The Newton polish of the Gauss-Jacobi nodes gives the same nodes and
     weights from the Jacobi-matrix eigenvalues as from SciPy's roots."""
