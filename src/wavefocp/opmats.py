@@ -8,9 +8,11 @@ graded toward s = 0 on block 1, that keeps the M local basis values of
 every node. The Gram matrix D is its weighted Gram of the constant 1, the
 product matrix G D^-1 comes from the weighted Gram G of the expansion
 c^T Psi, and the triple products T (stored as N blocks of M x M x M) from
-the weighted Grams of the wavelets, so D, G and the product matrices are
-block-diagonal. The integration matrices are least-squares projections of
-the (fractionally) integrated basis functions, solved against D.
+the weighted Grams of the wavelets. D, G and the product matrices are
+block-diagonal and are stored and returned as their (N, M, M) diagonal
+blocks; ``gram_matrix`` and ``OperationalMatrices.D`` give the dense D.
+The integration matrices are least-squares projections of the
+(fractionally) integrated basis functions, solved against D.
 
 P^mu does not use the grid: every block of its unprojected matrix comes
 from a fixed rule in the local block coordinates, where each wavelet is a
@@ -38,6 +40,7 @@ from .basis import WaveletParams, local_wavelet_values
 from .quadrature import (
     QuadratureRule,
     SingularMatrixError,
+    block_diagonal,
     condition_estimate,
     gamma,
     gauss_jacobi_left,
@@ -52,22 +55,6 @@ _LOCAL_RULE_POINTS = 16
 # projection rule): a composite rule on [0, ratio^levels], ..., [ratio, 1]
 _GRADED_RATIO = 0.2
 _GRADED_LEVELS = 16
-
-
-def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
-    """The dense n-major matrix with the (N, M, M) blocks on its diagonal."""
-    N, M, _ = blocks.shape
-    out = np.zeros((N * M, N * M))
-    diag = np.arange(N)
-    out.reshape(N, M, N, M)[diag, :, diag, :] = blocks
-    return out
-
-
-def diagonal_blocks(matrix: np.ndarray, M: int) -> np.ndarray:
-    """The (N, M, M) diagonal blocks of an n-major matrix of size N M."""
-    N = matrix.shape[0] // M
-    diag = np.arange(N)
-    return matrix.reshape(N, M, N, M)[diag, :, diag, :]
 
 
 @lru_cache(maxsize=64)
@@ -133,14 +120,11 @@ class QuadratureGrid:
         return np.add.reduceat(terms, self.starts[:-1], axis=1).T.ravel()
 
     def gram_blocks(self, values: np.ndarray) -> np.ndarray:
-        """The (N, M, M) diagonal blocks of ``weighted_gram(values)``."""
+        """The weighted Gram of w, integrals of w * psi_i * psi_j from w
+        sampled at the nodes (or a constant w): block-diagonal, as its
+        (N, M, M) diagonal blocks."""
         terms = self.local[:, None] * (self.local * (self.weights * values))
         return np.add.reduceat(terms, self.starts[:-1], axis=2).transpose(2, 0, 1)
-
-    def weighted_gram(self, values: np.ndarray) -> np.ndarray:
-        """Block-diagonal matrix of integrals of w * psi_i * psi_j from w
-        sampled at the nodes (or a constant w)."""
-        return _block_diagonal(self.gram_blocks(values))
 
     def evaluate(self, coeffs: np.ndarray) -> np.ndarray:
         """Values at the nodes of the expansion with the given coefficients."""
@@ -170,7 +154,7 @@ def gram_matrix(params: WaveletParams) -> np.ndarray:
     """D(mu) = integral of Psi Psi^T over [0, 1]: the weighted Gram of the
     constant 1 on the projection grid; entries across distinct blocks are
     zero."""
-    return quadrature_grid(params).weighted_gram(1.0)
+    return block_diagonal(quadrature_grid(params).gram_blocks(1.0))
 
 
 def triple_product_tensor(params: WaveletParams) -> np.ndarray:
@@ -202,7 +186,7 @@ class OperationalMatrices:
 
     @cached_property
     def D(self) -> np.ndarray:
-        return _block_diagonal(self.D_blocks)
+        return block_diagonal(self.D_blocks)
 
     @cached_property
     def P1(self) -> np.ndarray:
@@ -455,7 +439,8 @@ def _far_field(params: WaveletParams, order: float, B: np.ndarray) -> None:
 
 
 def product_matrix(c: np.ndarray, mats: OperationalMatrices) -> np.ndarray:
-    """Matrix C~ with Psi Psi^T c ~= C~ Psi; linear in c.
+    """Matrix C~ with Psi Psi^T c ~= C~ Psi, as its (N, M, M) diagonal
+    blocks; linear in c.
 
     G = sum_j T_ijl c_j is the weighted Gram of the expansion c^T Psi, so it
     comes from the grid without T. G is block-diagonal and symmetric, and so
@@ -469,7 +454,7 @@ def product_matrix(c: np.ndarray, mats: OperationalMatrices) -> np.ndarray:
     grid = mats.grid
     G = grid.gram_blocks(grid.evaluate(c))
     blocks = mats.solve_D(G.reshape(N * M, M)).reshape(N, M, M)
-    return _block_diagonal(blocks.transpose(0, 2, 1))
+    return blocks.transpose(0, 2, 1)
 
 
 def build_operational_matrices(

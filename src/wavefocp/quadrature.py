@@ -1,5 +1,13 @@
-"""Low-level numerics: gamma, Gauss rules, graded breakpoints, dense
-solves.
+"""Low-level numerics: gamma, Gauss rules, graded breakpoints, block
+operators and dense solves.
+
+A block-diagonal operator is stored as its (N, M, M) diagonal blocks and
+applied by ``apply_blocks``; its dense form comes from ``block_diagonal``.
+A matrix that is lower-triangular in square blocks is a ``LowerTriangular``:
+the matrix and the explicit inverses of its diagonal leaves, so a solve is
+one product per leaf with the rows left of it and one with its inverse.
+The Cholesky factor of ``spd_factor`` and the block-triangular matrices of
+``LowerTriangular.from_blocks`` share that solve.
 
 Everything here runs on NumPy alone; SciPy is imported only inside
 ``solve_linear``, the pivoted LU of the solver's dense KKT route.
@@ -216,42 +224,54 @@ def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return scipy.linalg.lu_solve((lu, piv), b)
 
 
+def diagonal_blocks(matrix: np.ndarray, M: int) -> np.ndarray:
+    """The (N, M, M) diagonal blocks of an n-major matrix of size N M."""
+    N = matrix.shape[0] // M
+    diag = np.arange(N)
+    return matrix.reshape(N, M, N, M)[diag, :, diag, :]
+
+
+def block_diagonal(blocks: np.ndarray) -> np.ndarray:
+    """The dense n-major matrix with the (N, M, M) blocks on its diagonal."""
+    N, M, _ = blocks.shape
+    out = np.zeros((N * M, N * M))
+    diag = np.arange(N)
+    out.reshape(N, M, N, M)[diag, :, diag, :] = blocks
+    return out
+
+
+def apply_blocks(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The block-diagonal matrix with the (N, M, M) blocks times x, of shape
+    (N M,) or (N M, k) with n-major rows."""
+    N, M, _ = blocks.shape
+    return (blocks @ x.reshape(N, M, -1)).reshape(x.shape)
+
+
 # rows per leaf of the blocked Cholesky factorization, and the fewest rows
 # per leaf of a blocked triangular solve
 _LEAF = 32
-# above this cond of a leaf's Schur complement spd_factor reports no factor
-_SPD_COND_LIMIT = 1e40
 
 
 @dataclass(frozen=True)
 class LowerTriangular:
-    """Lower-triangular L with the inverses of its diagonal leaves, top to
-    bottom. A solve substitutes leaf by leaf: one product with the rows left
-    of (or, transposed, below) the leaf and one with the leaf's inverse."""
+    """L, lower-triangular in square blocks, with the inverses of its
+    diagonal leaves, top to bottom. A solve substitutes leaf by leaf: one
+    product with the rows left of (or, transposed, below) the leaf and one
+    with the leaf's inverse."""
 
     L: np.ndarray
     leaf_inverses: tuple[np.ndarray, ...]
 
     @classmethod
-    def unit_block(cls, L: np.ndarray, M: int) -> LowerTriangular:
-        """L whose diagonal M x M blocks are the identity and whose number of
-        blocks is a power of two. A leaf holds M 2^j rows, at least
-        ``_LEAF`` of them or all of L; its inverse comes by doubling: the
-        inverse of [[A, 0], [C, D]] is [[A^-1, 0], [-D^-1 C A^-1, D^-1]],
-        applied to the diagonal pairs of size h of every leaf at once, from
-        h = M (where A and D are the identity) up."""
-        m = L.shape[0]
-        s = min(m, M << max(0, math.ceil(math.log2(_LEAF / M))))
-        n = m // s
-        X = np.tril(np.einsum("pipj->pij", L.reshape(n, s, n, s)))
-        h = M
-        while h < s:
-            # the diagonal blocks of size 2h of every leaf, as one writable view
-            V = np.einsum("apipj->apij", X.reshape(n, s // (2 * h), 2 * h, s // (2 * h), 2 * h))
-            V[..., h:, :h] = -(V[..., h:, :h] @ V[..., :h, :h])
-            V[..., h:, :h] = V[..., h:, h:] @ V[..., h:, :h]
-            h *= 2
-        return cls(L=L, leaf_inverses=tuple(X))
+    def from_blocks(cls, L: np.ndarray, M: int) -> LowerTriangular:
+        """L lower-triangular in M x M blocks. A leaf is the fewest whole
+        blocks that hold at least ``_LEAF`` rows and divide the number of
+        blocks (all of L if none does), and the leaf inverses come from one
+        ``invert_blocks`` call, which raises SingularMatrixError where the
+        leaves are too ill-conditioned for an explicit inverse."""
+        N = L.shape[0] // M
+        per_leaf = next((b for b in range(-(-_LEAF // M), N) if N % b == 0), N)
+        return cls(L=L, leaf_inverses=tuple(invert_blocks(diagonal_blocks(L, M * per_leaf))))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """L^-1 b for b of shape (m,) or (m, k)."""
@@ -284,37 +304,26 @@ def spd_factor(A: np.ndarray) -> LowerTriangular | None:
     """Lower Cholesky factor of A with its leaf inverses, or None when A is
     not numerically positive definite.
 
-    Left-looking and blocked by leaves of ``_LEAF`` rows. Each leaf's
-    Schur complement S comes with the inverse of its factor from one
-    ``np.linalg.cholesky`` of [[S, .], [I, c I]]: the lower-left block of
-    that factor is L_S^-T, and c, far above ||S^-1||, keeps the trailing
-    block positive definite. The columns below the leaf are then one
-    product with L_S^-T.
+    Left-looking and blocked by leaves of ``_LEAF`` rows: each leaf's Schur
+    complement is factored by ``np.linalg.cholesky`` and the factor
+    inverted, and the columns below the leaf are one product with the
+    transposed inverse.
     """
     A = np.asarray(A, dtype=float)
+    if not np.isfinite(A).all():  # np.linalg.cholesky passes NaN through
+        return None
     m = A.shape[0]
     L = np.zeros((m, m))
     inverses = []
     for k in range(0, m, _LEAF):
         e = min(k + _LEAF, m)
-        n = e - k
         panel = A[k:, k:e] - L[k:, :k] @ L[k:e, :k].T if k else A[:, :e]
-        scale = panel[:n].diagonal().max()
-        if not scale > 0.0:
-            return None
-        W = np.zeros((2 * n, 2 * n))
-        W[:n, :n] = panel[:n]
-        i = np.arange(n, 2 * n)
-        W[i, i - n] = 1.0
-        W[i, i] = _SPD_COND_LIMIT / scale
         try:
-            F = np.linalg.cholesky(W)
+            L[k:e, k:e] = np.linalg.cholesky(panel[: e - k])
         except np.linalg.LinAlgError:
             return None
-        L[k:e, k:e] = F[:n, :n]
-        inverses.append(F[n:, :n].T)
-        if e < m:
-            L[e:, k:e] = panel[n:] @ F[n:, :n]
+        inverses.append(np.linalg.inv(L[k:e, k:e]))
+        L[e:, k:e] = panel[e - k :] @ inverses[-1].T
     return LowerTriangular(L=L, leaf_inverses=tuple(inverses))
 
 

@@ -8,21 +8,22 @@ wavelet basis; the fractional integration matrix recovers the state, the
 triple-product tensor turns the dynamics into linear algebraic constraints,
 and the Lagrange-multiplier (KKT) conditions yield the coefficients.
 
-The 3 m_hat KKT system is not formed. The constraint
+The 3 m_hat KKT system is not formed. The weighted Grams Wp, Wq and the
+constraint operators G_A, G_B are block-diagonal and stored as their
+(N, M, M) blocks, applied by ``apply_blocks``. The constraint
 G_c C_hat = G_B U_hat + G_A d1 has G_c = I - G_A Pmu^T block
-lower-triangular (G_A is block-diagonal and Pmu block upper-triangular,
-because the RL integral is causal); ``_g_c`` forms it by block rows for
-both routes. ``_structured_solve`` scales G_c by the inverses of its
-diagonal blocks and eliminates C_hat by one unit block-triangular solve.
-What remains is the SPD reduced Hessian in U_hat, of size m_hat; the
-multipliers come from a transposed G_c solve (the null-space method,
-Nocedal & Wright, Numerical Optimization, 2nd ed., section 16.2).
-``assemble_kkt`` builds the full system, whose pivoted LU is the one other
-route: where cond(D) reaches ``_STRUCTURED_COND_LIMIT`` and wherever the
-reduced route raises SingularMatrixError. Either route returns
-(C_hat, U_hat, eta_star) and the state coefficients C2; one residual pass,
-``_kkt_residual_rows``, then forms the three KKT block rows from G_A, G_B,
-Pmu, Wp and Wq without G_c.
+lower-triangular (Pmu is block upper-triangular, because the RL integral
+is causal); ``_g_c`` forms it by block rows for both routes.
+``_structured_solve`` eliminates C_hat by one block-triangular solve with
+G_c, whose leaves it inverts explicitly. What remains is the SPD reduced
+Hessian in U_hat, of size m_hat; the multipliers come from a transposed
+G_c solve (the null-space method, Nocedal & Wright, Numerical
+Optimization, 2nd ed., section 16.2). ``assemble_kkt`` builds the full
+dense system, whose pivoted LU is the one other route: where cond(D)
+reaches ``_STRUCTURED_COND_LIMIT`` and wherever the reduced route raises
+SingularMatrixError. Either route returns (C_hat, U_hat, eta_star) and the
+state coefficients C2; one residual pass, ``_kkt_residual_rows``, then
+forms the three KKT block rows from G_A, G_B, Pmu, Wp and Wq without G_c.
 """
 
 from __future__ import annotations
@@ -36,17 +37,12 @@ import numpy as np
 
 from .basis import WaveletParams, eval_basis_many, local_basis_values
 from .fracops import rl_integral
-from .opmats import (
-    OperationalMatrices,
-    build_operational_matrices,
-    diagonal_blocks,
-    product_matrix,
-    project,
-)
+from .opmats import OperationalMatrices, build_operational_matrices, product_matrix, project
 from .quadrature import (
     LowerTriangular,
     SingularMatrixError,
-    invert_blocks,
+    apply_blocks,
+    block_diagonal,
     solve_linear,
     solve_spd,
 )
@@ -93,20 +89,27 @@ class FocpProblem:
     def __post_init__(self):
         if not 0.0 < self.mu <= 1.0:
             raise ValueError(f"need 0 < mu <= 1, got {self.mu}")
-        q_vals = _as_grid_fn(self.q_fn)(_VALIDATION_GRID)
-        if np.any(q_vals <= 0.0):
+        if not np.isfinite(self.x0):
+            raise ValueError(f"x0 must be finite, got {self.x0}")
+        # an overflow is reported as a non-finite value, not as a warning
+        with np.errstate(all="ignore"):
+            vals = {name: _as_grid_fn(getattr(self, f"{name}_fn"))(_VALIDATION_GRID)
+                    for name in ("q", "p", "b", "a")}
+        for name, v in vals.items():
+            if not np.isfinite(v).all():
+                raise ValueError(f"{name} must be finite on [0, 1]")
+        if np.any(vals["q"] <= 0.0):
             raise ValueError("q must be strictly positive on [0, 1]")
-        p_vals = _as_grid_fn(self.p_fn)(_VALIDATION_GRID)
-        if np.any(p_vals < 0.0):
+        if np.any(vals["p"] < 0.0):
             raise ValueError("p must be nonnegative on [0, 1]")
-        b_vals = _as_grid_fn(self.b_fn)(_VALIDATION_GRID)
-        if np.any(b_vals == 0.0):
+        if np.any(vals["b"] == 0.0):
             raise ValueError("b must be nonzero on [0, 1]")
 
 
 @dataclass(frozen=True)
 class DiscretizedFocp:
-    """Projected problem data plus the weighted Gram matrices."""
+    """Projected problem data plus the weighted Gram matrices Wp and Wq,
+    each as its (N, M, M) diagonal blocks."""
 
     problem: FocpProblem
     params: WaveletParams
@@ -124,17 +127,22 @@ class DiscretizedFocp:
     @cached_property
     def constraint_operators(self) -> tuple[np.ndarray, np.ndarray]:
         """Linear maps G_A, G_B with the dynamics constraint
-        C_hat - G_A (Pmu^T C_hat + d1) - G_B U_hat = 0, built once and shared
-        by the solve, the KKT assembly and the residual rows."""
-        G_A = product_matrix(self.A_hat, self.mats).T
-        G_B = product_matrix(self.B_hat, self.mats).T
+        C_hat - G_A (Pmu^T C_hat + d1) - G_B U_hat = 0, as (N, M, M) diagonal
+        blocks, built once and shared by the solve, the KKT assembly and the
+        residual rows."""
+        G_A = product_matrix(self.A_hat, self.mats).transpose(0, 2, 1)
+        G_B = product_matrix(self.B_hat, self.mats).transpose(0, 2, 1)
         return G_A, G_B
 
     @cached_property
     def kkt_rhs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Right-hand side of the KKT system, one block per row block."""
         G_A, _ = self.constraint_operators
-        return self.mats.Pmu @ (self.wp_track - self.Wp @ self.d1), self.wq_track, G_A @ self.d1
+        return (
+            self.mats.Pmu @ (self.wp_track - apply_blocks(self.Wp, self.d1)),
+            self.wq_track,
+            apply_blocks(G_A, self.d1),
+        )
 
 
 @dataclass(frozen=True)
@@ -196,7 +204,7 @@ def discretize(
     return DiscretizedFocp(
         problem=problem, params=params, mats=mats,
         A_hat=A_hat, B_hat=B_hat, d1=d1,
-        Wp=grid.weighted_gram(p), Wq=grid.weighted_gram(q),
+        Wp=grid.gram_blocks(p), Wq=grid.gram_blocks(q),
         wp_track=wp_track, wq_track=wq_track,
         track_p_const=track_p_const, track_q_const=track_q_const,
     )
@@ -221,7 +229,7 @@ def _g_c(disc: DiscretizedFocp) -> np.ndarray:
     N, M = disc.params.n_blocks, disc.params.M
     m = N * M
     G_A, _ = disc.constraint_operators
-    product = diagonal_blocks(G_A, M) @ disc.mats.Pmu.T.reshape(N, M, m)
+    product = G_A @ disc.mats.Pmu.T.reshape(N, M, m)
     return np.eye(m) - product.reshape(m, m)
 
 
@@ -231,24 +239,17 @@ def assemble_kkt(disc: DiscretizedFocp) -> tuple[np.ndarray, np.ndarray]:
     its dense route (``_dense_solve``)."""
     m = disc.params.m_hat
     Pm = disc.mats.Pmu
-    _, G_B = disc.constraint_operators
+    G_B = block_diagonal(disc.constraint_operators[1])
     G_c = _g_c(disc)
 
     K = np.zeros((3 * m, 3 * m))
-    K[:m, :m] = Pm @ disc.Wp @ Pm.T
-    K[m : 2 * m, m : 2 * m] = disc.Wq
+    K[:m, :m] = Pm @ apply_blocks(disc.Wp, Pm.T)
+    K[m : 2 * m, m : 2 * m] = block_diagonal(disc.Wq)
     K[:m, 2 * m :] = G_c.T
     K[2 * m :, :m] = G_c
     K[m : 2 * m, 2 * m :] = -G_B.T
     K[2 * m :, m : 2 * m] = -G_B
     return K, np.concatenate(disc.kkt_rhs)
-
-
-def _apply_blocks(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The block-diagonal matrix with the (N, M, M) blocks times x, whose
-    rows are n-major."""
-    N, M, _ = blocks.shape
-    return (blocks @ x.reshape(N, M, -1)).reshape(x.shape)
 
 
 def _structured_solve(
@@ -257,34 +258,29 @@ def _structured_solve(
     """(C_hat, U_hat, eta_star) of the KKT system and the state coefficients
     C2 = Pmu^T C_hat + d1.
 
-    G_c is stored as G_c = Dg T: Dg holds its N diagonal blocks, which are
-    close to the identity, and T = Dg^-1 G_c is unit block lower-triangular,
-    so G_c and G_c^T solve by one blocked triangular solve and N small block
-    products. C_hat = G_c^-1 (G_B U_hat + G_A d1) makes the state
-    L U_hat + x_aff with L = Pmu^T G_c^-1 G_B, so U_hat solves the reduced
-    Hessian system (L^T Wp L + Wq) U_hat = L^T (wp_track - Wp x_aff) +
-    wq_track, and the first KKT row gives G_c^T eta_star = Pmu (wp_track -
-    Wp C2).
+    G_c and G_c^T solve by one blocked triangular solve with the explicit
+    inverses of its diagonal leaves (``LowerTriangular.from_blocks``).
+    C_hat = G_c^-1 (G_B U_hat + G_A d1) makes the state L U_hat + x_aff with
+    L = Pmu^T G_c^-1 G_B, so U_hat solves the reduced Hessian system
+    (L^T Wp L + Wq) U_hat = L^T (wp_track - Wp x_aff) + wq_track, and the
+    first KKT row gives G_c^T eta_star = Pmu (wp_track - Wp C2).
     """
     N, M, m = disc.params.n_blocks, disc.params.M, disc.params.m_hat
     Pm = disc.mats.Pmu
     _, G_B = disc.constraint_operators
-    G_c = _g_c(disc)
-    Dg_inv = invert_blocks(diagonal_blocks(G_c, M))
-    T = _apply_blocks(Dg_inv, G_c)
-    diag = np.arange(N)
-    T.reshape(N, M, N, M)[diag, :, diag, :] = np.eye(M)
-    T = LowerTriangular.unit_block(T, M)
-    Z = T.solve(_apply_blocks(Dg_inv, np.column_stack([G_B, disc.kkt_rhs[2]])))
+    G_c = LowerTriangular.from_blocks(_g_c(disc), M)
+    Z = G_c.solve(np.column_stack([block_diagonal(G_B), disc.kkt_rhs[2]]))
     state = Pm.T @ Z
     L, x_aff = state[:, :m], state[:, m] + disc.d1
-    H = L.T @ _apply_blocks(diagonal_blocks(disc.Wp, M), L) + disc.Wq
-    g = L.T @ (disc.wp_track - disc.Wp @ x_aff) + disc.wq_track
+    H = L.T @ apply_blocks(disc.Wp, L)
+    diag = np.arange(N)
+    H.reshape(N, M, N, M)[diag, :, diag, :] += disc.Wq
+    g = L.T @ (disc.wp_track - apply_blocks(disc.Wp, x_aff)) + disc.wq_track
     U_hat = solve_spd(0.5 * (H + H.T), g)
     C_hat = Z[:, :m] @ U_hat + Z[:, m]
     C2 = state_from_coeffs(C_hat, disc.d1, disc.mats)
-    eta = T.solve_transposed(Pm @ (disc.wp_track - disc.Wp @ C2))
-    return C_hat, U_hat, _apply_blocks(Dg_inv.transpose(0, 2, 1), eta), C2
+    eta = G_c.solve_transposed(Pm @ (disc.wp_track - apply_blocks(disc.Wp, C2)))
+    return C_hat, U_hat, eta, C2
 
 
 def _dense_solve(
@@ -307,22 +303,24 @@ def _kkt_residual_rows(
     Pm = disc.mats.Pmu
     G_A, G_B = disc.constraint_operators
     rhs_c, rhs_u, rhs_eta = disc.kkt_rhs
+    state = Pm.T @ C_hat
     return (
-        Pm @ (disc.Wp @ (Pm.T @ C_hat)) + eta - Pm @ (G_A.T @ eta) - rhs_c,
-        disc.Wq @ U_hat - G_B.T @ eta - rhs_u,
-        C_hat - G_A @ (Pm.T @ C_hat) - G_B @ U_hat - rhs_eta,
+        Pm @ apply_blocks(disc.Wp, state) + eta
+        - Pm @ apply_blocks(G_A.transpose(0, 2, 1), eta) - rhs_c,
+        apply_blocks(disc.Wq, U_hat) - apply_blocks(G_B.transpose(0, 2, 1), eta) - rhs_u,
+        C_hat - apply_blocks(G_A, state) - apply_blocks(G_B, U_hat) - rhs_eta,
     )
 
 
 def _quadratic_cost(disc: DiscretizedFocp, C2: np.ndarray, U_hat: np.ndarray) -> float:
     """J = 1/2 c^T W c - c^T w_track + 1/2 const, summed over the state
     and the control. The quadratic forms cancel like ``state_from_coeffs``,
-    so they run over the diagonal blocks of W in long double."""
+    so they run over the blocks of W in long double."""
     M = disc.params.M
     J = 0.5 * (np.longdouble(disc.track_p_const) + disc.track_q_const)
     for W, c, track in ((disc.Wp, C2, disc.wp_track), (disc.Wq, U_hat, disc.wq_track)):
         c = np.asarray(c, dtype=np.longdouble).reshape(-1, M)
-        J += 0.5 * np.einsum("ni,nij,nj->", c, diagonal_blocks(W, M), c) - c.ravel() @ track
+        J += 0.5 * np.einsum("ni,nij,nj->", c, W, c) - c.ravel() @ track
     return float(J)
 
 
@@ -374,7 +372,7 @@ def solve_discretized(disc: DiscretizedFocp, diagnostics: bool = True) -> FocpSo
     The reduced Hessian solves below ``_STRUCTURED_COND_LIMIT`` of cond(D).
     The dense KKT LU solves above it and wherever the reduced route raises
     SingularMatrixError (a reduced Hessian not numerically SPD, or G_c
-    blocks that ``invert_blocks`` refuses); if it refuses too, so does this.
+    leaves that ``invert_blocks`` refuses); if it refuses too, so does this.
     """
     m = disc.params.m_hat
     solved = None

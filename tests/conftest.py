@@ -15,7 +15,13 @@ from wavefocp.opmats import (
     project,
     quadrature_grid,
 )
-from wavefocp.quadrature import gamma, gauss_jacobi_right, gauss_legendre, graded_breakpoints
+from wavefocp.quadrature import (
+    block_diagonal,
+    gamma,
+    gauss_jacobi_right,
+    gauss_legendre,
+    graded_breakpoints,
+)
 
 # Published reference matrices for k=2, M=4 (8x8 basis). The Gram matrices
 # are block-diagonal; only the two 4x4 blocks are listed.
@@ -342,19 +348,24 @@ def cost_via_product_chain(disc, solution) -> float:
     Cross-check route only (homogeneous cost, no tracking targets): builds
     the intermediate coefficient vectors for p*x^2 and q*u^2 with repeated
     product-matrix applications, against projections of p and q, and
-    integrates their basis expansion.
+    integrates their basis expansion. Each product matrix is the paper's
+    dense C~, built from the blocks that ``product_matrix`` returns.
     """
     problem, params, mats = disc.problem, disc.params, disc.mats
     if problem.track_x is not None or problem.track_u is not None:
         raise ValueError("product-matrix chain applies to the homogeneous cost only")
+
+    def dense_product(c):
+        return block_diagonal(product_matrix(c, mats))
+
     C2 = solution.C2
-    C_tilde = product_matrix(C2, mats)
+    C_tilde = dense_product(C2)
     C3 = C_tilde.T @ C2
-    C4 = product_matrix(C3, mats)
+    C4 = dense_product(C3)
     C5 = C4.T @ project(problem.p_fn, params, mats)
-    U2 = product_matrix(solution.U_hat, mats)
+    U2 = dense_product(solution.U_hat)
     U3 = U2.T @ solution.U_hat
-    U4 = product_matrix(U3, mats)
+    U4 = dense_product(U3)
     U5 = U4.T @ project(problem.q_fn, params, mats)
     moments = basis_moment_vector(params)
     return 0.5 * float((C5 + U5) @ moments)

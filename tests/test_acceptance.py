@@ -42,7 +42,7 @@ from wavefocp.cli import main
 from wavefocp.errors import convergence_sweep, lemma2_bound
 from wavefocp.fracops import check_inversion_identity
 from wavefocp.opmats import build_operational_matrices, project, quadrature_nodes
-from wavefocp.quadrature import gamma
+from wavefocp.quadrature import block_diagonal, gamma
 from wavefocp.solver import (
     FocpProblem,
     discretize,
@@ -297,7 +297,7 @@ def test_criterion_6_property_suite():
     # feasible-direction optimality
     from wavefocp.solver import _quadratic_cost, state_from_coeffs
 
-    G_A, G_B = disc.constraint_operators
+    G_A, G_B = (block_diagonal(blocks) for blocks in disc.constraint_operators)
     m = disc.params.m_hat
     G_c = np.eye(m) - G_A @ disc.mats.Pmu.T
     null = scipy.linalg.null_space(np.hstack([G_c, -G_B]))

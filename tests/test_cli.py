@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,25 @@ class TestCliRuns:
             assert main(args + ["--out", str(tmp_path / "sweep")]) == 2
         assert "numeric failure" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("line, field", [
+        ("x0 = nan", "x0"), ("x0 = inf", "x0"), ("p = exp(1000*t)", "p"),
+        ("q = exp(1000*t)", "q"), ("a = exp(1000*t)", "a"), ("b = exp(1000*t)", "b")])
+    def test_non_finite_problem_data_exit_code(self, tmp_path, capsys, line, field):
+        """Non-finite problem data is a validation error (exit 1) that names
+        the field, with no warning and no file written; x0 = nan used to
+        exit 0 with J = nan in the cost file."""
+        key = line.split(" = ")[0]
+        text = "".join(line + "\n" if row.startswith(key + " =") else row + "\n"
+                       for row in EXAMPLE1_FILE.splitlines())
+        path = tmp_path / "prob.txt"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--problem", str(path), "--out", str(out)]) == 1
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unstable_problem_file_solves(self, tmp_path):
         """At (4, 4) tw the reduced Hessian of ``UNSTABLE_PROBLEM_FILE`` is

@@ -19,7 +19,6 @@ from wavefocp.fracops import rl_integral
 from wavefocp.opmats import (
     OperationalMatrices,
     build_operational_matrices,
-    diagonal_blocks,
     gram_matrix,
     inner_products,
     integration_matrix_fractional,
@@ -30,7 +29,7 @@ from wavefocp.opmats import (
     quadrature_nodes,
     triple_product_tensor,
 )
-from wavefocp.quadrature import SingularMatrixError, solve_spd
+from wavefocp.quadrature import SingularMatrixError, block_diagonal, diagonal_blocks, solve_spd
 from wavefocp.solver import FocpProblem, _requadrature_cost, discretize
 
 
@@ -216,15 +215,26 @@ class TestTripleProducts:
         assert np.abs(T - np.transpose(T, (0, 1, 3, 2))).max() <= 1e-12
 
     def test_cross_block_zero(self, params_frac09, mats_frac09):
-        """T stores only the N diagonal blocks, and the product matrix is
-        zero across blocks."""
-        M, N = params_frac09.M, params_frac09.n_blocks
-        assert triple_product_tensor(params_frac09).shape == (N, M, M, M)
-        c = np.random.default_rng(3).standard_normal(params_frac09.m_hat)
+        """T and the product matrix store only their N diagonal blocks, and
+        the product they stand for is zero across blocks: the projection of
+        psi_i (c^T Psi) vanishes off the block of psi_i."""
+        params, M, N = params_frac09, params_frac09.M, params_frac09.n_blocks
+        assert triple_product_tensor(params).shape == (N, M, M, M)
+        c = np.random.default_rng(3).standard_normal(params.m_hat)
         C_tilde = product_matrix(c, mats_frac09)
-        assert np.all(C_tilde[:M, M:] == 0.0)
-        assert np.all(C_tilde[M:, :M] == 0.0)
-        assert np.all(C_tilde[:M, :M] != 0.0)
+        assert C_tilde.shape == (N, M, M)
+        assert np.all(C_tilde != 0.0)
+        for i in (1, M + 2):
+
+            def product_fn(z, i=i):
+                blocks, local = local_basis_values(params, np.atleast_1d(z))
+                expansion = np.einsum("mj,jm->j", local, c.reshape(-1, M)[blocks])
+                return expansion * np.where(blocks == i // M, local[i % M], 0.0)
+
+            projected = project(product_fn, params, mats_frac09).reshape(N, M)
+            own = i // M
+            assert np.all(np.delete(projected, own, axis=0) == 0.0)
+            np.testing.assert_allclose(projected[own], C_tilde[own, i % M], atol=1e-12)
 
     def test_matches_quadrature(self, params_plain):
         T = triple_product_tensor(params_plain)
@@ -245,7 +255,7 @@ class TestTripleProducts:
             params = WaveletParams(k=k, M=M, mu=mu)
             mats = build_operational_matrices(params)
             c = np.random.default_rng(5).standard_normal(params.m_hat)
-            C_tilde = product_matrix(c, mats)
+            C_tilde = block_diagonal(product_matrix(c, mats))
             i = (first - 1) * M + 2
 
             def product_fn(z, c=c, i=i):
@@ -314,7 +324,7 @@ def test_product_matrix_matches_triple_contraction(k, M, mu):
     G = np.einsum("nabc,nb->nac", triple_product_tensor(params), c.reshape(N, M))
     ref = mats.solve_D(G.transpose(0, 2, 1).reshape(N * M, M)).reshape(N, M, M)
     ref = ref.transpose(0, 2, 1)
-    ours = diagonal_blocks(product_matrix(c, mats), M)
+    ours = product_matrix(c, mats)
     assert np.abs(ours - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -535,15 +545,14 @@ class TestBlockGrid:
         blocks, local = local_basis_values(params, nodes)
         for f in (lambda z: np.exp(z) * np.sqrt(z), lambda z: 1.0 + np.cos(3.0 * z)):
             ours_ip = grid.inner_products(f(grid.nodes)).reshape(N, M)
-            ours_gram = grid.weighted_gram(f(grid.nodes))
+            ours_gram = grid.gram_blocks(f(grid.nodes))
             lw = local * (weights * f(nodes))
             for n in sorted({1, 2, N}):
                 own = blocks == n - 1
-                blk = slice((n - 1) * M, n * M)
                 ref_ip = lw[:, own].sum(axis=1)
                 ref_gram = lw[:, own] @ local[:, own].T
                 assert np.abs(ours_ip[n - 1] / ref_ip - 1.0).max() <= 1e-13
-                assert np.abs(ours_gram[blk, blk] / ref_gram - 1.0).max() <= 1e-13
+                assert np.abs(ours_gram[n - 1] / ref_gram - 1.0).max() <= 1e-13
 
     def test_weighted_gram_and_evaluation_match_dense(self):
         params = WaveletParams(k=4, M=4, mu=0.7)
@@ -551,7 +560,8 @@ class TestBlockGrid:
         vals = eval_basis_many(params, grid.nodes)
         w = 1.0 + np.cos(3.0 * grid.nodes)
         dense_gram = (vals * (grid.weights * w)) @ vals.T
-        np.testing.assert_allclose(grid.weighted_gram(w), dense_gram, rtol=0.0, atol=1e-13)
+        ours = block_diagonal(grid.gram_blocks(w))
+        np.testing.assert_allclose(ours, dense_gram, rtol=0.0, atol=1e-13)
         c = np.random.default_rng(4).standard_normal(params.m_hat)
         np.testing.assert_allclose(grid.evaluate(c), c @ vals, rtol=0.0, atol=1e-13)
 

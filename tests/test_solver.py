@@ -1,5 +1,6 @@
 import collections
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from wavefocp import quadrature, solver
 from wavefocp.basis import WaveletParams, eval_basis, eval_basis_many
 from wavefocp.cli import parse_problem_file
 from wavefocp.opmats import build_operational_matrices
-from wavefocp.quadrature import SingularMatrixError, gamma, solve_linear
+from wavefocp.quadrature import SingularMatrixError, block_diagonal, gamma, solve_linear
 from wavefocp.solver import (
     ConfigurationError,
     FocpProblem,
@@ -77,6 +78,25 @@ class TestProblemValidation:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             example1(1.2)
+
+    @pytest.mark.parametrize("field, value", [("x0", "nan"), ("x0", "inf")] + [
+        (field, value) for field in "pqab" for value in ("nan", "inf", "overflow")])
+    def test_rejects_non_finite_data(self, field, value):
+        """A non-finite x0, or a coefficient that is not finite on the
+        validation grid, is refused by name and without a warning; solved,
+        x0 = nan gave J = nan."""
+        data = dict(p_fn=np.ones_like, q_fn=np.ones_like, a_fn=lambda z: -np.ones_like(z),
+                    b_fn=np.ones_like, x0=1.0, mu=0.9)
+        if field == "x0":
+            data["x0"] = float(value)
+        elif value == "overflow":
+            data[f"{field}_fn"] = lambda z: np.exp(1000.0 * np.asarray(z))
+        else:
+            data[f"{field}_fn"] = lambda z: np.full_like(z, float(value))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{field} must be finite"):
+                FocpProblem(**data)
 
     def test_rejects_mismatched_basis_order(self):
         problem = example1(0.8)
@@ -266,14 +286,14 @@ class TestSolutionStructure:
             a_fn=counted("a", base.a_fn), b_fn=counted("b", base.b_fn), x0=base.x0, mu=0.8,
             track_x=counted("rx", base.track_x), track_u=counted("ru", base.track_u),
         )
-        calls.clear()  # the checks of FocpProblem sample p, q and b
+        calls.clear()  # the checks of FocpProblem sample p, q, a and b
         discretize(problem, WaveletParams(k=2, M=4, mu=0.8))
         assert calls == dict.fromkeys(["p", "q", "a", "b", "rx", "ru"], 1)
 
     def test_kkt_feasible_direction_optimality(self):
         disc = discretize(example1(0.9), WaveletParams(k=2, M=4, mu=0.9))
         sol = solve_discretized(disc, diagnostics=False)
-        G_A, G_B = disc.constraint_operators
+        G_A, G_B = (block_diagonal(blocks) for blocks in disc.constraint_operators)
         m = disc.params.m_hat
         Pm = disc.mats.Pmu
         G_c = np.eye(m) - G_A @ Pm.T
@@ -300,6 +320,20 @@ def variable_coefficient(mu):
 
 
 _PROBLEMS = {"example1": example1, "example3": example3, "variable": variable_coefficient}
+
+
+def _count_assembly(monkeypatch):
+    """The m_hat of every ``assemble_kkt`` call the solver makes from now
+    on; a solve that assembles once took the dense KKT route."""
+    assembled = []
+    assemble = solver.assemble_kkt
+
+    def counted(disc):
+        assembled.append(disc.params.m_hat)
+        return assemble(disc)
+
+    monkeypatch.setattr(solver, "assemble_kkt", counted)
+    return assembled
 
 
 class TestStructuredSolve:
@@ -343,24 +377,19 @@ class TestStructuredSolve:
         with pytest.warns(UserWarning, match="condition"):
             disc = discretize(example1(mu), params)
         assert disc.mats.cond_D < solver._STRUCTURED_COND_LIMIT
-        factored, assembled = [], []
-        assemble = solver.assemble_kkt
+        factored = []
 
         def no_cholesky(A):
             factored.append(A.shape)
             return None
 
-        def counted(d):
-            assembled.append(d.params.m_hat)
-            return assemble(d)
-
         monkeypatch.setattr(quadrature, "spd_factor", no_cholesky)
-        monkeypatch.setattr(solver, "assemble_kkt", counted)
+        assembled = _count_assembly(monkeypatch)
         fallback = solve_discretized(disc, diagnostics=False)
         m = params.m_hat
         assert factored == [(m, m)]
         assert assembled == [m]
-        K, rhs = assemble(disc)
+        K, rhs = assemble_kkt(disc)
         with mp.workdps(50):
             exact = mp.lu_solve(mp.matrix(K.tolist()), mp.matrix(rhs.tolist()))
             exact = np.array([float(v) for v in exact])
@@ -376,7 +405,7 @@ class TestStructuredSolve:
         """The block-row G_c against the dense m_hat^3 product it replaces."""
         params = WaveletParams(k=k, M=M, mu=1.0 if basis == "tw" else mu)
         disc = discretize(variable_coefficient(mu), params)
-        G_A, _ = disc.constraint_operators
+        G_A = block_diagonal(disc.constraint_operators[0])
         dense = np.eye(params.m_hat) - G_A @ disc.mats.Pmu.T
         G_c = solver._g_c(disc)
         assert np.abs(G_c - dense).max() <= 1e-15 * np.abs(dense).max()
@@ -388,10 +417,12 @@ class TestStructuredSolve:
         on either route; the dense route is forced by a failing Cholesky."""
         if route == "dense":
             monkeypatch.setattr(quadrature, "spd_factor", lambda A: None)
+        assembled = _count_assembly(monkeypatch)
         disc = discretize(_PROBLEMS[problem](0.8), WaveletParams(k=3, M=4, mu=0.8))
         sol = solve_discretized(disc, diagnostics=False)
-        K, rhs = assemble_kkt(disc)
         m = disc.params.m_hat
+        assert assembled == ([m] if route == "dense" else [])
+        K, rhs = assemble_kkt(disc)
         residual = K @ np.concatenate([sol.C_hat, sol.U_hat, sol.eta_star]) - rhs
         assert abs(sol.residuals["constraint"] - np.abs(residual[2 * m :]).max()) <= 1e-12
         assert abs(sol.residuals["stationarity"] - np.abs(residual).max()) <= 1e-12
@@ -402,6 +433,7 @@ class TestStructuredSolve:
         with the bits of ``state_from_coeffs`` of the returned C_hat."""
         if route == "dense":
             monkeypatch.setattr(quadrature, "spd_factor", lambda A: None)
+        assembled = _count_assembly(monkeypatch)
         calls = []
         original = solver.state_from_coeffs
 
@@ -412,30 +444,29 @@ class TestStructuredSolve:
         monkeypatch.setattr(solver, "state_from_coeffs", counted)
         disc = discretize(example1(0.9), WaveletParams(k=3, M=4, mu=0.9))
         sol = solve_discretized(disc, diagnostics=False)
+        assert assembled == ([disc.params.m_hat] if route == "dense" else [])
         assert len(calls) == 1
         assert np.array_equal(sol.C2, original(sol.C_hat, disc.d1, disc.mats))
 
     def test_g_c_refusal_falls_back_to_dense_kkt(self, monkeypatch):
-        """G_c diagonal blocks that ``invert_blocks`` refuses send the solve
-        to the dense KKT LU, whose J matches the structured J."""
+        """G_c leaves that ``invert_blocks`` refuses, in the one call that
+        ``LowerTriangular.from_blocks`` makes, send the solve to the dense
+        KKT LU, whose J matches the structured J."""
         disc = discretize(example1(0.9), WaveletParams(k=3, M=4, mu=0.9))
         structured = solve_discretized(disc, diagnostics=False)
-        assembled = []
-        assemble = solver.assemble_kkt
+        refused = []
 
         def refuse(blocks):
-            raise SingularMatrixError("G_c blocks refused", pivot=0.0)
+            refused.append(blocks.shape)
+            raise SingularMatrixError("G_c leaves refused", pivot=0.0)
 
-        def counted(d):
-            assembled.append(d.params.m_hat)
-            return assemble(d)
-
-        monkeypatch.setattr(solver, "invert_blocks", refuse)
-        monkeypatch.setattr(solver, "assemble_kkt", counted)
+        monkeypatch.setattr(quadrature, "invert_blocks", refuse)
+        assembled = _count_assembly(monkeypatch)
         fallback = solve_discretized(disc, diagnostics=False)
         m = disc.params.m_hat
+        assert refused == [(1, m, m)]  # m_hat 16 is one leaf
         assert assembled == [m]
-        dense = solve_linear(*assemble(disc))
+        dense = solve_linear(*assemble_kkt(disc))
         assert np.array_equal(fallback.U_hat, dense[m : 2 * m])
         assert fallback.J_value == pytest.approx(structured.J_value, rel=1e-12)
 
@@ -459,14 +490,7 @@ class TestStructuredSolve:
         """Where cond(D) reaches ``_STRUCTURED_COND_LIMIT`` (M = 12 here) the
         reduced Hessian cannot be formed accurately and the dense KKT LU
         solves instead."""
-        assembled = []
-        original = solver.assemble_kkt
-
-        def counted(disc):
-            assembled.append(disc.params.m_hat)
-            return original(disc)
-
-        monkeypatch.setattr(solver, "assemble_kkt", counted)
+        assembled = _count_assembly(monkeypatch)
         solve_focp(example1(0.9), WaveletParams(k=2, M=4, mu=0.9), diagnostics=False)
         assert assembled == []
         params = WaveletParams(k=1, M=12, mu=0.9)
