@@ -16,14 +16,16 @@ The integration matrices are least-squares projections of the
 
 P^mu does not use the grid: every block of its unprojected matrix comes
 from a fixed rule in the local block coordinates, where each wavelet is a
-plain monomial. Kernel differences are formed from the exact step in the
-local coordinate, so nothing cancels near the diagonal. The weakly singular
+plain monomial; the rules are built once per order. Kernel differences are
+formed from the exact step, so nothing cancels: the weakly singular
 same-block kernel gets Gauss-Jacobi rules after s = s'(1 - v); the
-adjacent block, singular at one corner, gets Duffy's split into two
-triangles; blocks further apart get tensor Gauss-Legendre. The row of
-block 1, whose wavelets are single powers y^(mu m) of y = zeta / bp_1,
-gets Gauss-Jacobi rules in y (weight y^(mu m)) where its kernel is smooth,
-and the same corner split next to block 2.
+adjacent block, singular at one corner, Duffy's split into two triangles;
+blocks further apart tensor Gauss-Legendre, with the gap a sum of three
+non-negative terms (node to breakpoint, between breakpoints, breakpoint to
+node). The row of block 1, whose wavelets are single powers y^(mu m) of
+y = zeta / bp_1, gets Gauss-Jacobi rules in y (weight y^(mu m)) where its
+kernel is smooth, and the same corner split next to block 2. For the
+Taylor wavelets only that row is solved against D; P^mu is tiled from it.
 """
 
 from __future__ import annotations
@@ -57,6 +59,13 @@ _GRADED_RATIO = 0.2
 _GRADED_LEVELS = 16
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays of a memoized rule, which its callers share."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 @lru_cache(maxsize=64)
 def _graded_rule(points: int, n_blocks: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Local nodes s, 0-based block offsets and weights in s of a rule over
@@ -73,10 +82,7 @@ def _graded_rule(points: int, n_blocks: int) -> tuple[np.ndarray, np.ndarray, np
     rules = graded + [gauss_legendre(points, 0.0, 1.0)] * (n_blocks - 1)
     s = np.concatenate([rule.nodes for rule in rules])
     block = np.repeat(np.arange(n_blocks), [len(graded) * points] + [points] * (n_blocks - 1))
-    rule = (s, block, np.concatenate([rule.weights for rule in rules]))
-    for array in rule:
-        array.flags.writeable = False
-    return rule
+    return _read_only(s, block, np.concatenate([rule.weights for rule in rules]))
 
 
 def quadrature_nodes(params: WaveletParams) -> tuple[np.ndarray, np.ndarray]:
@@ -174,7 +180,7 @@ class OperationalMatrices:
     (projections, weighted and product Grams) run on. D is block-diagonal
     and stored once, as its N diagonal blocks ``D_blocks``, shape
     (N, M, M). The dense ``D`` and ``P1``, the integration matrix of order
-    1, are built on first access; a solve reads neither.
+    1, are built on first access (``P1`` is ``Pmu`` at order 1).
     """
 
     params: WaveletParams
@@ -190,7 +196,8 @@ class OperationalMatrices:
 
     @cached_property
     def P1(self) -> np.ndarray:
-        return integration_matrix_first_order(self.params, self)
+        return (self.Pmu if self.frac_order == 1.0
+                else integration_matrix_first_order(self.params, self))
 
     def solve_D(self, rhs: np.ndarray) -> np.ndarray:
         """Solve D x = rhs block by block, by one batched LU solve with
@@ -204,10 +211,11 @@ class OperationalMatrices:
         """The bundle of the same basis with ``Pmu`` of the given order
         (this bundle if it has that order). The grid, ``D_blocks`` and
         cond(D) depend on the basis only and are shared; only ``Pmu`` is
-        built."""
+        built, and at order 1 it is this bundle's ``P1``."""
         if frac_order == self.frac_order:
             return self
-        Pmu = integration_matrix_fractional(self.params, self, frac_order)
+        Pmu = (self.P1 if frac_order == 1.0
+               else integration_matrix_fractional(self.params, self, frac_order))
         return dataclasses.replace(self, frac_order=frac_order, Pmu=Pmu)
 
 
@@ -245,16 +253,18 @@ def integration_matrix_fractional(
                           phi_m(s) phi_m'(s') w_n(s) w_b(s') ds ds'.
 
     Every block comes from a fixed rule in (s, s') with
-    ``_LOCAL_RULE_POINTS`` points per coordinate: ``_row_block_one`` fills
-    the row of block 1, whose wavelets are single powers of zeta, in
-    (zeta / bp_1, s');
-    ``_near_field`` the same-block and adjacent-block pairs of the other
-    rows, whose kernel is singular; and ``_far_field`` the rest, where it is
-    smooth. No rule uses the cancelling global-power expansion of the
-    wavelets, and none reads the graded grid. For the Taylor wavelets
-    (mu = 1) every block is a translate of block 1 and the kernel depends
-    on zeta - zeta' only, so B is block-Toeplitz, B_{n,n+d} = B_{1,1+d}, and
-    the later rows are copies of the row of block 1.
+    ``_LOCAL_RULE_POINTS`` points per coordinate, built once per order:
+    ``_row_block_one`` fills the row of block 1, whose wavelets are single
+    powers of zeta, in (zeta / bp_1, s'); ``_near_field`` the same-block and
+    adjacent-block pairs of the other rows, whose kernel is singular; and
+    ``_far_field`` the rest, where it is smooth and the gap is a sum of
+    three non-negative terms. No rule uses the cancelling global-power
+    expansion of the wavelets, and none reads the graded grid. For the
+    Taylor wavelets (mu = 1) every block is a translate of block 1 and the
+    kernel depends on zeta - zeta' only, so B is block-Toeplitz,
+    B_{n,n+d} = B_{1,1+d}, and D_b is the same for b >= 2: only the row of
+    block 1 is solved against D and the later rows of P copy it, except
+    P_nn = B_11 D_2^-1 (D_1, from the graded rule, differs at rounding).
     """
     return _integration_matrix(params, mats, params.mu if order is None else order)
 
@@ -265,14 +275,18 @@ def _integration_matrix(
     """P = B D^-1 at the given order: the body of both public builders."""
     if not 0.0 < order <= 1.0:
         raise ValueError(f"need 0 < order <= 1, got {order}")
+    N, M = params.n_blocks, params.M
     B = np.zeros((params.m_hat, params.m_hat))
     _row_block_one(params, order, B)
-    if params.mu == 1.0:
-        _tile_row_block_one(params, B)
-    else:
+    if params.mu != 1.0:
         _near_field(params, order, B)
         _far_field(params, order, B)
-    return mats.solve_D(B.T).T
+        return mats.solve_D(B.T).T
+    diagonal = np.linalg.solve(mats.D_blocks[-1], B[:M, :M].T).T  # D_N = D_2 if N > 1
+    B[:M] = mats.solve_D(B[:M].T).T
+    _tile_row_block_one(params, B)  # B now holds P
+    B.reshape(N, M, N, M)[range(1, N), :, range(1, N)] = diagonal
+    return B
 
 
 def _dzeta(params: WaveletParams, t: np.ndarray) -> np.ndarray:
@@ -284,6 +298,13 @@ def _zeta_gap(t: np.ndarray, dt: np.ndarray, mu: float) -> np.ndarray:
     """zeta(t + dt) - zeta(t) for zeta = t^(1/mu), from the step dt itself,
     so that nothing cancels when dt is small."""
     return t ** (1.0 / mu) * np.expm1(np.log1p(dt / t) / mu)
+
+
+@lru_cache(maxsize=64)
+def _y_rules(mu: float, M: int) -> tuple[np.ndarray, ...]:
+    """Nodes and weights, (M, Q) each, of ``_row_block_one``'s y-rules."""
+    rules = [gauss_jacobi_left(_LOCAL_RULE_POINTS, 0.0, 1.0, mu * m) for m in range(M)]
+    return _read_only(np.array([g.nodes for g in rules]), np.array([g.weights for g in rules]))
 
 
 def _row_block_one(params: WaveletParams, order: float, B: np.ndarray) -> None:
@@ -322,24 +343,21 @@ def _row_block_one(params: WaveletParams, order: float, B: np.ndarray) -> None:
     rule = gauss_legendre(Q, 0.0, 1.0)
     s_to = rule.nodes
     t = (s_to + np.arange(1, N)[:, None]) / N  # t_b(s') for block b = row b - 2
-    vals = local_wavelet_values(params, s_to) * (_dzeta(params, t) * rule.weights)[:, None]
     gap = _zeta_gap(1.0 / N, (s_to + np.arange(N - 1)[:, None]) / N, mu)
-    jacobi = [gauss_jacobi_left(Q, 0.0, 1.0, mu * j) for j in m]
+    y_nodes, y_weights = _y_rules(mu, M)
     # the y-rules of target block b at row b - 2: on [0, 2^(-1/mu)] for b = 2
     scale = np.r_[0.5 ** (1.0 / mu), np.ones(N - 2)][:, None]
-    y = np.array([g.nodes for g in jacobi])[:, None] * scale
-    wy = np.array([g.weights for g in jacobi])[:, None] * scale ** (mu * m[:, None, None] + 1.0)
-    kernel = (gap[:, None] + bp1 * (1.0 - y)[..., None]) ** (order - 1.0)
-    row = np.einsum("mbj,bpj->mbp", (wy[:, :, None] @ kernel)[:, :, 0], vals)
+    y = y_nodes[:, None] * scale
+    wy = y_weights[:, None] * scale ** (mu * m[:, None, None] + 1.0)
+    kernel = gap[:, None] + bp1 * (1.0 - y)[..., None]
+    kernel **= order - 1.0
+    row = (wy[:, :, None] @ kernel)[:, :, 0] * (_dzeta(params, t) * rule.weights)
+    row = (row.reshape(-1, Q) @ local_wavelet_values(params, s_to).T).reshape(M, N - 1, M)
     row *= (c * bp1)[:, None, None]
-    u, s_to, weights = _tensor(gauss_legendre(Q, 0.0, 0.5), gauss_legendre(Q, 0.5, 1.0))
-    du, ds, r, dw = _duffy_corner(order)
-    u, s_to = np.concatenate([u, du / 2.0]), np.concatenate([s_to, ds / 2.0])
-    factor = np.concatenate([np.ones_like(weights), r])
-    weights = np.concatenate([weights, dw / 4.0])
-    t = (1.0 - u) / N
-    kernel = weights * (_zeta_gap(t, (u + s_to) / N, mu) / factor) ** (order - 1.0)
-    source = local_wavelet_values(params, 1.0 - u) * (_dzeta(params, t) * kernel)
+    s, s_to, step, factor, weights = _singular_rules(order)[2]
+    t = s / N
+    kernel = weights * (_zeta_gap(t, step / N, mu) / factor) ** (order - 1.0)
+    source = local_wavelet_values(params, s) * (_dzeta(params, t) * kernel)
     target = local_wavelet_values(params, s_to) * _dzeta(params, (s_to + 1.0) / N)
     row[:, 0] += source @ target.T
     B[:M, M:] = (row / gamma(order)).reshape(M, -1)
@@ -379,6 +397,24 @@ def _duffy_corner(order: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     )
 
 
+@lru_cache(maxsize=64)
+def _singular_rules(order: float) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The rules of B that depend on the order, each listed as ``_near_field``
+    describes: its own for d = 0 and d = 1, then ``_row_block_one``'s for
+    block 2 over s >= 1/2 (tensor Gauss-Legendre, Duffy on u, s' <= 1/2)."""
+    Q = _LOCAL_RULE_POINTS
+    sp, v, w = _tensor(*(gauss_jacobi_left(Q, 0.0, 1.0, e) for e in (order, order - 1.0)))
+    u, s_to, r, w_corner = _duffy_corner(order)
+    cu, cs, cw = _tensor(gauss_legendre(Q, 0.0, 0.5), gauss_legendre(Q, 0.5, 1.0))
+    cu, cs = np.concatenate([cu, u / 2.0]), np.concatenate([cs, s_to / 2.0])
+    cw, cf = np.concatenate([cw, w_corner / 4.0]), np.concatenate([np.ones_like(cw), r])
+    return (
+        _read_only(sp * (1.0 - v), sp, sp * v, sp * v, w),
+        _read_only(1.0 - u, s_to, u + s_to, r, w_corner),
+        _read_only(1.0 - cu, cs, cu + cs, cf, cw),
+    )
+
+
 def _near_field(params: WaveletParams, order: float, B: np.ndarray) -> None:
     """Fill the blocks B_{n,n+d}, d = 0 and 1, of source blocks n >= 2.
 
@@ -398,15 +434,9 @@ def _near_field(params: WaveletParams, order: float, B: np.ndarray) -> None:
     factor of it that the rule's weight absorbs (s' v, or r), so that
     (gap / factor)^(order-1) is smooth.
     """
-    N, M, Q = params.n_blocks, params.M, _LOCAL_RULE_POINTS
-    sp, v, w = _tensor(
-        gauss_jacobi_left(Q, 0.0, 1.0, order), gauss_jacobi_left(Q, 0.0, 1.0, order - 1.0)
-    )
-    same = (sp * (1.0 - v), sp, sp * v, sp * v, w)
-    u, s_to, r, w = _duffy_corner(order)
-    adjacent = (1.0 - u, s_to, u + s_to, r, w)
+    N, M = params.n_blocks, params.M
     blocks = B.reshape(N, M, N, M)
-    for d, (s, s_to, step, factor, weights) in enumerate((same, adjacent)):
+    for d, (s, s_to, step, factor, weights) in enumerate(_singular_rules(order)[:2]):
         n = np.arange(2, N - d + 1)[:, None]
         t, t_to = (s + n - 1.0) / N, (s_to + n - 1.0 + d) / N
         gap = _zeta_gap(t, step / N, params.mu)
@@ -421,21 +451,28 @@ def _far_field(params: WaveletParams, order: float, B: np.ndarray) -> None:
     """Fill the blocks b >= n + 2 of source blocks n >= 2 of B.
 
     The blocks are at least one block apart and w_n is smooth for n >= 2,
-    so a fixed tensor Gauss-Legendre rule resolves the integrand: one
-    kernel matrix per source block, contracted with the weighted local
-    values of the source and of every far target block.
+    so a fixed tensor Gauss-Legendre rule resolves the integrand. The gap
+    zeta_b(s') - zeta_n(s) is the sum of three non-negative ``_zeta_gap``
+    terms, zeta_n(s) to bp_n, bp_n to bp_{b-1} and bp_{b-1} to zeta_b(s'),
+    so a node pair costs one add and one power. Each source block's kernel
+    over all its far targets is contracted by two matrix products.
     """
-    N, M, mu = params.n_blocks, params.M, params.mu
-    rule = gauss_legendre(_LOCAL_RULE_POINTS, 0.0, 1.0)
-    s, Q = rule.nodes, _LOCAL_RULE_POINTS
+    N, M, mu, Q = params.n_blocks, params.M, params.mu, _LOCAL_RULE_POINTS
+    rule = gauss_legendre(Q, 0.0, 1.0)
+    s = rule.nodes
     t = (s + np.arange(N)[:, None]) / N  # t_n(s) for block n = row n - 1
-    vals = local_wavelet_values(params, s) * (_dzeta(params, t) * rule.weights)[:, None, :]
+    weighted = _dzeta(params, t) * rule.weights
+    phi = local_wavelet_values(params, s)
+    target = phi.T / gamma(order)
+    to_end = _zeta_gap(t, (1.0 - s) / N, mu)
+    j = np.arange(1, N)
+    from_start = _zeta_gap(j[:, None] / N, s / N, mu)  # block b at row b - 2
+    between = _zeta_gap(j[:, None] / N, j / N, mu)  # bp_{n+j} - bp_n at [n - 1, j - 1]
     for n in range(2, N - 1):
-        step = (s - s[:, None])[:, None, :] + np.arange(2, N - n + 1)[:, None]
-        kernel = _zeta_gap(t[n - 1][:, None, None], step / N, mu) ** (order - 1.0)
-        src = (vals[n - 1] @ kernel.reshape(Q, -1)).reshape(M, N - n - 1, Q)
-        far = np.einsum("mbl,bpl->mbp", src, vals[n + 1 :]) / gamma(order)
-        B[(n - 1) * M : n * M, (n + 1) * M :] = far.reshape(M, -1)
+        kernel = (to_end[n - 1][:, None] + between[n - 1, : N - n - 1])[..., None] + from_start[n:]
+        kernel **= order - 1.0
+        src = (phi * weighted[n - 1]) @ kernel.reshape(Q, -1) * weighted[n + 1 :].ravel()
+        B[(n - 1) * M : n * M, (n + 1) * M :] = (src.reshape(-1, Q) @ target).reshape(M, -1)
 
 
 def product_matrix(c: np.ndarray, mats: OperationalMatrices) -> np.ndarray:

@@ -187,19 +187,22 @@ def discretize(
 
     grid = mats.grid
 
-    def tracking(w: np.ndarray, target: Fn | None) -> tuple[np.ndarray, float]:
+    def tracking(w: np.ndarray, target: Fn | None, name: str) -> tuple[np.ndarray, float]:
         """Integrals of w r psi_j and of w r^2 for the target r, or zeros."""
         if target is None:
             return np.zeros(params.m_hat), 0.0
-        r = _as_grid_fn(target)(grid.nodes)
+        with np.errstate(all="ignore"):
+            r = _as_grid_fn(target)(grid.nodes)
+        if not np.isfinite(r).all():
+            raise ValueError(f"{name} must be finite on the quadrature nodes")
         wr = w * r
         return grid.inner_products(wr), float(np.dot(grid.weights, wr * r))
 
     # each function is sampled once on the grid
     p = _as_grid_fn(problem.p_fn)(grid.nodes)
     q = _as_grid_fn(problem.q_fn)(grid.nodes)
-    wp_track, track_p_const = tracking(p, problem.track_x)
-    wq_track, track_q_const = tracking(q, problem.track_u)
+    wp_track, track_p_const = tracking(p, problem.track_x, "track_x")
+    wq_track, track_q_const = tracking(q, problem.track_u, "track_u")
 
     return DiscretizedFocp(
         problem=problem, params=params, mats=mats,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import UNSTABLE_PROBLEM_FILE
 from wavefocp import cli, opmats
+from wavefocp.basis import WaveletParams
 from wavefocp.cli import (
     RunConfig,
     UsageError,
@@ -196,6 +197,24 @@ class TestCliRuns:
         assert f"{field} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, field", [("rx", "track_x"), ("ru", "track_u")])
+    def test_non_finite_tracking_target_exit_code(self, tmp_path, capsys, key, field):
+        """A tracking target that overflows on the grid exits 1, names the
+        field and writes nothing; rx = exp(1000*t) used to exit 0 with
+        J = nan. A target infinite only at t = 0 still solves."""
+        path = tmp_path / "prob.txt"
+        path.write_text(EXAMPLE1_FILE + f"{key} = exp(1000*t)\n", encoding="utf-8")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--problem", str(path), "--out", str(out)]) == 1
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+        path.write_text(EXAMPLE1_FILE + f"{key} = t^(-0.25)\n", encoding="utf-8")
+        assert main(["--problem", str(path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert (out / "prob_tw_cost.csv").exists()
+
     def test_unstable_problem_file_solves(self, tmp_path):
         """At (4, 4) tw the reduced Hessian of ``UNSTABLE_PROBLEM_FILE`` is
         not numerically SPD; the dense KKT LU solves it and the run writes
@@ -284,7 +303,7 @@ class TestSweepOutput:
         capsys.readouterr()
         assert calls == {"quadrature_grid": 1, "build_operational_matrices": 1,
                          "integration_matrix_first_order": 1,
-                         "integration_matrix_fractional": 6}
+                         "integration_matrix_fractional": 5}
 
         cost_rows = ["mu,basis,k,M,J\n"]
         for mu in self.MU:
@@ -302,8 +321,34 @@ class TestSweepOutput:
                      for mu in self.MU}
             assert len(texts) == 1
 
+    @pytest.mark.parametrize("basis, builds", [("ftw", 11), ("tw", 6)])
+    def test_order_one_built_once(self, tmp_path, monkeypatch, capsys, basis, builds):
+        """P1 and the order-1 P^mu of a basis are one build: the reference
+        sweep assembles an integration matrix 11 times on ftw (P^mu and P1
+        at five mu, one matrix at mu = 1) and 6 times on tw (P^mu at five
+        orders and P1), one fewer than when order 1 was built twice. The
+        files hold the bits of a fresh order-1 build."""
+        original = opmats._integration_matrix
+        orders = []
 
-_VALUES = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+        def counted(params, mats, order):
+            orders.append(order)
+            return original(params, mats, order)
+
+        monkeypatch.setattr(opmats, "_integration_matrix", counted)
+        out = tmp_path / "sweep"
+        assert main(["--example", "1", "--basis", basis, "--k", "2", "--M", "4",
+                     "--mu", ",".join(self.MU), "--emit", "matrices", "--out", str(out)]) == 0
+        capsys.readouterr()
+        # one order-1 matrix per basis: six on ftw, one on tw
+        assert len(orders) == builds and orders.count(1.0) == builds - 5
+        params = WaveletParams(k=2, M=4, mu=1.0)
+        fresh = _table_text(original(params, opmats.build_operational_matrices(params), 1.0), ",")
+        for label in ("P1", "Pmu"):
+            assert (out / f"example1_{basis}_{label}_mu1.csv").read_text() == fresh
+
+
+_VALUES =st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
 
 
 @given(

@@ -371,6 +371,47 @@ def test_tw_pmu_tiles_row_block_one(k, M, order):
     assert np.abs(mats.Pmu - mats.solve_D(B.T).T).max() <= 1e-12
 
 
+@pytest.mark.parametrize("k, M", [(2, 8), (5, 4)])
+@pytest.mark.parametrize("order", [0.3, 0.9, 1.0])
+def test_tw_row_solve_matches_full_solve(k, M, order):
+    """For tw only the row of block 1 is solved against D and tiled; the
+    diagonal blocks of rows n >= 2 are solved against D_2, because D_1
+    comes from the graded rule and differs from it at rounding. That
+    matches solving the whole tiled B against D within 1e-15 relative (bit
+    for bit on x86-64 with OpenBLAS)."""
+    params = WaveletParams(k=k, M=M, mu=1.0)
+    mats = build_operational_matrices(params, frac_order=order)
+    assert not np.array_equal(mats.D_blocks[0], mats.D_blocks[1])
+    B = np.zeros((params.m_hat, params.m_hat))
+    opmats._row_block_one(params, order, B)
+    opmats._tile_row_block_one(params, B)
+    full = mats.solve_D(B.T).T
+    assert np.abs(mats.Pmu - full).max() <= 1e-15 * np.abs(full).max()
+
+
+@pytest.mark.parametrize(
+    "k, M, mu, order, blocks",
+    [(5, 4, "0.3", "0.5", [(2, 4), (2, 16), (9, 11), (14, 16)]),
+     (4, 4, "0.1", "0.1", [(2, 4), (5, 8)]),
+     (5, 4, "0.9", "0.9", [(2, 4), (13, 15)])],
+    ids=["5-4-0.3-0.5", "4-4-0.1-0.1", "5-4-0.9-0.9"],
+)
+def test_far_field_matches_oracle(k, M, mu, order, blocks):
+    """Far-field blocks of B, whose gap is the sum of three non-negative
+    terms, against 50-digit mpmath within 1e-15 of each block's largest
+    entry (at most 6.5e-16 measured; the single-step gap gave 7.9e-16)."""
+    pytest.importorskip("mpmath")
+    from pmu_oracle import b_block_oracle
+
+    params = WaveletParams(k=k, M=M, mu=float(mu))
+    B = np.zeros((params.m_hat, params.m_hat))
+    opmats._far_field(params, float(order), B)
+    for n, b in blocks:
+        ref = b_block_oracle(k, M, mu, order, n, b, dps=50)
+        ours = B[(n - 1) * M : n * M, (b - 1) * M : b * M]
+        assert np.abs(ours - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
 @pytest.mark.parametrize(
     "k, M, mu, order, b",
     [(7, 8, "0.5", "0.9", 2), (7, 8, "0.5", "0.9", 3), (7, 8, "0.5", "0.9", 64),
@@ -606,6 +647,28 @@ def test_graded_rule_built_once_and_read_only():
         assert np.array_equal(shared, fresh)
     with pytest.raises(ValueError):
         first[0][0] = 0.0
+
+
+def test_pmu_rules_built_once_per_order(monkeypatch):
+    """The fixed rules of B are built once per order (the y-rules once per
+    (mu, M)) and shared read-only: a second build at the same order makes
+    no Gauss-Jacobi rule."""
+    params = WaveletParams(k=4, M=4, mu=0.55)
+    mats = build_operational_matrices(params, frac_order=0.45)
+    calls = []
+    original = opmats.gauss_jacobi_left
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(opmats, "gauss_jacobi_left", counted)
+    again = integration_matrix_fractional(params, mats, 0.45)
+    assert calls == []
+    assert np.array_equal(again, mats.Pmu)
+    for rule in (*opmats._singular_rules(0.45), opmats._y_rules(0.55, 4)):
+        for array in rule:
+            assert not array.flags.writeable
 
 
 def test_p1_built_on_request(params_frac09):

@@ -98,6 +98,33 @@ class TestProblemValidation:
             with pytest.raises(ValueError, match=f"^{field} must be finite"):
                 FocpProblem(**data)
 
+    @pytest.mark.parametrize("field", ["track_x", "track_u"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "overflow"])
+    def test_rejects_non_finite_tracking_targets(self, field, value):
+        """A tracking target that is not finite on the grid's nodes is
+        refused by name and without a warning, where it is sampled; with
+        r_x = exp(1000 t) the solve gave J = nan after four RuntimeWarnings."""
+        if value == "overflow":
+            target = lambda z: np.exp(1000.0 * np.asarray(z))
+        else:
+            target = lambda z: np.full_like(z, float(value))
+        problem = FocpProblem(p_fn=np.ones_like, q_fn=np.ones_like,
+                              a_fn=lambda z: -np.ones_like(z), b_fn=np.ones_like,
+                              x0=1.0, mu=0.9, **{field: target})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{field} must be finite"):
+                discretize(problem, WaveletParams(k=2, M=4, mu=0.9))
+
+    def test_tracking_target_singular_at_zero_solves(self):
+        """The check runs on the grid's nodes, none of which is 0, so a
+        target infinite only at t = 0 still solves."""
+        problem = FocpProblem(p_fn=np.ones_like, q_fn=np.ones_like,
+                              a_fn=lambda z: -np.ones_like(z), b_fn=np.ones_like,
+                              x0=1.0, mu=0.9, track_x=lambda z: np.asarray(z) ** -0.25)
+        sol = solve_focp(problem, WaveletParams(k=2, M=4, mu=0.9), diagnostics=False)
+        assert sol.J_value == pytest.approx(0.291146106, rel=1e-8)
+
     def test_rejects_mismatched_basis_order(self):
         problem = example1(0.8)
         params = WaveletParams(k=2, M=4, mu=0.5)
