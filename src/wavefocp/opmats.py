@@ -415,6 +415,15 @@ def _singular_rules(order: float) -> tuple[tuple[np.ndarray, ...], ...]:
     )
 
 
+@lru_cache(maxsize=64)
+def _near_field_phi(M: int, order: float) -> tuple[np.ndarray, ...]:
+    """phi_m(s) phi_m'(s') at the points of ``_near_field``'s rules for d = 0
+    and 1, as (points, M M), without the factor 2^((k-1)/2) of each wavelet."""
+    phi = [local_wavelet_values(WaveletParams(k=1, M=M), np.array(rule[:2]))
+           for rule in _singular_rules(order)[:2]]
+    return _read_only(*(np.einsum("ip,jp->pij", v[:, 0], v[:, 1]).reshape(-1, M * M) for v in phi))
+
+
 def _near_field(params: WaveletParams, order: float, B: np.ndarray) -> None:
     """Fill the blocks B_{n,n+d}, d = 0 and 1, of source blocks n >= 2.
 
@@ -441,10 +450,9 @@ def _near_field(params: WaveletParams, order: float, B: np.ndarray) -> None:
         t, t_to = (s + n - 1.0) / N, (s_to + n - 1.0 + d) / N
         gap = _zeta_gap(t, step / N, params.mu)
         kernel = weights * (gap / factor) ** (order - 1.0) / gamma(order)
-        kernel *= _dzeta(params, t) * _dzeta(params, t_to)
-        phi = local_wavelet_values(params, s)[:, None] * local_wavelet_values(params, s_to)
+        kernel *= 2.0 ** (params.k - 1) * _dzeta(params, t) * _dzeta(params, t_to)
         rows = n.ravel() - 1
-        blocks[rows, :, rows + d, :] = (kernel @ phi.reshape(M * M, -1).T).reshape(-1, M, M)
+        blocks[rows, :, rows + d, :] = (kernel @ _near_field_phi(M, order)[d]).reshape(-1, M, M)
 
 
 def _far_field(params: WaveletParams, order: float, B: np.ndarray) -> None:

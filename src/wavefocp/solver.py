@@ -13,17 +13,18 @@ constraint operators G_A, G_B are block-diagonal and stored as their
 (N, M, M) blocks, applied by ``apply_blocks``. The constraint
 G_c C_hat = G_B U_hat + G_A d1 has G_c = I - G_A Pmu^T block
 lower-triangular (Pmu is block upper-triangular, because the RL integral
-is causal); ``_g_c`` forms it by block rows for both routes.
-``_structured_solve`` eliminates C_hat by one block-triangular solve with
-G_c, whose leaves it inverts explicitly. What remains is the SPD reduced
-Hessian in U_hat, of size m_hat; the multipliers come from a transposed
-G_c solve (the null-space method, Nocedal & Wright, Numerical
-Optimization, 2nd ed., section 16.2). ``assemble_kkt`` builds the full
-dense system, whose pivoted LU is the one other route: where cond(D)
-reaches ``_STRUCTURED_COND_LIMIT`` and wherever the reduced route raises
-SingularMatrixError. Either route returns (C_hat, U_hat, eta_star) and the
-state coefficients C2; one residual pass, ``_kkt_residual_rows``, then
-forms the three KKT block rows from G_A, G_B, Pmu, Wp and Wq without G_c.
+is causal). ``_structured_solve`` eliminates the state by one solve with
+F = I - Pmu^T G_A, block lower-triangular too, whose leaves it inverts
+explicitly (Pmu^T G_c^-1 = F^-1 Pmu^T, Henderson & Searle, SIAM Review 23
+(1981)). What remains is the SPD reduced Hessian in U_hat, of size m_hat;
+the multipliers come from a transposed F solve (the null-space method,
+Nocedal & Wright, Numerical Optimization, 2nd ed., section 16.2).
+``assemble_kkt`` builds the full dense system, whose pivoted LU is the one
+other route: where cond(D) reaches ``_STRUCTURED_COND_LIMIT`` and wherever
+the reduced route raises SingularMatrixError; its G_c comes from ``_g_c``.
+Either route returns (C_hat, U_hat, eta_star) and the state coefficients
+C2; one residual pass, ``_kkt_residual_rows``, then forms the three KKT
+block rows from G_A, G_B, Pmu, Wp and Wq without G_c or F.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .quadrature import (
 )
 
 _VALIDATION_GRID = np.linspace(0.0, 1.0, 100)
-# Above this cond(D), Pmu and L = Pmu^T G_c^-1 G_B are so large (|Pmu| 7.4e3
+# Above this cond(D), Pmu and L = F^-1 Pmu^T G_B are so large (|Pmu| 7.4e3
 # at cond(D) 1.8e14, 1.5e5 at 8.9e15) that forming L^T Wp L cancels the
 # digits of the reduced Hessian's small eigendirections: at M = 11 to 14 the
 # reduced solve returned J off by up to 11 % where the dense KKT LU solves
@@ -229,8 +230,7 @@ def _g_c(disc: DiscretizedFocp) -> np.ndarray:
     G_A is block-diagonal, so row block n is (G_A)_n times the rows of block
     n of Pmu^T; Pmu is block upper-triangular (the RL integral is causal), so
     G_c is block lower-triangular."""
-    N, M = disc.params.n_blocks, disc.params.M
-    m = N * M
+    N, M, m = disc.params.n_blocks, disc.params.M, disc.params.m_hat
     G_A, _ = disc.constraint_operators
     product = G_A @ disc.mats.Pmu.T.reshape(N, M, m)
     return np.eye(m) - product.reshape(m, m)
@@ -261,28 +261,33 @@ def _structured_solve(
     """(C_hat, U_hat, eta_star) of the KKT system and the state coefficients
     C2 = Pmu^T C_hat + d1.
 
-    G_c and G_c^T solve by one blocked triangular solve with the explicit
-    inverses of its diagonal leaves (``LowerTriangular.from_blocks``).
-    C_hat = G_c^-1 (G_B U_hat + G_A d1) makes the state L U_hat + x_aff with
-    L = Pmu^T G_c^-1 G_B, so U_hat solves the reduced Hessian system
-    (L^T Wp L + Wq) U_hat = L^T (wp_track - Wp x_aff) + wq_track, and the
-    first KKT row gives G_c^T eta_star = Pmu (wp_track - Wp C2).
+    F = I - Pmu^T G_A and [L | x_aff] = F^-1 [Pmu^T G_B | d1] come from the
+    column blocks of Pmu^T and one blocked solve with F's leaf inverses
+    (``LowerTriangular.from_blocks``). The state x is L U_hat + x_aff, so
+    (L^T Wp L + Wq) U_hat = L^T (wp_track - Wp x_aff) + wq_track; then
+    C_hat = G_A x + G_B U_hat, and eta_star = Pmu F^-T (wp_track - Wp C2).
     """
     N, M, m = disc.params.n_blocks, disc.params.M, disc.params.m_hat
-    Pm = disc.mats.Pmu
-    _, G_B = disc.constraint_operators
-    G_c = LowerTriangular.from_blocks(_g_c(disc), M)
-    Z = G_c.solve(np.column_stack([block_diagonal(G_B), disc.kkt_rhs[2]]))
-    state = Pm.T @ Z
-    L, x_aff = state[:, :m], state[:, m] + disc.d1
+    G_A, G_B = disc.constraint_operators
+    columns = disc.mats.Pmu.T.reshape(m, N, M).transpose(1, 0, 2)  # the column blocks of Pmu^T
+    F, X = np.empty((m, m)), np.empty((m, m + 1))
+    np.matmul(columns, -G_A, out=F.reshape(m, N, M).transpose(1, 0, 2))
+    np.matmul(columns, G_B, out=X[:, :m].reshape(m, N, M).transpose(1, 0, 2))
+    F.flat[:: m + 1] += 1.0
+    F = LowerTriangular.from_blocks(F, M)
+    X[:, m] = disc.d1
+    X = F.solve(X)
+    L, x_aff = X[:, :m], X[:, m]
     H = L.T @ apply_blocks(disc.Wp, L)
-    diag = np.arange(N)
-    H.reshape(N, M, N, M)[diag, :, diag, :] += disc.Wq
+    H.reshape(N, M, N, M)[range(N), :, range(N)] += disc.Wq
+    H += H.T
+    H *= 0.5
     g = L.T @ (disc.wp_track - apply_blocks(disc.Wp, x_aff)) + disc.wq_track
-    U_hat = solve_spd(0.5 * (H + H.T), g)
-    C_hat = Z[:, :m] @ U_hat + Z[:, m]
+    U_hat = solve_spd(H, g)
+    del H  # before the long-double product of state_from_coeffs
+    C_hat = apply_blocks(G_A, L @ U_hat + x_aff) + apply_blocks(G_B, U_hat)
     C2 = state_from_coeffs(C_hat, disc.d1, disc.mats)
-    eta = G_c.solve_transposed(Pm @ (disc.wp_track - apply_blocks(disc.Wp, C2)))
+    eta = disc.mats.Pmu @ F.solve_transposed(disc.wp_track - apply_blocks(disc.Wp, C2))
     return C_hat, U_hat, eta, C2
 
 

@@ -1,5 +1,6 @@
 import collections
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -368,7 +369,7 @@ class TestStructuredSolve:
 
     @pytest.mark.parametrize("problem", sorted(_PROBLEMS))
     @pytest.mark.parametrize("basis", ["tw", "ftw"])
-    @pytest.mark.parametrize("k, M", [(2, 4), (6, 4)])
+    @pytest.mark.parametrize("k, M", [(2, 4), (6, 4), (7, 4)])
     def test_matches_dense_kkt(self, k, M, basis, problem):
         mu = 0.8
         params = WaveletParams(k=k, M=M, mu=1.0 if basis == "tw" else mu)
@@ -427,6 +428,24 @@ class TestStructuredSolve:
         for ours, ref in zip(reconstruct_many(fallback, grid), (C2 @ basis_vals, U_hat @ basis_vals)):
             assert np.abs(ours - ref).max() <= 1e-5
 
+    @pytest.mark.parametrize("k, mu", [(7, 1.0), (6, 0.9)], ids=["tw", "ftw"])
+    def test_peak_memory(self, k, mu):
+        """The reduced solve holds at most 5.5 m_hat^2 float64 above its
+        inputs: F, the solved [L | x_aff], the reduced Hessian and its
+        Cholesky factor, with H freed before the long-double copy of Pmu that
+        ``state_from_coeffs`` makes. A warm call first builds the cached
+        ``constraint_operators`` and ``kkt_rhs``."""
+        disc = discretize(example1(mu), WaveletParams(k=k, M=4, mu=mu))
+        solver._structured_solve(disc)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solver._structured_solve(disc)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * 8 * disc.params.m_hat ** 2
+
     @pytest.mark.parametrize("k, M, mu, basis", [(3, 4, 0.9, "ftw"), (2, 6, 0.7, "tw")])
     def test_g_c_matches_dense_product(self, k, M, mu, basis):
         """The block-row G_c against the dense m_hat^3 product it replaces."""
@@ -476,16 +495,17 @@ class TestStructuredSolve:
         assert np.array_equal(sol.C2, original(sol.C_hat, disc.d1, disc.mats))
 
     def test_g_c_refusal_falls_back_to_dense_kkt(self, monkeypatch):
-        """G_c leaves that ``invert_blocks`` refuses, in the one call that
-        ``LowerTriangular.from_blocks`` makes, send the solve to the dense
-        KKT LU, whose J matches the structured J."""
+        """Leaves of F = I - Pmu^T G_A (each as singular as the G_c leaf of
+        the same rows, since det(I - AB) = det(I - BA)) that ``invert_blocks``
+        refuses, in the one call that ``LowerTriangular.from_blocks`` makes,
+        send the solve to the dense KKT LU, whose J matches the structured J."""
         disc = discretize(example1(0.9), WaveletParams(k=3, M=4, mu=0.9))
         structured = solve_discretized(disc, diagnostics=False)
         refused = []
 
         def refuse(blocks):
             refused.append(blocks.shape)
-            raise SingularMatrixError("G_c leaves refused", pivot=0.0)
+            raise SingularMatrixError("F leaves refused", pivot=0.0)
 
         monkeypatch.setattr(quadrature, "invert_blocks", refuse)
         assembled = _count_assembly(monkeypatch)
@@ -499,16 +519,18 @@ class TestStructuredSolve:
 
     @pytest.mark.parametrize("basis", ["tw", "ftw"])
     @pytest.mark.parametrize("k", [4, 6])
-    def test_unstable_dynamics_solved_by_dense_kkt(self, tmp_path, k, basis):
+    def test_unstable_dynamics_solved_by_dense_kkt(self, monkeypatch, tmp_path, k, basis):
         """Strongly unstable dynamics (``UNSTABLE_PROBLEM_FILE``): the reduced
-        Hessian is not numerically SPD, and the solve returns the J of the
-        pivoted LU of the assembled KKT system."""
+        Hessian is not numerically SPD, the solve assembles the KKT system
+        once, and it returns the J of the pivoted LU of that system."""
         path = tmp_path / "unstable.txt"
         path.write_text(UNSTABLE_PROBLEM_FILE, encoding="utf-8")
         problem = parse_problem_file(path)[0].make_problem(0.6)
         disc = discretize(problem, WaveletParams(k=k, M=4, mu=0.6 if basis == "ftw" else 1.0))
+        assembled = _count_assembly(monkeypatch)
         sol = solve_discretized(disc, diagnostics=False)
         m = disc.params.m_hat
+        assert assembled == [m]
         dense = solve_linear(*assemble_kkt(disc))
         C2 = state_from_coeffs(dense[:m], disc.d1, disc.mats)
         assert abs(sol.J_value - _quadratic_cost(disc, C2, dense[m : 2 * m])) <= 1e-12
