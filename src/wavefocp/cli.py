@@ -358,6 +358,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (SingularMatrixError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        m_hat = WaveletParams(k=config.k, M=config.M).m_hat
+        print(f"numeric failure: out of memory at m_hat={m_hat}", file=sys.stderr)
+        return 2
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -337,7 +337,7 @@ def solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     if factor is None:
         raise SingularMatrixError("matrix not numerically positive definite", pivot=math.nan)
     x = factor.solve_transposed(factor.solve(b))
-    # near the structured route's limit (reduced Hessian cond about 1e13 at
+    # where the reduced Hessian is ill-conditioned (cond about 1e13 at
     # M = 10) the refinement brings J within 1e-11 of the exact solution of
     # the system, from up to 2e-9 off
     return x + factor.solve_transposed(factor.solve(b - A @ x))

@@ -20,11 +20,11 @@ explicitly (Pmu^T G_c^-1 = F^-1 Pmu^T, Henderson & Searle, SIAM Review 23
 the multipliers come from a transposed F solve (the null-space method,
 Nocedal & Wright, Numerical Optimization, 2nd ed., section 16.2).
 ``assemble_kkt`` builds the full dense system, whose pivoted LU is the one
-other route: where cond(D) reaches ``_STRUCTURED_COND_LIMIT`` and wherever
-the reduced route raises SingularMatrixError; its G_c comes from ``_g_c``.
-Either route returns (C_hat, U_hat, eta_star) and the state coefficients
-C2; one residual pass, ``_kkt_residual_rows``, then forms the three KKT
-block rows from G_A, G_B, Pmu, Wp and Wq without G_c or F.
+other route, taken only where the reduced route raises SingularMatrixError
+(at any cond(D)); its G_c comes from ``_g_c``. Either route returns
+(C_hat, U_hat, eta_star) and the state coefficients C2; one residual pass,
+``_kkt_residual_rows``, then forms the three KKT block rows from C2, G_A,
+G_B, Pmu, Wp and Wq without G_c or F.
 """
 
 from __future__ import annotations
@@ -49,13 +49,6 @@ from .quadrature import (
 )
 
 _VALIDATION_GRID = np.linspace(0.0, 1.0, 100)
-# Above this cond(D), Pmu and L = F^-1 Pmu^T G_B are so large (|Pmu| 7.4e3
-# at cond(D) 1.8e14, 1.5e5 at 8.9e15) that forming L^T Wp L cancels the
-# digits of the reduced Hessian's small eigendirections: at M = 11 to 14 the
-# reduced solve returned J off by up to 11 % where the dense KKT LU solves
-# the same system to 1e-6 or refuses it. Below it (M <= 10 tested) both give
-# J and trajectories that agree to the rounding noise of cond(D).
-_STRUCTURED_COND_LIMIT = 1e14
 
 Fn = Callable[[np.ndarray], np.ndarray]
 
@@ -303,15 +296,17 @@ def _dense_solve(
 
 
 def _kkt_residual_rows(
-    disc: DiscretizedFocp, C_hat: np.ndarray, U_hat: np.ndarray, eta: np.ndarray
+    disc: DiscretizedFocp, C_hat: np.ndarray, U_hat: np.ndarray, eta: np.ndarray,
+    C2: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three block rows of K sol - rhs, as matrix-vector products with
-    G_c C = C - G_A (Pmu^T C) and G_c^T eta = eta - Pmu (G_A^T eta); the
-    third row is the dynamics constraint."""
+    G_c C = C - G_A (Pmu^T C) and G_c^T eta = eta - Pmu (G_A^T eta), where
+    Pmu^T C_hat is the route's C2 - d1; the third row is the dynamics
+    constraint."""
     Pm = disc.mats.Pmu
     G_A, G_B = disc.constraint_operators
     rhs_c, rhs_u, rhs_eta = disc.kkt_rhs
-    state = Pm.T @ C_hat
+    state = C2 - disc.d1
     return (
         Pm @ apply_blocks(disc.Wp, state) + eta
         - Pm @ apply_blocks(G_A.transpose(0, 2, 1), eta) - rhs_c,
@@ -377,16 +372,15 @@ def _dynamics_defect(disc: DiscretizedFocp, C_hat: np.ndarray, U_hat: np.ndarray
 def solve_discretized(disc: DiscretizedFocp, diagnostics: bool = True) -> FocpSolution:
     """Solve the KKT conditions and package diagnostics.
 
-    The reduced Hessian solves below ``_STRUCTURED_COND_LIMIT`` of cond(D).
-    The dense KKT LU solves above it and wherever the reduced route raises
-    SingularMatrixError (a reduced Hessian not numerically SPD, or G_c
-    leaves that ``invert_blocks`` refuses); if it refuses too, so does this.
+    The reduced route solves at every cond(D). The dense KKT LU re-solves
+    only where it raises SingularMatrixError (a reduced Hessian that
+    ``spd_factor`` finds not numerically SPD, or leaves of F that
+    ``invert_blocks`` refuses); if that refuses too, so does this.
     """
     m = disc.params.m_hat
     solved = None
-    if disc.mats.cond_D < _STRUCTURED_COND_LIMIT:
-        with contextlib.suppress(SingularMatrixError):
-            solved = _structured_solve(disc)
+    with contextlib.suppress(SingularMatrixError):
+        solved = _structured_solve(disc)
     try:
         C_hat, U_hat, eta, C2 = _dense_solve(disc) if solved is None else solved
     except SingularMatrixError as exc:
@@ -399,7 +393,7 @@ def solve_discretized(disc: DiscretizedFocp, diagnostics: bool = True) -> FocpSo
     J_quad = _quadratic_cost(disc, C2, U_hat)
     J_requad = _requadrature_cost(disc, C2, U_hat)
 
-    rows = [float(np.abs(row).max()) for row in _kkt_residual_rows(disc, C_hat, U_hat, eta)]
+    rows = [float(np.abs(row).max()) for row in _kkt_residual_rows(disc, C_hat, U_hat, eta, C2)]
     residuals: dict = {
         "cost_discrepancy": abs(J_quad - J_requad),
         "constraint": rows[2],

@@ -166,17 +166,31 @@ class TestCliRuns:
         assert not out.exists()
 
     def test_numeric_failure_exit_code(self, tmp_path, capsys):
-        args = ["--example", "1", "--basis", "tw", "--k", "1", "--M", "14", "--mu", "0.7"]
+        # both the reduced route and the dense KKT LU refuse (2, 12) tw at mu 0.7
+        args = ["--example", "1", "--basis", "tw", "--k", "2", "--M", "12", "--mu", "0.7"]
         with pytest.warns(UserWarning, match="condition"):
             assert main(args + ["--out", str(tmp_path)]) == 2
         assert "numeric failure" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
-        # mu = 1 solves; mu = 0.3 fails afterwards, and nothing is written
-        args = ["--example", "1", "--basis", "ftw", "--k", "2", "--M", "10", "--mu", "1,0.3"]
+        # mu = 1 solves; mu = 0.5 fails afterwards, and nothing is written
+        args = ["--example", "1", "--basis", "ftw", "--k", "2", "--M", "12", "--mu", "1,0.5"]
         with pytest.warns(UserWarning, match="condition"):
             assert main(args + ["--out", str(tmp_path / "sweep")]) == 2
         assert "numeric failure" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    def test_out_of_memory_exit_code(self, tmp_path, monkeypatch, capsys):
+        """A run that cannot allocate is a numeric failure (exit 2) that
+        names m_hat, not a traceback, and it writes nothing."""
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "build_operational_matrices", no_memory)
+        out = tmp_path / "out"
+        assert main(["--example", "1", "--k", "3", "--M", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "numeric failure: out of memory at m_hat=20\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("line, field", [
         ("x0 = nan", "x0"), ("x0 = inf", "x0"), ("p = exp(1000*t)", "p"),

@@ -28,10 +28,35 @@ print(sorted(m for m in sys.modules
 """
 
 
-def test_cli_runs_and_structured_solves_never_load_scipy():
+def _run(script: str) -> str:
+    """Stdout of the script in a fresh interpreter on this checkout."""
     src = str(Path(wavefocp.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-c", SCRIPT], capture_output=True, text=True, check=True,
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
-    )
-    assert done.stdout.strip().splitlines()[-1] == "[]", done.stdout
+    ).stdout
+
+
+def test_cli_runs_and_structured_solves_never_load_scipy():
+    out = _run(SCRIPT)
+    assert out.strip().splitlines()[-1] == "[]", out
+
+
+M12_SCRIPT = """
+import sys, tempfile, warnings
+from wavefocp import cli
+
+warnings.simplefilter("ignore", UserWarning)  # the cond(D) warning
+with tempfile.TemporaryDirectory() as out:
+    code = cli.main(["--example", "1", "--basis", "ftw", "--k", "1", "--M", "12",
+                     "--mu", "0.9", "--out", out])
+    assert code == 0, code
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_m12_cli_run_never_loads_scipy():
+    """At M = 12 (cond(D) 1.1e16) the reduced route solves, so SciPy stays
+    out there too."""
+    out = _run(M12_SCRIPT)
+    assert out.strip().splitlines()[-1] == "[]", out

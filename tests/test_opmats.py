@@ -335,8 +335,8 @@ def test_condition_estimate_reported(mats_frac09):
 
 def test_d_without_cholesky_factor_is_refused():
     """Where a block of D is not numerically SPD (the Taylor wavelets at
-    M = 13, k = 1) the bundle is refused at build: every bundle carries D's
-    factors, and ``solve_D`` has no second route."""
+    M = 13, k = 1) the bundle is refused at build, so that no solve meets
+    a D that ``solve_D``'s batched LU may find exactly singular."""
     with pytest.warns(UserWarning, match="condition"):
         with pytest.raises(SingularMatrixError, match="Gram matrix D"):
             build_operational_matrices(WaveletParams(1, 13, 1.0))

@@ -1,4 +1,5 @@
 import collections
+import functools
 import math
 import tracemalloc
 import warnings
@@ -350,6 +351,13 @@ def variable_coefficient(mu):
 _PROBLEMS = {"example1": example1, "example3": example3, "variable": variable_coefficient}
 
 
+@functools.lru_cache(maxsize=None)
+def _reference_j(mu, basis):
+    """J of example 1 at (k, M) = (4, 6) on the given basis."""
+    params = WaveletParams(k=4, M=6, mu=1.0 if basis == "tw" else mu)
+    return solve_focp(example1(mu), params, diagnostics=False).J_value
+
+
 def _count_assembly(monkeypatch):
     """The m_hat of every ``assemble_kkt`` call the solver makes from now
     on; a solve that assembles once took the dense KKT route."""
@@ -404,7 +412,6 @@ class TestStructuredSolve:
         params = WaveletParams(k=k, M=M, mu=1.0 if basis == "tw" else mu)
         with pytest.warns(UserWarning, match="condition"):
             disc = discretize(example1(mu), params)
-        assert disc.mats.cond_D < solver._STRUCTURED_COND_LIMIT
         factored = []
 
         def no_cholesky(A):
@@ -535,24 +542,60 @@ class TestStructuredSolve:
         C2 = state_from_coeffs(dense[:m], disc.d1, disc.mats)
         assert abs(sol.J_value - _quadratic_cost(disc, C2, dense[m : 2 * m])) <= 1e-12
 
-    def test_dense_kkt_above_cond_limit(self, monkeypatch):
-        """Where cond(D) reaches ``_STRUCTURED_COND_LIMIT`` (M = 12 here) the
-        reduced Hessian cannot be formed accurately and the dense KKT LU
-        solves instead."""
+    def test_reduced_route_at_m12(self, monkeypatch):
+        """At M = 12 (cond(D) 1.1e16) the reduced route solves, with no
+        KKT assembly."""
         assembled = _count_assembly(monkeypatch)
-        solve_focp(example1(0.9), WaveletParams(k=2, M=4, mu=0.9), diagnostics=False)
-        assert assembled == []
         params = WaveletParams(k=1, M=12, mu=0.9)
         with pytest.warns(UserWarning, match="condition"):
             mats = build_operational_matrices(params)
-        assert mats.cond_D >= solver._STRUCTURED_COND_LIMIT
         sol = solve_focp(example1(0.9), params, mats, diagnostics=False)
-        assert assembled == [12]
+        assert assembled == []
         assert sol.J_value == pytest.approx(0.1795285301, rel=1e-8)
 
-    @pytest.mark.parametrize("basis", ["tw", "ftw"])
-    def test_m14_is_refused(self, basis):
-        params = WaveletParams(k=1, M=14, mu=1.0 if basis == "tw" else 0.7)
+    @pytest.mark.parametrize("k, M, mu, basis", [(1, 11, 1.0, "tw"), (2, 11, 0.7, "tw"),
+                                                  (3, 11, 0.9, "ftw"), (2, 12, 0.9, "tw")])
+    def test_reduced_route_above_cond_1e14(self, monkeypatch, k, M, mu, basis):
+        """cond(D) 2.8e14 to 9.1e15: the reduced route solves with no KKT
+        assembly, and J is within 1e-5 of the (4, 6) reference (9e-8 at
+        most, measured)."""
+        params = WaveletParams(k=k, M=M, mu=1.0 if basis == "tw" else mu)
+        assembled = _count_assembly(monkeypatch)
+        with pytest.warns(UserWarning, match="condition"):
+            sol = solve_focp(example1(mu), params, diagnostics=False)
+        assert assembled == []
+        assert sol.J_value == pytest.approx(_reference_j(mu, basis), rel=1e-5)
+
+    def test_dense_fallback_at_m13(self, monkeypatch):
+        """At (1, 13) ftw, mu 0.5 (cond(D) 9.6e16) the reduced route is tried
+        first and refuses; the dense KKT LU then solves, to within 1e-5 of
+        the (4, 6) reference."""
+        events = []
+        structured = solver._structured_solve
+        assemble = solver.assemble_kkt
+
+        def spied_structured(disc):
+            try:
+                return structured(disc)
+            except SingularMatrixError:
+                events.append("structured refused")
+                raise
+
+        def spied_assemble(disc):
+            events.append("assembled")
+            return assemble(disc)
+
+        monkeypatch.setattr(solver, "_structured_solve", spied_structured)
+        monkeypatch.setattr(solver, "assemble_kkt", spied_assemble)
+        with pytest.warns(UserWarning, match="condition"):
+            sol = solve_focp(example1(0.5), WaveletParams(k=1, M=13, mu=0.5), diagnostics=False)
+        assert events == ["structured refused", "assembled"]
+        assert sol.J_value == pytest.approx(_reference_j(0.5, "ftw"), rel=1e-5)
+
+    @pytest.mark.parametrize("basis, mu", [("tw", 0.5), ("ftw", 0.7)], ids=["tw", "ftw"])
+    def test_m14_is_refused(self, basis, mu):
+        """tw is refused by both routes, ftw when its bundle is built."""
+        params = WaveletParams(k=1, M=14, mu=1.0 if basis == "tw" else mu)
         with pytest.warns(UserWarning, match="condition"):
             with pytest.raises(SingularMatrixError):
-                solve_focp(example1(0.7), params, diagnostics=False)
+                solve_focp(example1(mu), params, diagnostics=False)
