@@ -351,6 +351,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
+    config = None
     try:
         args = parser.parse_args(argv)
         config = _config_from_args(args)
@@ -359,8 +360,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        m_hat = WaveletParams(k=config.k, M=config.M).m_hat
-        print(f"numeric failure: out of memory at m_hat={m_hat}", file=sys.stderr)
+        at = "" if config is None else f" at m_hat={WaveletParams(k=config.k, M=config.M).m_hat}"
+        print(f"numeric failure: out of memory{at}", file=sys.stderr)
         return 2
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -308,8 +308,8 @@ def _kkt_residual_rows(
     rhs_c, rhs_u, rhs_eta = disc.kkt_rhs
     state = C2 - disc.d1
     return (
-        Pm @ apply_blocks(disc.Wp, state) + eta
-        - Pm @ apply_blocks(G_A.transpose(0, 2, 1), eta) - rhs_c,
+        Pm @ (apply_blocks(disc.Wp, state) - apply_blocks(G_A.transpose(0, 2, 1), eta))
+        + eta - rhs_c,
         apply_blocks(disc.Wq, U_hat) - apply_blocks(G_B.transpose(0, 2, 1), eta) - rhs_u,
         C_hat - apply_blocks(G_A, state) - apply_blocks(G_B, U_hat) - rhs_eta,
     )
@@ -386,8 +386,7 @@ def solve_discretized(disc: DiscretizedFocp, diagnostics: bool = True) -> FocpSo
     except SingularMatrixError as exc:
         raise SingularMatrixError(
             f"KKT system singular (m_hat={m}); check q > 0 and the "
-            f"dynamics coefficients: {exc}",
-            pivot=exc.pivot,
+            f"dynamics coefficients: {exc}"
         ) from exc
 
     J_quad = _quadratic_cost(disc, C2, U_hat)

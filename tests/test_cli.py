@@ -192,6 +192,20 @@ class TestCliRuns:
         assert capsys.readouterr().err == "numeric failure: out of memory at m_hat=20\n"
         assert not out.exists()
 
+    def test_out_of_memory_before_config_exit_code(self, tmp_path, monkeypatch, capsys):
+        """Running out of memory while reading the problem file, before the
+        run's configuration exists, is the same numeric failure (exit 2),
+        without m_hat, and it writes nothing."""
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "parse_problem_file", no_memory)
+        out = tmp_path / "out"
+        assert main(["--problem", str(tmp_path / "huge.txt"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "numeric failure: out of memory\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("line, field", [
         ("x0 = nan", "x0"), ("x0 = inf", "x0"), ("p = exp(1000*t)", "p"),
         ("q = exp(1000*t)", "q"), ("a = exp(1000*t)", "a"), ("b = exp(1000*t)", "b")])

@@ -333,13 +333,25 @@ def test_condition_estimate_reported(mats_frac09):
     assert np.isfinite(mats_frac09.cond_D)
 
 
-def test_d_without_cholesky_factor_is_refused():
-    """Where a block of D is not numerically SPD (the Taylor wavelets at
-    M = 13, k = 1) the bundle is refused at build, so that no solve meets
-    a D that ``solve_D``'s batched LU may find exactly singular."""
+def test_d_without_cholesky_factor_is_built():
+    """A D that can be inverted is built, with the condition warning, even
+    where a block has no Cholesky factor (the Taylor wavelets at M = 13,
+    k = 1, cond(D) 1.3e17); whether a solve on it is refused is the solve
+    routes' verdict."""
     with pytest.warns(UserWarning, match="condition"):
-        with pytest.raises(SingularMatrixError, match="Gram matrix D"):
-            build_operational_matrices(WaveletParams(1, 13, 1.0))
+        mats = build_operational_matrices(WaveletParams(1, 13, 1.0))
+    assert np.isfinite(mats.cond_D)
+    assert np.isfinite(mats.Pmu).all()
+
+
+@pytest.mark.parametrize("cond", [math.inf, math.nan])
+def test_singular_d_is_refused(monkeypatch, cond):
+    """A D whose condition estimate is not finite (a block that
+    ``np.linalg.inv`` finds singular, so ``solve_D`` could not solve with
+    it) is the one bundle the build refuses."""
+    monkeypatch.setattr(opmats, "condition_estimate", lambda blocks: cond)
+    with pytest.raises(SingularMatrixError, match="Gram matrix D"):
+        build_operational_matrices(WaveletParams(2, 4, 0.9))
 
 
 @pytest.mark.parametrize("k, M, mu", [(2, 4, 0.9), (5, 6, 0.7), (3, 8, 1.0)])

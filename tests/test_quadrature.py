@@ -221,9 +221,8 @@ class TestSolveLinear:
 
     def test_singular_raises_with_pivot(self):
         A = np.array([[1.0, 2.0], [2.0, 4.0]])
-        with pytest.raises(SingularMatrixError) as err:
+        with pytest.raises(SingularMatrixError, match="pivot"):
             solve_linear(A, np.array([1.0, 2.0]))
-        assert err.value.pivot >= 0.0
 
     def test_solve_spd_matches_solve_linear(self):
         rng = np.random.default_rng(3)

@@ -372,6 +372,30 @@ def _count_assembly(monkeypatch):
     return assembled
 
 
+def _spy_routes(monkeypatch):
+    """The route events of every solve from now on: "structured refused"
+    when ``_structured_solve`` raises SingularMatrixError, "assembled" when
+    the dense KKT route assembles its matrix."""
+    events = []
+    structured = solver._structured_solve
+    assemble = solver.assemble_kkt
+
+    def spied_structured(disc):
+        try:
+            return structured(disc)
+        except SingularMatrixError:
+            events.append("structured refused")
+            raise
+
+    def spied_assemble(disc):
+        events.append("assembled")
+        return assemble(disc)
+
+    monkeypatch.setattr(solver, "_structured_solve", spied_structured)
+    monkeypatch.setattr(solver, "assemble_kkt", spied_assemble)
+    return events
+
+
 class TestStructuredSolve:
     """The reduced-Hessian solve against the dense KKT oracle."""
 
@@ -512,7 +536,7 @@ class TestStructuredSolve:
 
         def refuse(blocks):
             refused.append(blocks.shape)
-            raise SingularMatrixError("F leaves refused", pivot=0.0)
+            raise SingularMatrixError("F leaves refused")
 
         monkeypatch.setattr(quadrature, "invert_blocks", refuse)
         assembled = _count_assembly(monkeypatch)
@@ -566,35 +590,40 @@ class TestStructuredSolve:
         assert assembled == []
         assert sol.J_value == pytest.approx(_reference_j(mu, basis), rel=1e-5)
 
+    @pytest.mark.parametrize("k, mu, rel", [(1, 0.9, 1e-5), (2, 1.0, 1e-11)])
+    def test_reduced_route_at_m13(self, monkeypatch, k, mu, rel):
+        """tw at M = 13, where a block of D has no Cholesky factor: the bundle
+        is built and the reduced route solves with no KKT assembly; J is
+        1.2e-8 (k = 1, mu 0.9) and 4.0e-13 (k = 2, mu 1) relative from the
+        (4, 6) reference, measured."""
+        assembled = _count_assembly(monkeypatch)
+        with pytest.warns(UserWarning, match="condition"):
+            sol = solve_focp(example1(mu), WaveletParams(k=k, M=13), diagnostics=False)
+        assert assembled == []
+        assert sol.J_value == pytest.approx(_reference_j(mu, "tw"), rel=rel)
+
     def test_dense_fallback_at_m13(self, monkeypatch):
         """At (1, 13) ftw, mu 0.5 (cond(D) 9.6e16) the reduced route is tried
         first and refuses; the dense KKT LU then solves, to within 1e-5 of
         the (4, 6) reference."""
-        events = []
-        structured = solver._structured_solve
-        assemble = solver.assemble_kkt
-
-        def spied_structured(disc):
-            try:
-                return structured(disc)
-            except SingularMatrixError:
-                events.append("structured refused")
-                raise
-
-        def spied_assemble(disc):
-            events.append("assembled")
-            return assemble(disc)
-
-        monkeypatch.setattr(solver, "_structured_solve", spied_structured)
-        monkeypatch.setattr(solver, "assemble_kkt", spied_assemble)
+        events = _spy_routes(monkeypatch)
         with pytest.warns(UserWarning, match="condition"):
             sol = solve_focp(example1(0.5), WaveletParams(k=1, M=13, mu=0.5), diagnostics=False)
         assert events == ["structured refused", "assembled"]
         assert sol.J_value == pytest.approx(_reference_j(0.5, "ftw"), rel=1e-5)
 
+    def test_m13_tw_refused_by_both_routes(self, monkeypatch):
+        """At (1, 13) tw, mu 1 the bundle is built, the reduced route refuses,
+        the dense KKT LU is assembled once and refuses too."""
+        events = _spy_routes(monkeypatch)
+        with pytest.warns(UserWarning, match="condition"):
+            with pytest.raises(SingularMatrixError, match="KKT system singular"):
+                solve_focp(example1(1.0), WaveletParams(k=1, M=13), diagnostics=False)
+        assert events == ["structured refused", "assembled"]
+
     @pytest.mark.parametrize("basis, mu", [("tw", 0.5), ("ftw", 0.7)], ids=["tw", "ftw"])
     def test_m14_is_refused(self, basis, mu):
-        """tw is refused by both routes, ftw when its bundle is built."""
+        """Both bundles are built, and both routes refuse each."""
         params = WaveletParams(k=1, M=14, mu=1.0 if basis == "tw" else mu)
         with pytest.warns(UserWarning, match="condition"):
             with pytest.raises(SingularMatrixError):
