@@ -363,7 +363,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         at = "" if config is None else f" at m_hat={WaveletParams(k=config.k, M=config.M).m_hat}"
         print(f"numeric failure: out of memory{at}", file=sys.stderr)
         return 2
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, OSError) as exc:  # OSError: --problem or --out unusable
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for path in written:

@@ -31,6 +31,7 @@ Taylor wavelets only that row is solved against D; P^mu is tiled from it.
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -332,7 +333,13 @@ def _row_block_one(params: WaveletParams, order: float, B: np.ndarray) -> None:
     N, M, mu, Q = params.n_blocks, params.M, params.mu, _LOCAL_RULE_POINTS
     m = np.arange(M)
     c = local_wavelet_values(params, 1.0)
-    ratio = np.array([gamma(q + 1.0) / gamma(q + 1.0 + order) for q in mu * m])
+    ratio = np.empty(M)
+    for i, q in enumerate(mu * m):
+        # by lgamma only where Gamma overflows (M > 170): elsewhere the
+        # rounding of math.gamma is kept
+        denominator = gamma(q + 1.0 + order)
+        ratio[i] = (gamma(q + 1.0) / denominator if math.isfinite(denominator)
+                    else math.exp(math.lgamma(q + 1.0) - math.lgamma(q + 1.0 + order)))
     B[:M, :M] = (
         (c * ratio)[:, None] * c * N ** (-(order + 1.0) / mu)
         / (mu * (m[:, None] + m) + order + 1.0)

@@ -24,21 +24,20 @@ other route, taken only where the reduced route raises SingularMatrixError
 (at any cond(D)); its G_c comes from ``_g_c``. Either route returns
 (C_hat, U_hat, eta_star) and the state coefficients C2; one residual pass,
 ``_kkt_residual_rows``, then forms the three KKT block rows from C2, G_A,
-G_B, Pmu, Wp and Wq without G_c or F.
+G_B, Pmu, Wp and Wq without G_c, F or the right-hand side.
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .basis import WaveletParams, eval_basis_many, local_basis_values
 from .fracops import rl_integral
-from .opmats import OperationalMatrices, build_operational_matrices, product_matrix, project
+from .opmats import OperationalMatrices, build_operational_matrices, product_matrix
 from .quadrature import (
     LowerTriangular,
     SingularMatrixError,
@@ -102,14 +101,16 @@ class FocpProblem:
 
 @dataclass(frozen=True)
 class DiscretizedFocp:
-    """Projected problem data plus the weighted Gram matrices Wp and Wq,
-    each as its (N, M, M) diagonal blocks."""
+    """What the KKT solve reads: the constraint operators G_A, G_B of
+    C_hat - G_A (Pmu^T C_hat + d1) - G_B U_hat = 0 and the weighted Grams Wp,
+    Wq, each as its (N, M, M) diagonal blocks, plus the projection d1 of x0
+    and the tracking terms."""
 
     problem: FocpProblem
     params: WaveletParams
     mats: OperationalMatrices
-    A_hat: np.ndarray
-    B_hat: np.ndarray
+    G_A: np.ndarray
+    G_B: np.ndarray
     d1: np.ndarray
     Wp: np.ndarray
     Wq: np.ndarray
@@ -117,26 +118,6 @@ class DiscretizedFocp:
     wq_track: np.ndarray
     track_p_const: float
     track_q_const: float
-
-    @cached_property
-    def constraint_operators(self) -> tuple[np.ndarray, np.ndarray]:
-        """Linear maps G_A, G_B with the dynamics constraint
-        C_hat - G_A (Pmu^T C_hat + d1) - G_B U_hat = 0, as (N, M, M) diagonal
-        blocks, built once and shared by the solve, the KKT assembly and the
-        residual rows."""
-        G_A = product_matrix(self.A_hat, self.mats).transpose(0, 2, 1)
-        G_B = product_matrix(self.B_hat, self.mats).transpose(0, 2, 1)
-        return G_A, G_B
-
-    @cached_property
-    def kkt_rhs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Right-hand side of the KKT system, one block per row block."""
-        G_A, _ = self.constraint_operators
-        return (
-            self.mats.Pmu @ (self.wp_track - apply_blocks(self.Wp, self.d1)),
-            self.wq_track,
-            apply_blocks(G_A, self.d1),
-        )
 
 
 @dataclass(frozen=True)
@@ -158,7 +139,9 @@ def discretize(
     params: WaveletParams,
     mats: OperationalMatrices | None = None,
 ) -> DiscretizedFocp:
-    """Project all coefficient functions and assemble the weighted Grams."""
+    """Sample the coefficient functions once on the grid's nodes, refuse a
+    non-finite sample by name, and form the constraint operators, the
+    weighted Grams and the tracking terms from the samples."""
     if params.mu not in (problem.mu, 1.0):
         raise ConfigurationError(
             f"basis order {params.mu} matches neither the dynamics order "
@@ -175,33 +158,34 @@ def discretize(
             f"operational matrices built for order {mats.frac_order}, "
             f"problem has order {problem.mu}"
         )
-    A_hat = project(problem.a_fn, params, mats)
-    B_hat = project(problem.b_fn, params, mats)
-    d1 = project(lambda z: np.full(np.shape(z), problem.x0), params, mats)
-
     grid = mats.grid
-
-    def tracking(w: np.ndarray, target: Fn | None, name: str) -> tuple[np.ndarray, float]:
-        """Integrals of w r psi_j and of w r^2 for the target r, or zeros."""
-        if target is None:
-            return np.zeros(params.m_hat), 0.0
-        with np.errstate(all="ignore"):
-            r = _as_grid_fn(target)(grid.nodes)
-        if not np.isfinite(r).all():
+    fns = {"p": problem.p_fn, "q": problem.q_fn, "a": problem.a_fn, "b": problem.b_fn,
+           "track_x": problem.track_x, "track_u": problem.track_u}
+    # an overflow is reported as a non-finite value, not as a warning
+    with np.errstate(all="ignore"):
+        samples = {name: _as_grid_fn(f)(grid.nodes) for name, f in fns.items() if f is not None}
+    for name, values in samples.items():
+        if not np.isfinite(values).all():
             raise ValueError(f"{name} must be finite on the quadrature nodes")
+
+    def constraint_operator(values: np.ndarray) -> np.ndarray:
+        return product_matrix(mats.solve_D(grid.inner_products(values)), mats).transpose(0, 2, 1)
+
+    def tracking(w: np.ndarray, r: np.ndarray | None) -> tuple[np.ndarray, float]:
+        """Integrals of w r psi_j and of w r^2 for the target r, or zeros."""
+        if r is None:
+            return np.zeros(params.m_hat), 0.0
         wr = w * r
         return grid.inner_products(wr), float(np.dot(grid.weights, wr * r))
 
-    # each function is sampled once on the grid
-    p = _as_grid_fn(problem.p_fn)(grid.nodes)
-    q = _as_grid_fn(problem.q_fn)(grid.nodes)
-    wp_track, track_p_const = tracking(p, problem.track_x, "track_x")
-    wq_track, track_q_const = tracking(q, problem.track_u, "track_u")
+    wp_track, track_p_const = tracking(samples["p"], samples.get("track_x"))
+    wq_track, track_q_const = tracking(samples["q"], samples.get("track_u"))
 
     return DiscretizedFocp(
         problem=problem, params=params, mats=mats,
-        A_hat=A_hat, B_hat=B_hat, d1=d1,
-        Wp=grid.gram_blocks(p), Wq=grid.gram_blocks(q),
+        G_A=constraint_operator(samples["a"]), G_B=constraint_operator(samples["b"]),
+        d1=mats.solve_D(grid.inner_products(problem.x0)),
+        Wp=grid.gram_blocks(samples["p"]), Wq=grid.gram_blocks(samples["q"]),
         wp_track=wp_track, wq_track=wq_track,
         track_p_const=track_p_const, track_q_const=track_q_const,
     )
@@ -224,8 +208,7 @@ def _g_c(disc: DiscretizedFocp) -> np.ndarray:
     n of Pmu^T; Pmu is block upper-triangular (the RL integral is causal), so
     G_c is block lower-triangular."""
     N, M, m = disc.params.n_blocks, disc.params.M, disc.params.m_hat
-    G_A, _ = disc.constraint_operators
-    product = G_A @ disc.mats.Pmu.T.reshape(N, M, m)
+    product = disc.G_A @ disc.mats.Pmu.T.reshape(N, M, m)
     return np.eye(m) - product.reshape(m, m)
 
 
@@ -235,7 +218,7 @@ def assemble_kkt(disc: DiscretizedFocp) -> tuple[np.ndarray, np.ndarray]:
     its dense route (``_dense_solve``)."""
     m = disc.params.m_hat
     Pm = disc.mats.Pmu
-    G_B = block_diagonal(disc.constraint_operators[1])
+    G_B = block_diagonal(disc.G_B)
     G_c = _g_c(disc)
 
     K = np.zeros((3 * m, 3 * m))
@@ -245,7 +228,12 @@ def assemble_kkt(disc: DiscretizedFocp) -> tuple[np.ndarray, np.ndarray]:
     K[2 * m :, :m] = G_c
     K[m : 2 * m, 2 * m :] = -G_B.T
     K[2 * m :, m : 2 * m] = -G_B
-    return K, np.concatenate(disc.kkt_rhs)
+    rhs = np.concatenate((
+        Pm @ (disc.wp_track - apply_blocks(disc.Wp, disc.d1)),
+        disc.wq_track,
+        apply_blocks(disc.G_A, disc.d1),
+    ))
+    return K, rhs
 
 
 def _structured_solve(
@@ -261,7 +249,7 @@ def _structured_solve(
     C_hat = G_A x + G_B U_hat, and eta_star = Pmu F^-T (wp_track - Wp C2).
     """
     N, M, m = disc.params.n_blocks, disc.params.M, disc.params.m_hat
-    G_A, G_B = disc.constraint_operators
+    G_A, G_B = disc.G_A, disc.G_B
     columns = disc.mats.Pmu.T.reshape(m, N, M).transpose(1, 0, 2)  # the column blocks of Pmu^T
     F, X = np.empty((m, m)), np.empty((m, m + 1))
     np.matmul(columns, -G_A, out=F.reshape(m, N, M).transpose(1, 0, 2))
@@ -299,19 +287,15 @@ def _kkt_residual_rows(
     disc: DiscretizedFocp, C_hat: np.ndarray, U_hat: np.ndarray, eta: np.ndarray,
     C2: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three block rows of K sol - rhs, as matrix-vector products with
-    G_c C = C - G_A (Pmu^T C) and G_c^T eta = eta - Pmu (G_A^T eta), where
-    Pmu^T C_hat is the route's C2 - d1; the third row is the dynamics
-    constraint."""
-    Pm = disc.mats.Pmu
-    G_A, G_B = disc.constraint_operators
-    rhs_c, rhs_u, rhs_eta = disc.kkt_rhs
-    state = C2 - disc.d1
+    """The three block rows of K sol - rhs, written with the route's state
+    coefficients C2 = Pmu^T C_hat + d1, which carry the right-hand side's d1
+    terms: stationarity in C_hat and in U_hat, then the dynamics constraint."""
+    G_A, G_B = disc.G_A, disc.G_B
     return (
-        Pm @ (apply_blocks(disc.Wp, state) - apply_blocks(G_A.transpose(0, 2, 1), eta))
-        + eta - rhs_c,
-        apply_blocks(disc.Wq, U_hat) - apply_blocks(G_B.transpose(0, 2, 1), eta) - rhs_u,
-        C_hat - apply_blocks(G_A, state) - apply_blocks(G_B, U_hat) - rhs_eta,
+        disc.mats.Pmu @ (apply_blocks(disc.Wp, C2) - disc.wp_track
+                         - apply_blocks(G_A.transpose(0, 2, 1), eta)) + eta,
+        apply_blocks(disc.Wq, U_hat) - apply_blocks(G_B.transpose(0, 2, 1), eta) - disc.wq_track,
+        C_hat - apply_blocks(G_A, C2) - apply_blocks(G_B, U_hat),
     )
 
 

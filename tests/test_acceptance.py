@@ -297,7 +297,7 @@ def test_criterion_6_property_suite():
     # feasible-direction optimality
     from wavefocp.solver import _quadratic_cost, state_from_coeffs
 
-    G_A, G_B = (block_diagonal(blocks) for blocks in disc.constraint_operators)
+    G_A, G_B = block_diagonal(disc.G_A), block_diagonal(disc.G_B)
     m = disc.params.m_hat
     G_c = np.eye(m) - G_A @ disc.mats.Pmu.T
     null = scipy.linalg.null_space(np.hstack([G_c, -G_B]))

@@ -208,11 +208,15 @@ class TestCliRuns:
 
     @pytest.mark.parametrize("line, field", [
         ("x0 = nan", "x0"), ("x0 = inf", "x0"), ("p = exp(1000*t)", "p"),
-        ("q = exp(1000*t)", "q"), ("a = exp(1000*t)", "a"), ("b = exp(1000*t)", "b")])
+        ("q = exp(1000*t)", "q"), ("a = exp(1000*t)", "a"), ("b = exp(1000*t)", "b"),
+        ("p = 1 + exp(0.001/((t - 0.00505)^2 + 1e-12))", "p"),
+        ("a = -exp(0.001/((t - 0.00505)^2 + 1e-12))", "a"), ("p = gamma(200*t + 1)", "p")])
     def test_non_finite_problem_data_exit_code(self, tmp_path, capsys, line, field):
         """Non-finite problem data is a validation error (exit 1) that names
         the field, with no warning and no file written; x0 = nan used to
-        exit 0 with J = nan in the cost file."""
+        exit 0 with J = nan in the cost file. The spikes are finite on the
+        100-point validation grid and overflow at a quadrature node; they,
+        and the Gamma overflow, ended in a traceback."""
         key = line.split(" = ")[0]
         text = "".join(line + "\n" if row.startswith(key + " =") else row + "\n"
                        for row in EXAMPLE1_FILE.splitlines())
@@ -242,6 +246,18 @@ class TestCliRuns:
         assert main(["--problem", str(path), "--out", str(out)]) == 0
         capsys.readouterr()
         assert (out / "prob_tw_cost.csv").exists()
+
+    def test_unusable_problem_or_out_path_exit_code(self, tmp_path, capsys):
+        """A directory as --problem, or an existing file as --out, is a
+        usage error (exit 1), not a traceback; the file is left unchanged."""
+        assert main(["--problem", str(tmp_path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+        out = tmp_path / "taken"
+        out.write_text("kept\n", encoding="utf-8")
+        assert main(["--example", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_text(encoding="utf-8") == "kept\n"
 
     def test_unstable_problem_file_solves(self, tmp_path):
         """At (4, 4) tw the reduced Hessian of ``UNSTABLE_PROBLEM_FILE`` is

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,18 @@ class TestEvaluation:
         f = as_function(parse_expression("1 / t"))
         with pytest.raises(ExpressionError, match="division by zero"):
             f(np.array([0.0, 0.5]))
+
+    def test_gamma_overflows_to_inf(self):
+        """Past Gamma's overflow point (x > 171.62) gamma gives +inf, as exp
+        does, instead of raising OverflowError; like exp's, the overflow is
+        NumPy's floating-point overflow, silent under the errstate the
+        solver samples coefficients in."""
+        f = as_function(parse_expression("gamma(200*t + 1)"))
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("error")
+            values = f(np.array([0.5, 0.86, 1.0]))
+        assert values[0] == pytest.approx(math.gamma(101.0), rel=1e-15)
+        assert np.isposinf(values[1:]).all()
 
     def test_constant_broadcasts(self):
         f = as_function(parse_expression("3.5"))

@@ -30,7 +30,7 @@ from wavefocp.opmats import (
     triple_product_tensor,
 )
 from wavefocp.quadrature import SingularMatrixError, block_diagonal, diagonal_blocks, solve_spd
-from wavefocp.solver import FocpProblem, _requadrature_cost, discretize
+from wavefocp.solver import FocpProblem, _requadrature_cost, discretize, solve_focp
 
 
 # (k, M, mu, first block checked): the whole basis at k = 2 and the last
@@ -342,6 +342,20 @@ def test_d_without_cholesky_factor_is_built():
         mats = build_operational_matrices(WaveletParams(1, 13, 1.0))
     assert np.isfinite(mats.cond_D)
     assert np.isfinite(mats.Pmu).all()
+
+
+def test_gamma_overflow_in_pmu_is_avoided():
+    """At M = 171 the Gamma ratio of B_11 has a factor past Gamma's overflow
+    point; Pmu is built from log-Gamma there (it raised OverflowError), and
+    both solve routes refuse the solve."""
+    params = WaveletParams(1, 171, 1.0)
+    with pytest.warns(UserWarning, match="condition"):
+        mats = build_operational_matrices(params)
+    assert np.isfinite(mats.Pmu).all()
+    problem = FocpProblem(p_fn=np.ones_like, q_fn=np.ones_like, a_fn=lambda z: -np.ones_like(z),
+                          b_fn=np.ones_like, x0=1.0, mu=1.0)
+    with pytest.raises(SingularMatrixError):
+        solve_focp(problem, params, mats, diagnostics=False)
 
 
 @pytest.mark.parametrize("cond", [math.inf, math.nan])

@@ -118,6 +118,26 @@ class TestProblemValidation:
             with pytest.raises(ValueError, match=f"^{field} must be finite"):
                 discretize(problem, WaveletParams(k=2, M=4, mu=0.9))
 
+    @pytest.mark.parametrize("field", ["p", "a"])
+    @pytest.mark.parametrize("basis", ["tw", "ftw"])
+    def test_rejects_coefficient_non_finite_on_nodes_only(self, field, basis):
+        """A coefficient with a spike between the validation grid's points
+        (largest value there 1.1e17) that overflows at a quadrature node is
+        refused by name and without a warning; it used to reach the solve
+        as inf and NaN."""
+        def spike(z):
+            return np.exp(0.001 / ((np.asarray(z) - 0.00505) ** 2 + 1e-12))
+
+        data = dict(p_fn=np.ones_like, q_fn=np.ones_like, a_fn=lambda z: -np.ones_like(z),
+                    b_fn=np.ones_like, x0=1.0, mu=0.9)
+        data[f"{field}_fn"] = (lambda z: 1.0 + spike(z)) if field == "p" else (lambda z: -spike(z))
+        problem = FocpProblem(**data)
+        params = WaveletParams(k=2, M=4, mu=0.9 if basis == "ftw" else 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{field} must be finite on the quadrature"):
+                discretize(problem, params)
+
     def test_tracking_target_singular_at_zero_solves(self):
         """The check runs on the grid's nodes, none of which is 0, so a
         target infinite only at t = 0 still solves."""
@@ -322,7 +342,7 @@ class TestSolutionStructure:
     def test_kkt_feasible_direction_optimality(self):
         disc = discretize(example1(0.9), WaveletParams(k=2, M=4, mu=0.9))
         sol = solve_discretized(disc, diagnostics=False)
-        G_A, G_B = (block_diagonal(blocks) for blocks in disc.constraint_operators)
+        G_A, G_B = block_diagonal(disc.G_A), block_diagonal(disc.G_B)
         m = disc.params.m_hat
         Pm = disc.mats.Pmu
         G_c = np.eye(m) - G_A @ Pm.T
@@ -464,8 +484,8 @@ class TestStructuredSolve:
         """The reduced solve holds at most 5.5 m_hat^2 float64 above its
         inputs: F, the solved [L | x_aff], the reduced Hessian and its
         Cholesky factor, with H freed before the long-double copy of Pmu that
-        ``state_from_coeffs`` makes. A warm call first builds the cached
-        ``constraint_operators`` and ``kkt_rhs``."""
+        ``state_from_coeffs`` makes. A warm call comes first, so that
+        nothing allocated once per process is counted."""
         disc = discretize(example1(mu), WaveletParams(k=k, M=4, mu=mu))
         solver._structured_solve(disc)
         tracemalloc.start()
@@ -482,7 +502,7 @@ class TestStructuredSolve:
         """The block-row G_c against the dense m_hat^3 product it replaces."""
         params = WaveletParams(k=k, M=M, mu=1.0 if basis == "tw" else mu)
         disc = discretize(variable_coefficient(mu), params)
-        G_A = block_diagonal(disc.constraint_operators[0])
+        G_A = block_diagonal(disc.G_A)
         dense = np.eye(params.m_hat) - G_A @ disc.mats.Pmu.T
         G_c = solver._g_c(disc)
         assert np.abs(G_c - dense).max() <= 1e-15 * np.abs(dense).max()
