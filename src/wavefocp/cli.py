@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis import WaveletParams
+from .basis import MIN_ORDER, WaveletParams
 from .expressions import ExpressionError, as_function, parse_expression
 from .opmats import OperationalMatrices, build_operational_matrices
 from .quadrature import SingularMatrixError, gamma
@@ -59,8 +59,8 @@ class RunConfig:
             raise UsageError("at least one mu value is required")
         tags: dict[str, float] = {}
         for mu in self.mu_list:
-            if not 0.0 < mu <= 1.0:
-                raise UsageError(f"mu values must lie in (0, 1], got {mu}")
+            if not MIN_ORDER <= mu <= 1.0:
+                raise UsageError(f"mu values must lie in [{MIN_ORDER:g}, 1], got {mu}")
             # output files are named by tag: a repeated tag would overwrite
             tag = _mu_tag(mu)
             if tag in tags:
@@ -351,7 +351,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    config = None
+    args = config = None
     try:
         args = parser.parse_args(argv)
         config = _config_from_args(args)
@@ -359,12 +359,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (SingularMatrixError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
-    except MemoryError:
+    except (MemoryError, OverflowError):  # OverflowError: sizes past the index range
         at = "" if config is None else f" at m_hat={WaveletParams(k=config.k, M=config.M).m_hat}"
         print(f"numeric failure: out of memory{at}", file=sys.stderr)
         return 2
-    except (UsageError, ValueError, OSError) as exc:  # OSError: --problem or --out unusable
+    except (UsageError, OSError) as exc:  # OSError: --problem or --out unusable
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:  # problem data refused where it is sampled: name the file
+        source = f"{args.problem}: " if args is not None and args.problem else ""
+        print(f"error: {source}{exc}", file=sys.stderr)
         return 1
     for path in written:
         print(path)

@@ -13,14 +13,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .basis import check_order
 from .quadrature import gamma, gauss_jacobi_right, gauss_legendre, graded_breakpoints
 
 _DEFAULT_POINTS = 32
-
-
-def _validate_order(mu: float) -> None:
-    if not 0.0 < mu <= 1.0:
-        raise ValueError(f"need 0 < mu <= 1, got {mu}")
 
 
 def _weighted_integral(
@@ -100,7 +96,7 @@ def rl_integral(
 ) -> float | np.ndarray:
     """Riemann-Liouville integral of order mu of f at zeta: a float for a
     scalar zeta, an array for a 1-D array of points."""
-    _validate_order(mu)
+    check_order(mu)
     points = _points(zeta)
     weighted = _weighted_integral(f, mu - 1.0, points, breakpoints, n_points, merge_fraction)
     return _shaped_as(weighted / gamma(mu), zeta)
@@ -120,7 +116,7 @@ def caputo_derivative(
 
     For mu = 1 this is f_prime(zeta) exactly.
     """
-    _validate_order(mu)
+    check_order(mu)
     points = _points(zeta)
     if mu == 1.0:
         return _shaped_as(np.asarray(f_prime(points), dtype=float).reshape(points.shape), zeta)
@@ -138,7 +134,7 @@ def check_inversion_identity(
     n_points: int = _DEFAULT_POINTS,
 ) -> float:
     """Max-abs residual of I^mu(D^mu f)(z) - (f(z) - f(0)) over the grid."""
-    _validate_order(mu)
+    check_order(mu)
     f0 = float(np.asarray(f(0.0)).reshape(-1)[0])
     # Both integrands can have algebraic singularities at tau = 0 (e.g.
     # f' ~ tau^(mu-1)); geometric grading toward the origin restores the

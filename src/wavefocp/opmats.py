@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import WaveletParams, local_wavelet_values
+from .basis import WaveletParams, check_order, local_wavelet_values
 from .quadrature import (
     QuadratureRule,
     SingularMatrixError,
@@ -274,8 +274,7 @@ def _integration_matrix(
     params: WaveletParams, mats: OperationalMatrices, order: float
 ) -> np.ndarray:
     """P = B D^-1 at the given order: the body of both public builders."""
-    if not 0.0 < order <= 1.0:
-        raise ValueError(f"need 0 < order <= 1, got {order}")
+    check_order(order)
     N, M = params.n_blocks, params.M
     B = np.zeros((params.m_hat, params.m_hat))
     _row_block_one(params, order, B)

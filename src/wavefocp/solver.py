@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import WaveletParams, eval_basis_many, local_basis_values
+from .basis import WaveletParams, check_order, eval_basis_many, local_basis_values
 from .fracops import rl_integral
 from .opmats import OperationalMatrices, build_operational_matrices, product_matrix
 from .quadrature import (
@@ -80,8 +80,7 @@ class FocpProblem:
     track_u: Fn | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.mu <= 1.0:
-            raise ValueError(f"need 0 < mu <= 1, got {self.mu}")
+        check_order(self.mu)
         if not np.isfinite(self.x0):
             raise ValueError(f"x0 must be finite, got {self.x0}")
         # an overflow is reported as a non-finite value, not as a warning
@@ -194,12 +193,8 @@ def discretize(
 def state_from_coeffs(
     C_hat: np.ndarray, d1: np.ndarray, mats: OperationalMatrices
 ) -> np.ndarray:
-    """Coefficients of x(zeta) from the Caputo-derivative coefficients,
-    summed in long double: where D is ill-conditioned the product cancels
-    (|Pmu| 2.6e3 and |C_hat| 7.6e2 give |C2| 6.7e2 at (2, 10) tw), which
-    in double put up to 1e-9 relative noise on J."""
-    C2 = mats.Pmu.T @ np.asarray(C_hat, dtype=np.longdouble) + np.asarray(d1, dtype=float)
-    return C2.astype(float)
+    """Coefficients of x(zeta) from the Caputo-derivative coefficients."""
+    return mats.Pmu.T @ C_hat + d1
 
 
 def _g_c(disc: DiscretizedFocp) -> np.ndarray:
@@ -265,7 +260,6 @@ def _structured_solve(
     H *= 0.5
     g = L.T @ (disc.wp_track - apply_blocks(disc.Wp, x_aff)) + disc.wq_track
     U_hat = solve_spd(H, g)
-    del H  # before the long-double product of state_from_coeffs
     C_hat = apply_blocks(G_A, L @ U_hat + x_aff) + apply_blocks(G_B, U_hat)
     C2 = state_from_coeffs(C_hat, disc.d1, disc.mats)
     eta = disc.mats.Pmu @ F.solve_transposed(disc.wp_track - apply_blocks(disc.Wp, C2))
@@ -300,14 +294,11 @@ def _kkt_residual_rows(
 
 
 def _quadratic_cost(disc: DiscretizedFocp, C2: np.ndarray, U_hat: np.ndarray) -> float:
-    """J = 1/2 c^T W c - c^T w_track + 1/2 const, summed over the state
-    and the control. The quadratic forms cancel like ``state_from_coeffs``,
-    so they run over the blocks of W in long double."""
+    """J = 1/2 c^T W c - c^T w_track + 1/2 const over the state and the control."""
     M = disc.params.M
-    J = 0.5 * (np.longdouble(disc.track_p_const) + disc.track_q_const)
+    J = 0.5 * (disc.track_p_const + disc.track_q_const)
     for W, c, track in ((disc.Wp, C2, disc.wp_track), (disc.Wq, U_hat, disc.wq_track)):
-        c = np.asarray(c, dtype=np.longdouble).reshape(-1, M)
-        J += 0.5 * np.einsum("ni,nij,nj->", c, W, c) - c.ravel() @ track
+        J += 0.5 * np.einsum("ni,nij,nj->", c.reshape(-1, M), W, c.reshape(-1, M)) - c @ track
     return float(J)
 
 

@@ -247,6 +247,49 @@ class TestCliRuns:
         capsys.readouterr()
         assert (out / "prob_tw_cost.csv").exists()
 
+    @pytest.mark.parametrize("line, refusal", [
+        ("p = gamma(200*t + 1)", "p must be finite on [0, 1]"),
+        ("p = 1 + exp(0.001/((t - 0.00505)^2 + 1e-12))",
+         "p must be finite on the quadrature nodes"),
+        ("rx = gamma(300*t + 1)", "track_x must be finite on the quadrature nodes"),
+    ])
+    def test_problem_data_refusal_names_the_file_once(self, tmp_path, capsys, line, refusal):
+        """Data refused on the validation grid and data refused on the
+        quadrature nodes (the spike in p, the Gamma overflow in rx) both
+        name the problem file, once; the latter two used to omit it."""
+        rows = {"p": "1", "q": "1", "a": "-1", "b": "1", "x0": "1"}
+        key, _, value = line.partition(" = ")
+        rows[key] = value
+        path = tmp_path / "spike.txt"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in rows.items()), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--problem", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {path}: {refusal}\n")
+        assert not out.exists()
+
+    def test_level_past_the_index_range_is_out_of_memory(self, tmp_path, capsys):
+        """At k = 65 the 2^64 blocks do not fit an index: the run is refused
+        as k = 40 is, out of memory (exit 2) before anything is allocated,
+        and nothing is written; it used to end in an OverflowError."""
+        out = tmp_path / "out"
+        assert main(["--example", "1", "--k", "65", "--M", "4", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"numeric failure: out of memory at m_hat={2**64 * 4}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mu", ["1e-16", "1e-17", "1e-300"])
+    def test_order_below_the_floor_refused_by_name(self, tmp_path, capsys, mu):
+        """On the tw basis, 1e-16 divided by zero in the Jacobi rules (exit 0
+        with a RuntimeWarning) and 1e-17 and 1e-300 were refused by a kernel
+        exponent the user never set; now each is refused as mu, exit 1."""
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["--example", "1", "--basis", "tw", "--k", "2", "--M", "4",
+                         "--mu", mu, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: mu values must lie in [1e-11, 1], got {float(mu)}\n"
+        assert not out.exists()
+
     def test_unusable_problem_or_out_path_exit_code(self, tmp_path, capsys):
         """A directory as --problem, or an existing file as --out, is a
         usage error (exit 1), not a traceback; the file is left unchanged."""

@@ -17,8 +17,9 @@ from conftest import (
     rl_integral_by_segments,
 )
 from wavefocp import quadrature, solver
-from wavefocp.basis import WaveletParams, eval_basis, eval_basis_many
+from wavefocp.basis import MIN_ORDER, WaveletParams, eval_basis, eval_basis_many
 from wavefocp.cli import parse_problem_file
+from wavefocp.fracops import rl_integral
 from wavefocp.opmats import build_operational_matrices
 from wavefocp.quadrature import SingularMatrixError, block_diagonal, gamma, solve_linear
 from wavefocp.solver import (
@@ -80,6 +81,21 @@ class TestProblemValidation:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             example1(1.2)
+
+    def test_order_floor(self):
+        """Every check of the order reads MIN_ORDER: below it the Jacobi
+        rules of the exponent mu - 1 divide by zero. At the floor the tw
+        basis solves, with the diagnostics' RL integral, and no warning."""
+        below = MIN_ORDER / 2
+        for refuse in (lambda: WaveletParams(k=1, M=1, mu=below), lambda: example1(below),
+                       lambda: rl_integral(np.ones_like, below, 0.5),
+                       lambda: build_operational_matrices(WaveletParams(k=2, M=2), below)):
+            with pytest.raises(ValueError, match=f"^need {MIN_ORDER:g} <= mu <= 1"):
+                refuse()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sol = solve_focp(example1(MIN_ORDER), WaveletParams(k=2, M=4))
+        assert np.isfinite(sol.J_value) and np.isfinite(sol.residuals["dynamics_defect"])
 
     @pytest.mark.parametrize("field, value", [("x0", "nan"), ("x0", "inf")] + [
         (field, value) for field in "pqab" for value in ("nan", "inf", "overflow")])
@@ -479,13 +495,40 @@ class TestStructuredSolve:
         for ours, ref in zip(reconstruct_many(fallback, grid), (C2 @ basis_vals, U_hat @ basis_vals)):
             assert np.abs(ours - ref).max() <= 1e-5
 
+    # bounds: twice the relative J error of the solver that formed C2 and
+    # J in long double (1.04e-9, 6.39e-12 and 7.61e-12)
+    @pytest.mark.parametrize("k, M, mu, basis, bound", [
+        (2, 10, 0.5, "tw", 2.1e-9), (2, 10, 0.7, "tw", 1.28e-11), (3, 10, 0.7, "ftw", 1.52e-11),
+    ])
+    def test_cost_at_m10_against_50_digit_solve(self, k, M, mu, basis, bound):
+        """Where D is ill-conditioned, C2 = Pmu^T C_hat + d1 cancels (|Pmu|
+        2.6e3 and |C_hat| 7.6e2 give |C2| 6.7e2 at (2, 10) tw). J of the
+        solve, with C2 and J summed in double, against J of a 50-digit solve
+        of the same float KKT system, whose state and cost are formed in
+        mpmath too."""
+        mp = pytest.importorskip("mpmath")
+        params = WaveletParams(k=k, M=M, mu=1.0 if basis == "tw" else mu)
+        with pytest.warns(UserWarning, match="condition"):
+            disc = discretize(example1(mu), params)
+        sol = solve_discretized(disc, diagnostics=False)
+        m = params.m_hat
+        K, rhs = assemble_kkt(disc)
+        with mp.workdps(50):
+            exact = mp.lu_solve(mp.matrix(K.tolist()), mp.matrix(rhs.tolist()))
+            C_hat, U_hat = (mp.matrix([exact[i] for i in rows]) for rows in (range(m), range(m, 2 * m)))
+            C2 = mp.matrix(disc.mats.Pmu.tolist()).T * C_hat + mp.matrix(disc.d1.tolist())
+            J = (mp.mpf(disc.track_p_const) + disc.track_q_const) / 2
+            for W, c, track in ((disc.Wp, C2, disc.wp_track), (disc.Wq, U_hat, disc.wq_track)):
+                W, track = mp.matrix(block_diagonal(W).tolist()), mp.matrix(track.tolist())
+                J += (c.T * W * c)[0] / 2 - (c.T * track)[0]
+            assert abs((sol.J_value - J) / J) <= bound
+
     @pytest.mark.parametrize("k, mu", [(7, 1.0), (6, 0.9)], ids=["tw", "ftw"])
     def test_peak_memory(self, k, mu):
         """The reduced solve holds at most 5.5 m_hat^2 float64 above its
         inputs: F, the solved [L | x_aff], the reduced Hessian and its
-        Cholesky factor, with H freed before the long-double copy of Pmu that
-        ``state_from_coeffs`` makes. A warm call comes first, so that
-        nothing allocated once per process is counted."""
+        Cholesky factor. A warm call comes first, so that nothing allocated
+        once per process is counted."""
         disc = discretize(example1(mu), WaveletParams(k=k, M=4, mu=mu))
         solver._structured_solve(disc)
         tracemalloc.start()
