@@ -2,7 +2,8 @@
 
 The basis functions are dilated/translated normalized monomials
 sqrt(2m+1) * s**m composed with zeta -> zeta**mu; mu = 1 gives the plain
-Taylor wavelets. The flat index runs n-major, m-minor.
+Taylor wavelets. Wavelet (n, m), n = 1..N and m = 0..M-1, has the 0-based
+flat index (n - 1) M + m: n-major, m-minor.
 """
 
 from __future__ import annotations
@@ -46,17 +47,6 @@ class WaveletParams:
     @property
     def m_hat(self) -> int:
         return self.n_blocks * self.M
-
-    def flat_index(self, n: int, m: int) -> int:
-        """0-based position of wavelet (n, m) in the basis vector."""
-        return (n - 1) * self.M + m
-
-    def block_of_index(self, i: int) -> int:
-        """Translation index n owning the 0-based flat index i."""
-        return i // self.M + 1
-
-    def degree_of_index(self, i: int) -> int:
-        return i % self.M
 
     def breakpoints(self) -> np.ndarray:
         """Support boundaries ((n/2^(k-1))**(1/mu)), including 0 and 1."""

@@ -73,12 +73,12 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Mu-parametrized problem plus optional exact solutions for error columns."""
+    """Mu-parametrized problem plus, per mu, the optional exact state and
+    control for error columns."""
 
     name: str
     make_problem: Callable[[float], FocpProblem]
-    exact_x: Callable[[float], Fn | None] = lambda mu: None
-    exact_u: Callable[[float], Fn | None] = lambda mu: None
+    exact: Callable[[float], tuple[Fn, Fn] | None] = lambda mu: None
 
 
 def _example_spec(example: int) -> ProblemSpec:
@@ -86,17 +86,14 @@ def _example_spec(example: int) -> ProblemSpec:
         sqrt2 = math.sqrt(2.0)
         varpi = -0.98
 
-        def exact_x(mu: float) -> Fn | None:
+        def exact(mu: float) -> tuple[Fn, Fn] | None:
             if mu != 1.0:
                 return None
-            return lambda z: np.cosh(sqrt2 * z) + varpi * np.sinh(sqrt2 * z)
-
-        def exact_u(mu: float) -> Fn | None:
-            if mu != 1.0:
-                return None
-            return lambda z: (1.0 + sqrt2 * varpi) * np.cosh(sqrt2 * z) + (
-                sqrt2 + varpi
-            ) * np.sinh(sqrt2 * z)
+            return (
+                lambda z: np.cosh(sqrt2 * z) + varpi * np.sinh(sqrt2 * z),
+                lambda z: (1.0 + sqrt2 * varpi) * np.cosh(sqrt2 * z)
+                + (sqrt2 + varpi) * np.sinh(sqrt2 * z),
+            )
 
         return ProblemSpec(
             name="example1",
@@ -105,7 +102,7 @@ def _example_spec(example: int) -> ProblemSpec:
                 a_fn=lambda z: -np.ones_like(z), b_fn=lambda z: np.ones_like(z),
                 x0=1.0, mu=mu,
             ),
-            exact_x=exact_x, exact_u=exact_u,
+            exact=exact,
         )
     if example == 2:
         return ProblemSpec(
@@ -133,7 +130,7 @@ def _example_spec(example: int) -> ProblemSpec:
                 a_fn=lambda z: -np.ones_like(z), b_fn=lambda z: np.ones_like(z),
                 x0=0.0, mu=mu, track_x=rx(mu), track_u=ru(mu),
             ),
-            exact_x=lambda mu: rx(mu), exact_u=lambda mu: ru(mu),
+            exact=lambda mu: (rx(mu), ru(mu)),
         )
     raise UsageError(f"example must be 1, 2, or 3, got {example}")
 
@@ -142,8 +139,9 @@ def parse_problem_file(path: Path) -> tuple[ProblemSpec, dict]:
     """Read a `key = value` problem file; returns the spec plus raw settings.
 
     Recognized keys: p, q, a, b, rx, ru, exact_x, exact_u (expressions in t),
-    x0 (number), mu (comma-separated list), basis, k, M. Lines starting with
-    `#` and blank lines are ignored.
+    x0 (number), mu (comma-separated list), basis, k, M; exact_x and
+    exact_u come together or not at all. Lines starting with `#` and blank
+    lines are ignored.
     """
     if not path.exists():
         raise UsageError(f"problem file not found: {path}")
@@ -170,6 +168,9 @@ def parse_problem_file(path: Path) -> tuple[ProblemSpec, dict]:
     for req in ("p", "q", "a", "b", "x0"):
         if req not in values:
             raise UsageError(f"{path}: missing required key {req!r}")
+    for given, other in (("exact_x", "exact_u"), ("exact_u", "exact_x")):
+        if given in values and other not in values:
+            raise UsageError(f"{path}: missing key {other!r}, which {given!r} needs")
 
     def expr_fn(key: str) -> Fn | None:
         if key not in values:
@@ -183,6 +184,7 @@ def parse_problem_file(path: Path) -> tuple[ProblemSpec, dict]:
     a_fn, b_fn = expr_fn("a"), expr_fn("b")
     rx_fn, ru_fn = expr_fn("rx"), expr_fn("ru")
     ex_fn, eu_fn = expr_fn("exact_x"), expr_fn("exact_u")
+    exact = None if ex_fn is None else (ex_fn, eu_fn)
     try:
         x0 = float(values["x0"])
     except ValueError as exc:
@@ -200,8 +202,7 @@ def parse_problem_file(path: Path) -> tuple[ProblemSpec, dict]:
     spec = ProblemSpec(
         name=path.stem,
         make_problem=make_problem,
-        exact_x=lambda mu: ex_fn,
-        exact_u=lambda mu: eu_fn,
+        exact=lambda mu: exact,
     )
     settings = {}
     if "mu" in values:
@@ -231,6 +232,18 @@ def _table_text(values: np.ndarray, sep: str) -> str:
     return (row * values.shape[0]) % tuple(values.ravel().tolist())
 
 
+def _exact_values(exact: tuple[Fn, Fn], grid: np.ndarray) -> list[np.ndarray]:
+    """The exact state and control on an output grid; a value that is not
+    finite is refused by field name."""
+    # an overflow is reported as a non-finite value, not as a warning
+    with np.errstate(all="ignore"):
+        values = [np.asarray(fn(grid), dtype=float) for fn in exact]
+    for name, v in zip(("exact_x", "exact_u"), values):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} must be finite on the output grid")
+    return values
+
+
 def run(config: RunConfig) -> list[Path]:
     """Execute the batch run; returns the files written.
 
@@ -257,16 +270,14 @@ def run(config: RunConfig) -> list[Path]:
         sol = solve_focp(problem, params, mats, diagnostics=False)
         costs += [mu, config.basis, config.k, config.M, sol.J_value]
         tag = _mu_tag(mu)
-        ex = spec.exact_x(mu)
-        eu = spec.exact_u(mu)
+        exact = spec.exact(mu)
 
         if "tables" in config.emit:
             x, u = reconstruct_many(sol, _TABLE_GRID)
             header = "zeta,x,u"
             cols = [_TABLE_GRID, x, u]
-            if ex is not None and eu is not None:
-                xe = np.asarray(ex(_TABLE_GRID), dtype=float)
-                ue = np.asarray(eu(_TABLE_GRID), dtype=float)
+            if exact is not None:
+                xe, ue = _exact_values(exact, _TABLE_GRID)
                 header += ",exact_x,exact_u,err_x,err_u"
                 cols += [xe, ue, np.abs(x - xe), np.abs(u - ue)]
             text = header + "\n" + _table_text(np.column_stack(cols), ",")
@@ -275,11 +286,8 @@ def run(config: RunConfig) -> list[Path]:
         if "plotdata" in config.emit:
             x, u = reconstruct_many(sol, _PLOT_GRID)
             cols = [_PLOT_GRID, x, u]
-            if ex is not None and eu is not None:
-                cols += [
-                    np.asarray(ex(_PLOT_GRID), dtype=float),
-                    np.asarray(eu(_PLOT_GRID), dtype=float),
-                ]
+            if exact is not None:
+                cols += _exact_values(exact, _PLOT_GRID)
             outputs.append((f"{prefix}_plot_mu{tag}.dat", _table_text(np.column_stack(cols), " ")))
 
         if "matrices" in config.emit:

@@ -1,10 +1,11 @@
-"""Riemann-Liouville integral and Caputo derivative reference oracles.
+"""Riemann-Liouville integral on black-box callables.
 
-These operate on black-box callables and are deliberately independent of
-the wavelet machinery, so they can validate solver output. Both take one
-point or a 1-D array of points. A batched call shares its Gauss-Legendre
-segments, and so its nodes, across the points: the integrand is called
-once per call, not once per segment and point.
+It is deliberately independent of the wavelet machinery, so it can check
+solver output: the solver's dynamics defect integrates the expanded
+D^mu x with it. It takes one point or a 1-D array of points. A batched
+call shares its Gauss-Legendre segments, and so its nodes, across the
+points: the integrand is called once per call, not once per segment and
+point.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .basis import check_order
-from .quadrature import gamma, gauss_jacobi_right, gauss_legendre, graded_breakpoints
+from .quadrature import gamma, gauss_jacobi_right, gauss_legendre
 
 _DEFAULT_POINTS = 32
 
@@ -72,20 +73,6 @@ def _weighted_integral(
     return kernel @ values[: legendre_nodes.size] + jacobi_part
 
 
-def _points(zeta: float | np.ndarray) -> np.ndarray:
-    """zeta as a 1-D float array, checked to be positive."""
-    points = np.asarray(zeta, dtype=float)
-    if points.ndim > 1:
-        raise ValueError(f"zeta must be a scalar or a 1-D array, got shape {points.shape}")
-    if np.any(points <= 0.0):
-        raise ValueError(f"need zeta > 0, got {zeta}")
-    return np.atleast_1d(points)
-
-
-def _shaped_as(values: np.ndarray, zeta: float | np.ndarray) -> float | np.ndarray:
-    return float(values[0]) if np.ndim(zeta) == 0 else values
-
-
 def rl_integral(
     f: Callable[[np.ndarray], np.ndarray],
     mu: float,
@@ -97,63 +84,13 @@ def rl_integral(
     """Riemann-Liouville integral of order mu of f at zeta: a float for a
     scalar zeta, an array for a 1-D array of points."""
     check_order(mu)
-    points = _points(zeta)
-    weighted = _weighted_integral(f, mu - 1.0, points, breakpoints, n_points, merge_fraction)
-    return _shaped_as(weighted / gamma(mu), zeta)
-
-
-def caputo_derivative(
-    f: Callable[[np.ndarray], np.ndarray],
-    f_prime: Callable[[np.ndarray], np.ndarray],
-    mu: float,
-    zeta: float | np.ndarray,
-    breakpoints: Sequence[float] | None = None,
-    n_points: int = _DEFAULT_POINTS,
-    merge_fraction: float = 0.0,
-) -> float | np.ndarray:
-    """Caputo derivative of order mu at zeta (a float or a 1-D array, as
-    for ``rl_integral``); f_prime must be supplied.
-
-    For mu = 1 this is f_prime(zeta) exactly.
-    """
-    check_order(mu)
-    points = _points(zeta)
-    if mu == 1.0:
-        return _shaped_as(np.asarray(f_prime(points), dtype=float).reshape(points.shape), zeta)
+    points = np.asarray(zeta, dtype=float)
+    if points.ndim > 1:
+        raise ValueError(f"zeta must be a scalar or a 1-D array, got shape {points.shape}")
+    if np.any(points <= 0.0):
+        raise ValueError(f"need zeta > 0, got {zeta}")
     weighted = _weighted_integral(
-        f_prime, -mu, points, breakpoints, n_points, merge_fraction
+        f, mu - 1.0, np.atleast_1d(points), breakpoints, n_points, merge_fraction
     )
-    return _shaped_as(weighted / gamma(1.0 - mu), zeta)
-
-
-def check_inversion_identity(
-    f: Callable[[np.ndarray], np.ndarray],
-    f_prime: Callable[[np.ndarray], np.ndarray],
-    mu: float,
-    grid: Sequence[float],
-    n_points: int = _DEFAULT_POINTS,
-) -> float:
-    """Max-abs residual of I^mu(D^mu f)(z) - (f(z) - f(0)) over the grid."""
-    check_order(mu)
-    f0 = float(np.asarray(f(0.0)).reshape(-1)[0])
-    # Both integrands can have algebraic singularities at tau = 0 (e.g.
-    # f' ~ tau^(mu-1)); geometric grading toward the origin restores the
-    # per-segment Gauss convergence.
-    graded = graded_breakpoints([0.0, 1.0], levels=18)
-    z = np.asarray(grid, dtype=float)
-    z = z[z > 0.0]
-    if z.size == 0:
-        return 0.0
-
-    def dmu(tau: np.ndarray) -> np.ndarray:
-        # every node of the outer rule lies strictly inside (0, z)
-        return caputo_derivative(
-            f, f_prime, mu, tau, breakpoints=graded,
-            n_points=n_points, merge_fraction=0.5,
-        )
-
-    lhs = rl_integral(
-        dmu, mu, z, breakpoints=graded, n_points=n_points, merge_fraction=0.5
-    )
-    rhs = np.asarray(f(z), dtype=float).reshape(z.shape) - f0
-    return float(np.abs(lhs - rhs).max())
+    values = weighted / gamma(mu)
+    return float(values[0]) if points.ndim == 0 else values

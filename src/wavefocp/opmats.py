@@ -220,17 +220,6 @@ class OperationalMatrices:
         return dataclasses.replace(self, frac_order=frac_order, Pmu=Pmu)
 
 
-def project(
-    f: Callable[[np.ndarray], np.ndarray],
-    params: WaveletParams,
-    mats: OperationalMatrices,
-) -> np.ndarray:
-    """Least-squares coefficients of f in the wavelet basis, from inner
-    products on ``mats.grid`` (accurate for the f that ``quadrature_nodes``
-    describes)."""
-    return mats.solve_D(inner_products(f, mats.grid))
-
-
 def integration_matrix_first_order(
     params: WaveletParams, mats: OperationalMatrices
 ) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Low-level numerics: gamma, Gauss rules, graded breakpoints, block
-operators and dense solves.
+"""Low-level numerics: gamma, Gauss rules, block operators and dense
+solves.
 
 A block-diagonal operator is stored as its (N, M, M) diagonal blocks and
 applied by ``apply_blocks``; its dense form comes from ``block_diagonal``.
@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,9 +32,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-
-    def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
-        return float(np.dot(self.weights, f(self.nodes)))
 
 
 def gamma(x: float) -> float:
@@ -133,8 +129,8 @@ def gauss_jacobi_right(
     """Rule for integrals of (b - t)^exponent * f(t) over [a, b].
 
     The weight (b - t)^exponent is folded into the returned weights, so
-    ``rule.integrate(f)`` approximates the weighted integral; exact for
-    polynomial f up to degree 2n - 1. a and b may be arrays, as for
+    the sum of weights * f(nodes) approximates the weighted integral; exact
+    for polynomial f up to degree 2n - 1. a and b may be arrays, as for
     ``gauss_legendre``.
     """
     if n < 1:
@@ -154,26 +150,6 @@ def gauss_jacobi_left(n: int, a: float, b: float, exponent: float) -> Quadrature
     image of ``gauss_jacobi_right``."""
     right = gauss_jacobi_right(n, a, b, exponent)
     return QuadratureRule(nodes=a + b - right.nodes, weights=right.weights)
-
-
-def graded_breakpoints(
-    base: Sequence[float], levels: int = 16, ratio: float = 0.2
-) -> np.ndarray:
-    """Refine a breakpoint list geometrically toward every base breakpoint.
-
-    Integrands here are piecewise powers of zeta with unbounded derivatives
-    at segment endpoints; geometric grading restores fast convergence of the
-    per-segment Gauss rules.
-    """
-    base = np.asarray(base, dtype=float)
-    pts = [base]
-    for lo, hi in zip(base[:-1], base[1:]):
-        width = hi - lo
-        offs = width * ratio ** np.arange(1, levels + 1)
-        pts.append(lo + offs)
-        pts.append(hi - offs)
-    out = np.unique(np.concatenate(pts))
-    return out[(out >= base[0]) & (out <= base[-1])]
 
 
 def condition_estimate(A: np.ndarray) -> float:

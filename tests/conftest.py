@@ -9,10 +9,11 @@ import pytest
 from scipy.special import betainc
 
 from wavefocp.basis import WaveletParams, monomial_coefficients, support_interval
+from wavefocp.fracops import rl_integral
 from wavefocp.opmats import (
     build_operational_matrices,
+    inner_products,
     product_matrix,
-    project,
     quadrature_grid,
 )
 from wavefocp.quadrature import (
@@ -20,7 +21,6 @@ from wavefocp.quadrature import (
     gamma,
     gauss_jacobi_right,
     gauss_legendre,
-    graded_breakpoints,
 )
 
 # Published reference matrices for k=2, M=4 (8x8 basis). The Gram matrices
@@ -190,6 +190,64 @@ mu = 0.6
 """
 
 
+def integrate(rule, f) -> float:
+    """The sum of a rule's weights times f at its nodes."""
+    return float(np.dot(rule.weights, f(rule.nodes)))
+
+
+def project(f, mats) -> np.ndarray:
+    """Least-squares coefficients of f in the bundle's basis, from inner
+    products on ``mats.grid``."""
+    return mats.solve_D(inner_products(f, mats.grid))
+
+
+def graded_breakpoints(base, levels: int = 16, ratio: float = 0.2) -> np.ndarray:
+    """Refine a breakpoint list geometrically toward every base breakpoint.
+
+    Integrands here are piecewise powers of zeta with unbounded derivatives
+    at segment endpoints; geometric grading restores fast convergence of the
+    per-segment Gauss rules.
+    """
+    base = np.asarray(base, dtype=float)
+    pts = [base]
+    for lo, hi in zip(base[:-1], base[1:]):
+        width = hi - lo
+        offs = width * ratio ** np.arange(1, levels + 1)
+        pts.append(lo + offs)
+        pts.append(hi - offs)
+    out = np.unique(np.concatenate(pts))
+    return out[(out >= base[0]) & (out <= base[-1])]
+
+
+def caputo_derivative(f_prime, mu, zeta, **kwargs):
+    """Caputo derivative of order mu at zeta: the RL integral of order
+    1 - mu of f', and f' itself at mu = 1. Takes and returns what
+    ``rl_integral`` does."""
+    if mu != 1.0:
+        return rl_integral(f_prime, 1.0 - mu, zeta, **kwargs)
+    points = np.asarray(zeta, dtype=float)
+    if np.any(points <= 0.0):
+        raise ValueError(f"need zeta > 0, got {zeta}")
+    values = np.asarray(f_prime(points), dtype=float)
+    return float(values) if values.ndim == 0 else values
+
+
+def check_inversion_identity(f, f_prime, mu, grid) -> float:
+    """Max-abs residual of I^mu(D^mu f)(z) - (f(z) - f(0)) over the grid's
+    points z > 0."""
+    f0 = float(np.asarray(f(0.0)).reshape(-1)[0])
+    # Both integrands can have algebraic singularities at tau = 0 (e.g.
+    # f' ~ tau^(mu-1)); geometric grading toward the origin restores the
+    # per-segment Gauss convergence. Every node of the outer rule lies
+    # strictly inside (0, z), where the inner derivative is taken.
+    graded = dict(breakpoints=graded_breakpoints([0.0, 1.0], levels=18), merge_fraction=0.5)
+    z = np.asarray(grid, dtype=float)
+    z = z[z > 0.0]
+    lhs = rl_integral(lambda tau: caputo_derivative(f_prime, mu, tau, **graded), mu, z, **graded)
+    rhs = np.asarray(f(z), dtype=float).reshape(z.shape) - f0
+    return float(np.abs(lhs - rhs).max())
+
+
 def graded_nodes(params: WaveletParams):
     """Reference nodes and weights in zeta over [0, 1], independent of the
     library's per-block projection rule: composite Gauss-Legendre split at
@@ -217,8 +275,7 @@ def weighted_integral_by_segments(f, exponent, zeta, breakpoints, n_points=32,
     total = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         if hi == zeta:
-            rule = gauss_jacobi_right(n_points, lo, hi, exponent)
-            total += rule.integrate(f)
+            total += integrate(gauss_jacobi_right(n_points, lo, hi, exponent), f)
         else:
             rule = gauss_legendre(n_points, lo, hi)
             total += float(
@@ -236,8 +293,8 @@ def rl_integral_by_segments(f, mu, zeta, breakpoints=None, n_points=32,
 
 def caputo_derivative_by_segments(f_prime, mu, zeta, breakpoints=None, n_points=32,
                                   merge_fraction=0.0):
-    """Point-by-point reference for ``fracops.caputo_derivative`` at scalar
-    zeta."""
+    """Point-by-point reference for ``caputo_derivative`` at scalar zeta,
+    with the kernel exponent -mu and Gamma(1 - mu) written out."""
     if mu == 1.0:
         return float(np.asarray(f_prime(zeta)).reshape(-1)[0])
     return weighted_integral_by_segments(
@@ -255,8 +312,7 @@ def integrate_piecewise(f, breakpoints, points_per_segment=32):
         raise ValueError("breakpoints must lie in [0, 1]")
     total = 0.0
     for lo, hi in zip(bp[:-1], bp[1:]):
-        rule = gauss_legendre(points_per_segment, lo, hi)
-        total += rule.integrate(f)
+        total += integrate(gauss_legendre(points_per_segment, lo, hi), f)
     return total
 
 
@@ -320,10 +376,9 @@ def rl_integral_of_wavelet(
     if not 0.0 < order <= 1.0:
         raise ValueError(f"need 0 < order <= 1, got {order}")
     zeta = np.asarray(zeta, dtype=float)
-    n = params.block_of_index(i)
-    m = params.degree_of_index(i)
-    lo, hi = support_interval(params, n)
-    coefs = monomial_coefficients(params, n, m)
+    block, m = divmod(i, params.M)
+    lo, hi = support_interval(params, block + 1)
+    coefs = monomial_coefficients(params, block + 1, m)
     out = np.zeros_like(zeta)
     active = zeta > lo
     z = zeta[active]
@@ -362,11 +417,11 @@ def cost_via_product_chain(disc, solution) -> float:
     C_tilde = dense_product(C2)
     C3 = C_tilde.T @ C2
     C4 = dense_product(C3)
-    C5 = C4.T @ project(problem.p_fn, params, mats)
+    C5 = C4.T @ project(problem.p_fn, mats)
     U2 = dense_product(solution.U_hat)
     U3 = U2.T @ solution.U_hat
     U4 = dense_product(U3)
-    U5 = U4.T @ project(problem.q_fn, params, mats)
+    U5 = U4.T @ project(problem.q_fn, mats)
     moments = basis_moment_vector(params)
     return 0.5 * float((C5 + U5) @ moments)
 

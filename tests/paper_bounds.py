@@ -1,4 +1,8 @@
-"""Truncation-error bounds and empirical convergence sweeps."""
+"""The paper's a-priori error bounds and an empirical convergence sweep.
+
+The bounds need a bound on the m_hat-th derivative of the solution, which
+is unbounded for mu < 1 (x has t^mu), so no solve reports them: the tests
+check them on analytic single-block cases."""
 
 from __future__ import annotations
 
@@ -8,8 +12,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .basis import WaveletParams
-from .solver import FocpProblem, reconstruct_many, solve_focp
+from wavefocp.basis import WaveletParams
+from wavefocp.solver import FocpProblem, reconstruct_many, solve_focp
 
 
 def lemma2_bound(M_tilde: float, m_hat: int) -> float:
@@ -32,20 +36,6 @@ def cost_gap_bound(L: float, M1: float, M2: float, m_hat: int) -> float:
     if L < 0.0 or M1 < 0.0 or M2 < 0.0:
         raise ValueError("L, M1, M2 must be nonnegative")
     return L * lemma2_bound(M1 + M2, m_hat)
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Outcome of checking an observed L2 projection error against the bound."""
-
-    m_hat: int
-    M_tilde: float
-    bound: float
-    observed: float
-
-    @property
-    def satisfied(self) -> bool:
-        return self.observed <= self.bound * (1.0 + 1e-9)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from wavefocp.basis import (
 
 def _wavelet_value(params, n, m, zeta):
     """Value of wavelet (n, m) at zeta, read from ``eval_basis``."""
-    return eval_basis(params, zeta)[params.flat_index(n, m)]
+    return eval_basis(params, zeta)[(n - 1) * params.M + m]
 
 
 def _owning_block(params, zeta):
@@ -41,14 +41,6 @@ class TestWaveletParams:
             WaveletParams(k=2, M=4, mu=1.5)
         with pytest.raises(ValueError):
             WaveletParams(k=2, M=4, mu=0.0)
-
-    def test_flat_index_roundtrip(self):
-        p = WaveletParams(k=3, M=5)
-        for n in range(1, p.n_blocks + 1):
-            for m in range(p.M):
-                i = p.flat_index(n, m)
-                assert p.block_of_index(i) == n
-                assert p.degree_of_index(i) == m
 
 
 class TestNormalizedTaylorPoly:
@@ -135,7 +127,7 @@ class TestEvalWavelet:
         a = eval_basis(frac, zeta)
         b = eval_basis(plain, min(zeta**mu, 1.0))
         for n in (1, 2):
-            i = frac.flat_index(n, m)
+            i = (n - 1) * frac.M + m
             assert a[i] == pytest.approx(b[i], abs=1e-12)
 
 
@@ -165,7 +157,7 @@ class TestEvalBasis:
         p = WaveletParams(k=3, M=2, mu=1.0)
         for z in (0.1, 0.4, 0.6, 0.9):
             n = _owning_block(p, z)
-            assert eval_basis(p, z)[p.flat_index(n, 0)] == pytest.approx(
+            assert eval_basis(p, z)[(n - 1) * p.M] == pytest.approx(
                 2.0 ** ((p.k - 1) / 2)
             )
 
@@ -182,7 +174,7 @@ class TestEvalBasis:
             s = (z**p.mu - lo**p.mu) / (hi**p.mu - lo**p.mu)
             expected = np.zeros(p.m_hat)
             for m in range(p.M):
-                expected[p.flat_index(n, m)] = math.sqrt(2.0) * math.sqrt(2 * m + 1) * s**m
+                expected[(n - 1) * p.M + m] = math.sqrt(2.0) * math.sqrt(2 * m + 1) * s**m
             np.testing.assert_allclose(many[:, j], expected, rtol=1e-13, atol=1e-14)
             np.testing.assert_array_equal(many[:, j], eval_basis(p, z))
 

@@ -247,6 +247,35 @@ class TestCliRuns:
         capsys.readouterr()
         assert (out / "prob_tw_cost.csv").exists()
 
+    @pytest.mark.parametrize("emit", ["tables", "plotdata"])
+    @pytest.mark.parametrize("key", ["exact_x", "exact_u"])
+    def test_non_finite_exact_solution_exit_code(self, tmp_path, capsys, key, emit):
+        """An exact solution that overflows on an output grid exits 1, names
+        the field and the file and writes nothing, with no warning;
+        exact_x = exp(1000*t) used to exit 0 with inf in the error columns."""
+        exact = {"exact_x": "1", "exact_u": "1", key: "exp(1000*t)"}
+        path = tmp_path / "prob.txt"
+        path.write_text(EXAMPLE1_FILE + "".join(f"{k} = {v}\n" for k, v in exact.items()),
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--problem", str(path), "--emit", emit, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: {key} must be finite on the output grid\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("given, missing", [("exact_x", "exact_u"), ("exact_u", "exact_x")])
+    def test_lone_exact_solution_refused(self, tmp_path, capsys, given, missing):
+        """A file with one exact field and not the other exits 1 and names
+        the missing key; it used to exit 0 with no error columns."""
+        path = tmp_path / "prob.txt"
+        path.write_text(EXAMPLE1_FILE + f"{given} = 1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--problem", str(path), "--out", str(out)]) == 1
+        assert f"missing key {missing!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("line, refusal", [
         ("p = gamma(200*t + 1)", "p must be finite on [0, 1]"),
         ("p = 1 + exp(0.001/((t - 0.00505)^2 + 1e-12))",

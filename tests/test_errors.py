@@ -3,14 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import project
+from paper_bounds import convergence_sweep, cost_gap_bound, lemma2_bound
 from wavefocp.basis import WaveletParams, eval_basis_many
-from wavefocp.errors import (
-    BoundReport,
-    convergence_sweep,
-    cost_gap_bound,
-    lemma2_bound,
-)
-from wavefocp.opmats import build_operational_matrices, project, quadrature_nodes
+from wavefocp.opmats import build_operational_matrices, quadrature_nodes
 from wavefocp.solver import FocpProblem
 from wavefocp.quadrature import gamma
 
@@ -69,17 +65,13 @@ class TestBoundAgainstProjection:
         f = lambda z: np.cosh(np.sqrt(2.0) * np.asarray(z))
         params = WaveletParams(k=1, M=M, mu=1.0)
         mats = build_operational_matrices(params)
-        coeffs = project(f, params, mats)
+        coeffs = project(f, mats)
         nodes, weights = quadrature_nodes(params)
         resid = f(nodes) - coeffs @ eval_basis_many(params, nodes)
         observed = math.sqrt(float(np.dot(weights, resid**2)))
         # sampled magnitude of the order-m_hat derivative of cosh(sqrt(2) z)
         M_tilde = 2.0 ** (params.m_hat / 2) * math.cosh(math.sqrt(2.0))
-        report = BoundReport(
-            m_hat=params.m_hat, M_tilde=M_tilde,
-            bound=lemma2_bound(M_tilde, params.m_hat), observed=observed,
-        )
-        assert report.satisfied
+        assert observed <= lemma2_bound(M_tilde, params.m_hat) * (1.0 + 1e-9)
 
 
 class TestConvergenceSweep:

@@ -1,16 +1,21 @@
 """A normal run loads NumPy only: SciPy is imported by the solver's one
 other route, the dense KKT LU (``quadrature.solve_linear``), alone, and no
-package of the ``test`` extra (mpmath, pytest, hypothesis) is imported."""
+package of the ``test`` extra (mpmath, pytest, hypothesis) is imported.
+The same run loads every module of the package: a module that only the
+tests import does not belong in it."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import wavefocp
 
 SCRIPT = """
-import sys, tempfile
+import json, sys, tempfile
 from wavefocp import cli
 from wavefocp.basis import WaveletParams
 from wavefocp.solver import solve_focp
@@ -23,8 +28,11 @@ with tempfile.TemporaryDirectory() as out:
 problem = cli._example_spec(3).make_problem(0.8)
 sol = solve_focp(problem, WaveletParams(k=5, M=8, mu=0.8), diagnostics=True)
 assert "dynamics_defect" in sol.residuals  # the diagnostics ran
-print(sorted(m for m in sys.modules
-             if m.split(".")[0] in ("scipy", "mpmath", "pytest", "hypothesis")))
+print(json.dumps({
+    "foreign": sorted(m for m in sys.modules
+                      if m.split(".")[0] in ("scipy", "mpmath", "pytest", "hypothesis")),
+    "wavefocp": sorted(m for m in sys.modules if m.split(".")[0] == "wavefocp"),
+}))
 """
 
 
@@ -37,9 +45,23 @@ def _run(script: str) -> str:
     ).stdout
 
 
-def test_cli_runs_and_structured_solves_never_load_scipy():
-    out = _run(SCRIPT)
-    assert out.strip().splitlines()[-1] == "[]", out
+@pytest.fixture(scope="module")
+def loaded():
+    """The modules that the CLI runs and the diagnostics solve of SCRIPT load."""
+    return json.loads(_run(SCRIPT).strip().splitlines()[-1])
+
+
+def test_cli_runs_and_structured_solves_never_load_scipy(loaded):
+    assert loaded["foreign"] == [], loaded
+
+
+def test_runs_load_every_package_module(loaded):
+    """A module that no solve or CLI run imports, such as one that only
+    the tests read, does not belong in the package."""
+    package = Path(wavefocp.__file__).parent
+    modules = {"wavefocp" if path.stem == "__init__" else f"wavefocp.{path.stem}"
+               for path in package.glob("*.py")}
+    assert set(loaded["wavefocp"]) == modules
 
 
 M12_SCRIPT = """

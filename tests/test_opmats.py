@@ -10,7 +10,9 @@ from conftest import (
     D09_BLOCK2,
     P09_PLAIN,
     basis_moment_vector,
+    graded_breakpoints,
     graded_nodes,
+    project,
     rl_integral_of_wavelet,
 )
 from wavefocp import opmats
@@ -24,7 +26,6 @@ from wavefocp.opmats import (
     integration_matrix_fractional,
     integration_matrix_first_order,
     product_matrix,
-    project,
     quadrature_grid,
     quadrature_nodes,
     triple_product_tensor,
@@ -88,22 +89,22 @@ class TestProjection:
         def f(z):
             return coeffs @ eval_basis_many(params_frac09, np.atleast_1d(z))
 
-        recovered = project(f, params_frac09, mats_frac09)
+        recovered = project(f, mats_frac09)
         np.testing.assert_allclose(recovered, coeffs, atol=1e-10)
 
     def test_idempotent(self, params_plain, mats_plain):
         f = lambda z: np.cosh(np.sqrt(2.0) * np.asarray(z))
-        c1 = project(f, params_plain, mats_plain)
+        c1 = project(f, mats_plain)
 
         def reconstructed(z):
             return c1 @ eval_basis_many(params_plain, np.atleast_1d(z))
 
-        c2 = project(reconstructed, params_plain, mats_plain)
+        c2 = project(reconstructed, mats_plain)
         assert np.abs(c2 - c1).max() <= 1e-8
 
     def test_residual_orthogonality(self, params_frac09, mats_frac09):
         f = lambda z: np.exp(np.asarray(z))
-        c = project(f, params_frac09, mats_frac09)
+        c = project(f, mats_frac09)
 
         def residual(z):
             z = np.atleast_1d(z)
@@ -139,8 +140,6 @@ class TestIntegrationMatrices:
         assert np.abs(mats.Pmu - P09_PLAIN).max() <= 5e-5
 
     def test_closed_form_matches_oracle(self, params_frac09):
-        from wavefocp.quadrature import graded_breakpoints
-
         bp = graded_breakpoints(params_frac09.breakpoints())
         for i in (0, 2, 5, 7):
             def psi_i(z, i=i):
@@ -172,8 +171,8 @@ class TestIntegrationMatrices:
         # running integral of any basis-representable f stays representable
         # only approximately; check against a cubic whose integral is quartic
         # projected: use f = 1 whose integral z is exactly in the span
-        c_one = project(lambda z: np.ones_like(np.asarray(z)), params_plain, mats_plain)
-        c_z = project(lambda z: np.asarray(z, dtype=float), params_plain, mats_plain)
+        c_one = project(lambda z: np.ones_like(np.asarray(z)), mats_plain)
+        c_z = project(lambda z: np.asarray(z, dtype=float), mats_plain)
         np.testing.assert_allclose(mats_plain.P1.T @ c_one, c_z, atol=1e-10)
 
     def test_semigroup_on_monomials(self):
@@ -186,10 +185,7 @@ class TestIntegrationMatrices:
         mats = build_operational_matrices(params)
         pts = np.array([0.05, 0.1, 0.3, 0.6, 0.8, 0.95])
         for s in (0, 1):
-            c = project(
-                lambda z, s=s: np.asarray(z, dtype=float) ** (mu * s),
-                params, mats,
-            )
+            c = project(lambda z, s=s: np.asarray(z, dtype=float) ** (mu * s), mats)
             twice = mats.Pmu.T @ (mats.Pmu.T @ c)
             vals = twice @ eval_basis_many(params, pts)
             exact = (
@@ -231,7 +227,7 @@ class TestTripleProducts:
                 expansion = np.einsum("mj,jm->j", local, c.reshape(-1, M)[blocks])
                 return expansion * np.where(blocks == i // M, local[i % M], 0.0)
 
-            projected = project(product_fn, params, mats_frac09).reshape(N, M)
+            projected = project(product_fn, mats_frac09).reshape(N, M)
             own = i // M
             assert np.all(np.delete(projected, own, axis=0) == 0.0)
             np.testing.assert_allclose(projected[own], C_tilde[own, i % M], atol=1e-12)
@@ -263,7 +259,7 @@ class TestTripleProducts:
                 expansion = np.einsum("mj,jm->j", local, c.reshape(-1, M)[blocks])
                 return expansion * np.where(blocks == i // M, local[i % M], 0.0)
 
-            projected = project(product_fn, params, mats)
+            projected = project(product_fn, mats)
             np.testing.assert_allclose(C_tilde[i], projected, atol=1e-8)
 
     def test_product_matrix_linear_in_coefficients(self, mats_frac09):
