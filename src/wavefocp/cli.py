@@ -173,12 +173,22 @@ def parse_problem_file(path: Path) -> tuple[ProblemSpec, dict]:
             raise UsageError(f"{path}: missing key {other!r}, which {given!r} needs")
 
     def expr_fn(key: str) -> Fn | None:
+        """The field's function; a parse error, and an evaluation error
+        wherever the function is called, names the field."""
         if key not in values:
             return None
         try:
-            return as_function(parse_expression(values[key]))
+            fn = as_function(parse_expression(values[key]))
         except ExpressionError as exc:
             raise UsageError(f"{path}: field {key!r}: {exc}") from exc
+
+        def named(t: np.ndarray) -> np.ndarray:
+            try:
+                return fn(t)
+            except ExpressionError as exc:
+                raise ExpressionError(f"field {key!r}: {exc}") from exc
+
+        return named
 
     p_fn, q_fn = expr_fn("p"), expr_fn("q")
     a_fn, b_fn = expr_fn("a"), expr_fn("b")

@@ -217,8 +217,15 @@ def apply_blocks(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 # rows per leaf of the blocked Cholesky factorization, and the fewest rows
-# per leaf of a blocked triangular solve
+# per leaf of a blocked triangular solve and of the solver's block-Jacobi
+# preconditioner
 _LEAF = 32
+
+
+def blocks_per_leaf(N: int, M: int) -> int:
+    """M x M blocks per leaf of a matrix of N blocks: the fewest whole blocks
+    that hold at least ``_LEAF`` rows and divide N (all N if none does)."""
+    return next((b for b in range(-(-_LEAF // M), N) if N % b == 0), N)
 
 
 @dataclass(frozen=True)
@@ -233,13 +240,11 @@ class LowerTriangular:
 
     @classmethod
     def from_blocks(cls, L: np.ndarray, M: int) -> LowerTriangular:
-        """L lower-triangular in M x M blocks. A leaf is the fewest whole
-        blocks that hold at least ``_LEAF`` rows and divide the number of
-        blocks (all of L if none does), and the leaf inverses come from one
+        """L lower-triangular in M x M blocks, with leaves of
+        ``blocks_per_leaf`` blocks. The leaf inverses come from one
         ``invert_blocks`` call, which raises SingularMatrixError where the
         leaves are too ill-conditioned for an explicit inverse."""
-        N = L.shape[0] // M
-        per_leaf = next((b for b in range(-(-_LEAF // M), N) if N % b == 0), N)
+        per_leaf = blocks_per_leaf(L.shape[0] // M, M)
         return cls(L=L, leaf_inverses=tuple(invert_blocks(diagonal_blocks(L, M * per_leaf))))
 
     def solve(self, b: np.ndarray) -> np.ndarray:

@@ -14,23 +14,35 @@ constraint operators G_A, G_B are block-diagonal and stored as their
 (N, M, M) blocks, applied by ``apply_blocks``. The constraint
 G_c C_hat = G_B U_hat + G_A d1 has G_c = I - G_A Pmu^T block
 lower-triangular (Pmu is block upper-triangular, because the RL integral
-is causal). ``_structured_solve`` eliminates the state by one solve with
-F = I - Pmu^T G_A, block lower-triangular too, whose leaves it inverts
-explicitly (Pmu^T G_c^-1 = F^-1 Pmu^T, Henderson & Searle, SIAM Review 23
-(1981)). What remains is the SPD reduced Hessian in U_hat, of size m_hat;
-the multipliers come from a transposed F solve (the null-space method,
-Nocedal & Wright, Numerical Optimization, 2nd ed., section 16.2).
-``assemble_kkt`` builds the full dense system, whose pivoted LU is the one
-other route, taken only where the reduced route raises SingularMatrixError
-(at any cond(D)); its G_c comes from ``_g_c``. Either route returns
-(C_hat, U_hat, eta_star) and the state coefficients C2; one residual pass,
-``_kkt_residual_rows``, then forms the three KKT block rows from C2, G_A,
-G_B, Pmu, Wp and Wq without G_c, F or the right-hand side.
+is causal). There are three routes, each returning (C_hat, U_hat,
+eta_star) and the state coefficients C2:
+
+- ``_range_space_solve``, below cond(D) 1e6, eliminates the control and
+  the multipliers through G_B^-1 (b != 0): C_hat solves an SPD system of
+  size m_hat, which preconditioned CG solves without forming it, two
+  products with Pmu per step (the range-space method, Nocedal & Wright,
+  Numerical Optimization, 2nd ed., sections 16.2-16.3).
+- ``_structured_solve``, from cond(D) 1e6 up, eliminates the state by one
+  solve with F = I - Pmu^T G_A, block lower-triangular too, whose leaves
+  it inverts explicitly (Pmu^T G_c^-1 = F^-1 Pmu^T, Henderson & Searle,
+  SIAM Review 23 (1981)). What remains is the SPD reduced Hessian in
+  U_hat; the multipliers come from a transposed F solve (the null-space
+  method, ibid., section 16.2). F^-1 is a forward shot of the dynamics,
+  which loses the optimum on strongly unstable dynamics; the range-space
+  J degrades at high M (from M = 10), where this route stays.
+- ``_dense_solve``, the pivoted LU of the system ``assemble_kkt`` builds
+  (its G_c comes from ``_g_c``), taken only where the structured route
+  raises SingularMatrixError.
+
+One residual pass, ``_kkt_residual_rows``, then forms the three KKT block
+rows from C2, G_A, G_B, Pmu, Wp and Wq without G_c, F or the right-hand
+side.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -44,11 +56,22 @@ from .quadrature import (
     SingularMatrixError,
     apply_blocks,
     block_diagonal,
+    blocks_per_leaf,
+    invert_blocks,
     solve_linear,
     solve_spd,
 )
 
 _VALIDATION_GRID = np.linspace(0.0, 1.0, 100)
+
+# below this cond(D) the range-space route solves, from it up the reduced
+# route: at M = 10 the range-space J is the worse of the two
+_RANGE_SPACE_COND_LIMIT = 1e6
+# PCG stops at ||r||_2 <= _CG_RTOL ||g||_2 and refuses after _CG_MAX_ITER
+# steps; at M = 4 and m_hat 64 to 1024 it takes 6 to 15 steps on drawn
+# problems and up to 35 under the unstable dynamics a = 8
+_CG_RTOL = 1e-14
+_CG_MAX_ITER = 200
 
 Fn = Callable[[np.ndarray], np.ndarray]
 
@@ -266,6 +289,92 @@ def _structured_solve(
     return C_hat, U_hat, eta, C2
 
 
+def _range_space_solve(
+    disc: DiscretizedFocp,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What ``_structured_solve`` returns, with the control and the
+    multipliers eliminated instead of the state: the range-space method
+    (Nocedal & Wright, section 16.2; Benzi, Golub & Liesen, Acta Numerica 14
+    (2005), section 5), which forms no forward shot of the dynamics.
+
+    With S^-1 = G_B^-T Wq G_B^-1, E = S^-1 G_A and W = Wp + G_A^T E, C_hat
+    solves the SPD system H C_hat = g, where
+    H = Pmu Wp Pmu^T + G_c^T S^-1 G_c = [Pmu | I] K [Pmu | I]^T with the
+    block-diagonal K = [[W, -E^T], [-E, S^-1]], and
+    g = Pmu (wp_track - Wp d1 - G_A^T z) + z, z = E d1 + G_B^-T wq_track.
+    PCG applies H as one product by Pmu^T, one batched (N, 2M, 2M) product
+    by K and one product by Pmu, preconditioned by the inverses of H's
+    diagonal leaves of ``blocks_per_leaf`` blocks. Then
+    U_hat = G_B^-1 (C_hat - G_A C2) and eta_star = G_B^-T (Wq U_hat - wq_track).
+    """
+    N, M = disc.params.n_blocks, disc.params.M
+    Pm, G_A = disc.mats.Pmu, disc.G_A
+    G_A_T = G_A.transpose(0, 2, 1)
+    B_inv = invert_blocks(disc.G_B)
+    B_inv_T = B_inv.transpose(0, 2, 1)
+    S_inv = B_inv_T @ disc.Wq @ B_inv
+    S_inv = 0.5 * (S_inv + S_inv.transpose(0, 2, 1))
+    E = S_inv @ G_A
+    W = disc.Wp + G_A_T @ E
+    K = np.empty((N, 2 * M, 2 * M))
+    K[:, :M, :M] = 0.5 * (W + W.transpose(0, 2, 1))
+    K[:, M:, :M] = -E
+    K[:, :M, M:] = -E.transpose(0, 2, 1)
+    K[:, M:, M:] = S_inv
+
+    def apply_H(p: np.ndarray) -> np.ndarray:
+        yp = np.concatenate(((Pm.T @ p).reshape(N, M, 1), p.reshape(N, M, 1)), axis=1)
+        vw = K @ yp
+        return Pm @ vw[:, :M].ravel() + vw[:, M:].ravel()
+
+    # leaf j of H is Z^T K Z, Z the leaf's columns of [Pmu | I]^T, which are
+    # zero above the leaf: Pmu is block upper-triangular
+    per_leaf = blocks_per_leaf(N, M)
+    rows = per_leaf * M
+    leaves = np.empty((N // per_leaf, rows, rows))
+    for j, leaf in enumerate(leaves):
+        k, n = j * rows, j * per_leaf
+        Z = np.zeros((N - n, 2 * M, rows))
+        Z[:, :M] = Pm[k : k + rows, k:].T.reshape(N - n, M, rows)
+        Z[:per_leaf, M:] = np.eye(rows).reshape(per_leaf, M, rows)
+        leaf[:] = Z.reshape(-1, rows).T @ (K[n:] @ Z).reshape(-1, rows)
+    P_inv = invert_blocks(0.5 * (leaves + leaves.transpose(0, 2, 1)))
+
+    z = apply_blocks(E, disc.d1) + apply_blocks(B_inv_T, disc.wq_track)
+    g = Pm @ (disc.wp_track - apply_blocks(disc.Wp, disc.d1) - apply_blocks(G_A_T, z)) + z
+    C_hat = _pcg(apply_H, functools.partial(apply_blocks, P_inv), g)
+    C2 = state_from_coeffs(C_hat, disc.d1, disc.mats)
+    U_hat = apply_blocks(B_inv, C_hat - apply_blocks(G_A, C2))
+    eta = apply_blocks(B_inv_T, apply_blocks(disc.Wq, U_hat) - disc.wq_track)
+    return C_hat, U_hat, eta, C2
+
+
+def _pcg(apply_H: Fn, apply_P: Fn, g: np.ndarray) -> np.ndarray:
+    """Preconditioned CG for H x = g from x = P^-1 g, to
+    ||r||_2 <= _CG_RTOL ||g||_2 (Nocedal & Wright, algorithm 5.3). Raises
+    SingularMatrixError after _CG_MAX_ITER steps, or at a step along which
+    H is not numerically positive."""
+    x = apply_P(g)
+    r = g - apply_H(x)
+    tol = _CG_RTOL**2 * (g @ g)
+    d = rz = None
+    for step in range(_CG_MAX_ITER + 1):
+        if r @ r <= tol:
+            return x
+        if step == _CG_MAX_ITER:
+            break
+        z = apply_P(r)
+        rz, rz_prev = r @ z, rz
+        d = z if d is None else z + (rz / rz_prev) * d
+        Hd = apply_H(d)
+        alpha = rz / (d @ Hd)
+        if not alpha > 0.0:  # also NaN
+            raise SingularMatrixError("range-space system not numerically positive definite")
+        x += alpha * d
+        r -= alpha * Hd
+    raise SingularMatrixError(f"PCG did not converge in {_CG_MAX_ITER} steps")
+
+
 def _dense_solve(
     disc: DiscretizedFocp,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -347,15 +456,19 @@ def _dynamics_defect(disc: DiscretizedFocp, C_hat: np.ndarray, U_hat: np.ndarray
 def solve_discretized(disc: DiscretizedFocp, diagnostics: bool = True) -> FocpSolution:
     """Solve the KKT conditions and package diagnostics.
 
-    The reduced route solves at every cond(D). The dense KKT LU re-solves
-    only where it raises SingularMatrixError (a reduced Hessian that
-    ``spd_factor`` finds not numerically SPD, or leaves of F that
-    ``invert_blocks`` refuses); if that refuses too, so does this.
+    Below cond(D) 1e6 the range-space route solves, from 1e6 up the
+    reduced route. The dense KKT LU re-solves only where
+    the route raises SingularMatrixError (blocks that ``invert_blocks``
+    refuses, a PCG that does not converge, or a reduced Hessian that
+    ``spd_factor`` finds not numerically SPD); if that refuses too, so
+    does this.
     """
     m = disc.params.m_hat
+    route = (_range_space_solve if disc.mats.cond_D < _RANGE_SPACE_COND_LIMIT
+             else _structured_solve)
     solved = None
     with contextlib.suppress(SingularMatrixError):
-        solved = _structured_solve(disc)
+        solved = route(disc)
     try:
         C_hat, U_hat, eta, C2 = _dense_solve(disc) if solved is None else solved
     except SingularMatrixError as exc:

@@ -1,7 +1,12 @@
 """Shared fixtures: reference matrices, reference quadratures, test-only
 numerical helpers and cached operational-matrix bundles."""
 
+import functools
+import importlib.util
 import math
+import random
+import sys
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -22,6 +27,7 @@ from wavefocp.quadrature import (
     gauss_jacobi_right,
     gauss_legendre,
 )
+from wavefocp.solver import FocpProblem, _quadratic_cost, assemble_kkt, state_from_coeffs
 
 # Published reference matrices for k=2, M=4 (8x8 basis). The Gram matrices
 # are block-diagonal; only the two 4x4 blocks are listed.
@@ -177,8 +183,8 @@ POINTWISE_ERR_U = [1.48744e-4, 1.07836e-4, 1.4746e-4, 1.59711e-4,
 
 # Problem file of strongly unstable dynamics (a from 3.8 to 25.6), the
 # problem that the benchmark's problem drawer (perfbench/inputs.py) gives
-# for seed 2002. At k = 4 and 6, M = 4, its reduced Hessian is not
-# numerically SPD on either basis, and the dense KKT LU solves it.
+# for seed 2002. At k = 4 and 6, M = 4, the range-space route solves it on
+# either basis; the reduced route's Hessian is not numerically SPD there.
 
 UNSTABLE_PROBLEM_FILE = """\
 p = 1.785*exp(1.54*t) + 1.277*gamma(t + 0.5)
@@ -188,6 +194,40 @@ b = 1.625 + 0.84/(1 + t^2)
 x0 = -0.941
 mu = 0.6
 """
+
+
+# The M = 4 survey: the benchmark's problem drawer at these seeds, each with
+# the order drawn after the problem from perfbench/workloads.py SEEDED_MU.
+SURVEY_SEEDS = (*range(1, 31), 2002)
+_SEEDED_MU = (0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
+
+
+@functools.lru_cache(maxsize=None)
+def _benchmark_inputs():
+    """perfbench/inputs.py, the benchmark's problem drawer, as a module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # where its dataclasses look themselves up
+    spec.loader.exec_module(module)
+    return module
+
+
+def survey_problem(seed: int) -> FocpProblem:
+    """The drawn problem of one survey seed, at its drawn order."""
+    rng = random.Random(seed)
+    draw = _benchmark_inputs().draw_problem(rng)
+    return FocpProblem(
+        p_fn=draw.p.fn, q_fn=draw.q.fn, a_fn=draw.a.fn, b_fn=draw.b.fn,
+        x0=draw.x0, mu=rng.choice(_SEEDED_MU),
+    )
+
+
+def lu_cost(disc) -> float:
+    """J of the ``np.linalg.solve`` solution of the assembled KKT system."""
+    m = disc.params.m_hat
+    sol = np.linalg.solve(*assemble_kkt(disc))
+    return _quadratic_cost(disc, state_from_coeffs(sol[:m], disc.d1, disc.mats), sol[m : 2 * m])
 
 
 def integrate(rule, f) -> float:

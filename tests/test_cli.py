@@ -297,6 +297,29 @@ class TestCliRuns:
         assert (captured.out, captured.err) == ("", f"error: {path}: {refusal}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value, emit", [
+        ("p", "t^(-0.25)", "tables"),
+        ("a", "-1 + 0*t^(-1)", "tables"),
+        ("exact_x", "t^(-0.5)", "plotdata"),
+    ])
+    def test_evaluation_error_names_the_field(self, tmp_path, capsys, key, value, emit):
+        """An expression that fails where it is evaluated (0^-0.25 and 0^-1
+        on the validation grid, 0^-0.5 at t = 0 of the plot grid) exits 1
+        and names the file and the field, once; the field used to go
+        unnamed."""
+        rows = {"p": "1", "q": "1", "a": "-1", "b": "1", "x0": "1", "exact_u": "1"}
+        rows[key] = value
+        rows.setdefault("exact_x", "1")
+        path = tmp_path / "prob.txt"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in rows.items()), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--problem", str(path), "--emit", emit, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: field {key!r}: invalid power operation")
+        assert captured.err.count("field") == 1
+        assert not out.exists()
+
     def test_level_past_the_index_range_is_out_of_memory(self, tmp_path, capsys):
         """At k = 65 the 2^64 blocks do not fit an index: the run is refused
         as k = 40 is, out of memory (exit 2) before anything is allocated,
@@ -333,8 +356,8 @@ class TestCliRuns:
 
     def test_unstable_problem_file_solves(self, tmp_path):
         """At (4, 4) tw the reduced Hessian of ``UNSTABLE_PROBLEM_FILE`` is
-        not numerically SPD; the dense KKT LU solves it and the run writes
-        its cost row."""
+        not numerically SPD; the range-space route solves it and the run
+        writes its cost row."""
         path = tmp_path / "unstable.txt"
         path.write_text(UNSTABLE_PROBLEM_FILE, encoding="utf-8")
         out = tmp_path / "out"

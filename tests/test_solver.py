@@ -12,9 +12,12 @@ from conftest import (
     COST_TABLE,
     POINTWISE_ERR_U,
     POINTWISE_ERR_X,
+    SURVEY_SEEDS,
     UNSTABLE_PROBLEM_FILE,
     cost_via_product_chain,
+    lu_cost,
     rl_integral_by_segments,
+    survey_problem,
 )
 from wavefocp import quadrature, solver
 from wavefocp.basis import MIN_ORDER, WaveletParams, eval_basis, eval_basis_many
@@ -408,6 +411,16 @@ def _count_assembly(monkeypatch):
     return assembled
 
 
+def _refuse_range_space(monkeypatch):
+    """Make the range-space route refuse every solve, as a PCG that does not
+    converge would: the solve then takes the dense KKT route."""
+
+    def refuse(disc):
+        raise SingularMatrixError("range-space route refused")
+
+    monkeypatch.setattr(solver, "_range_space_solve", refuse)
+
+
 def _spy_routes(monkeypatch):
     """The route events of every solve from now on: "structured refused"
     when ``_structured_solve`` raises SingularMatrixError, "assembled" when
@@ -432,8 +445,92 @@ def _spy_routes(monkeypatch):
     return events
 
 
+class TestRangeSpaceSolve:
+    """The range-space route that solves below cond(D) 1e6."""
+
+    @pytest.mark.parametrize("k, M, route", [(3, 4, "_range_space_solve"), (2, 6, "_structured_solve")])
+    def test_route_follows_cond_d(self, monkeypatch, k, M, route):
+        """cond(D) 1.1e4 at (3, 4) and 8.3e6 at (2, 6): the solve takes the
+        route of its side of 1e6, and only that route."""
+        calls = []
+
+        def spy(name):
+            original = getattr(solver, name)
+
+            def spied(disc):
+                calls.append(name)
+                return original(disc)
+
+            monkeypatch.setattr(solver, name, spied)
+
+        spy("_range_space_solve")
+        spy("_structured_solve")
+        solve_focp(example1(0.9), WaveletParams(k=k, M=M), diagnostics=False)
+        assert calls == [route]
+
+    @pytest.mark.parametrize("basis", ["tw", "ftw"])
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_survey_matches_dense_solve(self, monkeypatch, k, basis):
+        """On the M = 4 survey every J is within 1e-12 of the J of
+        ``np.linalg.solve`` on the assembled KKT system (2.0e-14 at most,
+        measured over k = 2, 4, 6), and no solve assembles that system."""
+        assembled = _count_assembly(monkeypatch)
+        for seed in SURVEY_SEEDS:
+            problem = survey_problem(seed)
+            params = WaveletParams(k=k, M=4, mu=problem.mu if basis == "ftw" else 1.0)
+            disc = discretize(problem, params)
+            sol = solve_discretized(disc, diagnostics=False)
+            assert abs(sol.J_value - lu_cost(disc)) <= 1e-12, seed
+        assert assembled == []
+
+    @pytest.mark.parametrize("k", [7, 8])
+    def test_peak_memory(self, k):
+        """The route holds at most 1.5 m_hat^2 float64 above its inputs (0.56
+        and 0.27 m_hat^2 measured at k = 7 and 8): no m_hat x m_hat matrix
+        is formed. A warm call comes first, so that nothing allocated once
+        per process is counted."""
+        disc = discretize(example1(0.9), WaveletParams(k=k, M=4, mu=0.9))
+        solver._range_space_solve(disc)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solver._range_space_solve(disc)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * disc.params.m_hat ** 2
+
+    @pytest.mark.parametrize("basis", ["tw", "ftw"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_one_leaf_takes_one_step(self, monkeypatch, k, basis):
+        """Up to m_hat 32 the preconditioner is one leaf, H itself, and one
+        PCG step, which refines the start P^-1 g (off by up to 1e-9 in C_hat
+        on its own), meets the tolerance."""
+        monkeypatch.setattr(solver, "_CG_MAX_ITER", 1)
+        for problem in (example1(0.8), variable_coefficient(0.5), survey_problem(2002)):
+            params = WaveletParams(k=k, M=4, mu=problem.mu if basis == "ftw" else 1.0)
+            disc = discretize(problem, params)
+            _, U_hat, _, C2 = solver._range_space_solve(disc)
+            assert abs(_quadratic_cost(disc, C2, U_hat) - lu_cost(disc)) <= 1e-12
+
+    def test_pcg_cap_falls_back_to_dense_kkt(self, monkeypatch):
+        """A PCG that runs out of steps (a cap of 1 at k = 6, where 8 are
+        taken) raises SingularMatrixError; the solve then assembles the KKT
+        system once, and its LU gives the same J within 1e-12."""
+        disc = discretize(example1(0.9), WaveletParams(k=6, M=4, mu=0.9))
+        J = solve_discretized(disc, diagnostics=False).J_value
+        monkeypatch.setattr(solver, "_CG_MAX_ITER", 1)
+        with pytest.raises(SingularMatrixError, match="did not converge"):
+            solver._range_space_solve(disc)
+        assembled = _count_assembly(monkeypatch)
+        fallback = solve_discretized(disc, diagnostics=False)
+        assert assembled == [disc.params.m_hat]
+        assert abs(fallback.J_value - J) <= 1e-12
+
+
 class TestStructuredSolve:
-    """The reduced-Hessian solve against the dense KKT oracle."""
+    """The structured routes (range-space below cond(D) 1e6, reduced-Hessian
+    from it up) against the dense KKT oracle."""
 
     @pytest.mark.parametrize("problem", sorted(_PROBLEMS))
     @pytest.mark.parametrize("basis", ["tw", "ftw"])
@@ -554,9 +651,10 @@ class TestStructuredSolve:
     @pytest.mark.parametrize("problem", sorted(_PROBLEMS))
     def test_constraint_residual_is_kkt_row_three(self, monkeypatch, problem, route):
         """residuals["constraint"] is the dynamics block row of K sol - rhs
-        on either route; the dense route is forced by a failing Cholesky."""
+        on either route: the range-space route (cond(D) 2.3e4 here), or the
+        dense route where that refuses."""
         if route == "dense":
-            monkeypatch.setattr(quadrature, "spd_factor", lambda A: None)
+            _refuse_range_space(monkeypatch)
         assembled = _count_assembly(monkeypatch)
         disc = discretize(_PROBLEMS[problem](0.8), WaveletParams(k=3, M=4, mu=0.8))
         sol = solve_discretized(disc, diagnostics=False)
@@ -570,9 +668,10 @@ class TestStructuredSolve:
     @pytest.mark.parametrize("route", ["structured", "dense"])
     def test_state_formed_once_per_solve(self, monkeypatch, route):
         """C2 = Pmu^T C_hat + d1 is formed once per solve on either route,
-        with the bits of ``state_from_coeffs`` of the returned C_hat."""
+        with the bits of ``state_from_coeffs`` of the returned C_hat: the
+        range-space route, or the dense route where that refuses."""
         if route == "dense":
-            monkeypatch.setattr(quadrature, "spd_factor", lambda A: None)
+            _refuse_range_space(monkeypatch)
         assembled = _count_assembly(monkeypatch)
         calls = []
         original = solver.state_from_coeffs
@@ -589,11 +688,14 @@ class TestStructuredSolve:
         assert np.array_equal(sol.C2, original(sol.C_hat, disc.d1, disc.mats))
 
     def test_g_c_refusal_falls_back_to_dense_kkt(self, monkeypatch):
-        """Leaves of F = I - Pmu^T G_A (each as singular as the G_c leaf of
-        the same rows, since det(I - AB) = det(I - BA)) that ``invert_blocks``
-        refuses, in the one call that ``LowerTriangular.from_blocks`` makes,
-        send the solve to the dense KKT LU, whose J matches the structured J."""
-        disc = discretize(example1(0.9), WaveletParams(k=3, M=4, mu=0.9))
+        """At (2, 6) tw (cond(D) 8.3e6) the reduced route solves. Leaves of
+        F = I - Pmu^T G_A (each as singular as the G_c leaf of the same rows,
+        since det(I - AB) = det(I - BA)) that ``invert_blocks`` refuses, in
+        the one call that ``LowerTriangular.from_blocks`` makes, send the
+        solve to the dense KKT LU, whose J matches the structured J."""
+        params = WaveletParams(k=2, M=6)
+        disc = discretize(example1(0.9), params)
+        assert disc.mats.cond_D >= solver._RANGE_SPACE_COND_LIMIT
         structured = solve_discretized(disc, diagnostics=False)
         refused = []
 
@@ -604,8 +706,8 @@ class TestStructuredSolve:
         monkeypatch.setattr(quadrature, "invert_blocks", refuse)
         assembled = _count_assembly(monkeypatch)
         fallback = solve_discretized(disc, diagnostics=False)
-        m = disc.params.m_hat
-        assert refused == [(1, m, m)]  # m_hat 16 is one leaf
+        m = params.m_hat
+        assert refused == [(1, m, m)]  # m_hat 24 is one leaf
         assert assembled == [m]
         dense = solve_linear(*assemble_kkt(disc))
         assert np.array_equal(fallback.U_hat, dense[m : 2 * m])
@@ -613,10 +715,10 @@ class TestStructuredSolve:
 
     @pytest.mark.parametrize("basis", ["tw", "ftw"])
     @pytest.mark.parametrize("k", [4, 6])
-    def test_unstable_dynamics_solved_by_dense_kkt(self, monkeypatch, tmp_path, k, basis):
-        """Strongly unstable dynamics (``UNSTABLE_PROBLEM_FILE``): the reduced
-        Hessian is not numerically SPD, the solve assembles the KKT system
-        once, and it returns the J of the pivoted LU of that system."""
+    def test_unstable_dynamics_solved_by_range_space_route(self, monkeypatch, tmp_path, k, basis):
+        """Strongly unstable dynamics (``UNSTABLE_PROBLEM_FILE``), where the
+        reduced Hessian is not numerically SPD: the range-space route solves
+        with no KKT assembly, to the J of the pivoted LU of that system."""
         path = tmp_path / "unstable.txt"
         path.write_text(UNSTABLE_PROBLEM_FILE, encoding="utf-8")
         problem = parse_problem_file(path)[0].make_problem(0.6)
@@ -624,7 +726,7 @@ class TestStructuredSolve:
         assembled = _count_assembly(monkeypatch)
         sol = solve_discretized(disc, diagnostics=False)
         m = disc.params.m_hat
-        assert assembled == [m]
+        assert assembled == []
         dense = solve_linear(*assemble_kkt(disc))
         C2 = state_from_coeffs(dense[:m], disc.d1, disc.mats)
         assert abs(sol.J_value - _quadratic_cost(disc, C2, dense[m : 2 * m])) <= 1e-12
