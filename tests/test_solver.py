@@ -715,6 +715,28 @@ class TestStructuredSolve:
 
     @pytest.mark.parametrize("basis", ["tw", "ftw"])
     @pytest.mark.parametrize("k", [4, 6])
+    def test_unstable_dynamics_solved_by_dense_kkt(self, monkeypatch, tmp_path, k, basis):
+        """Strongly unstable dynamics (``UNSTABLE_PROBLEM_FILE``) on the
+        reduced route (its cond(D) gate lowered to 0): the reduced Hessian is
+        not numerically SPD, the route refuses, the solve assembles the KKT
+        system once, and it returns the J of the pivoted LU of that system."""
+        path = tmp_path / "unstable.txt"
+        path.write_text(UNSTABLE_PROBLEM_FILE, encoding="utf-8")
+        problem = parse_problem_file(path)[0].make_problem(0.6)
+        disc = discretize(problem, WaveletParams(k=k, M=4, mu=0.6 if basis == "ftw" else 1.0))
+        monkeypatch.setattr(solver, "_RANGE_SPACE_COND_LIMIT", 0.0)
+        events = _spy_routes(monkeypatch)
+        assembled = _count_assembly(monkeypatch)
+        sol = solve_discretized(disc, diagnostics=False)
+        m = disc.params.m_hat
+        assert events == ["structured refused", "assembled"]
+        assert assembled == [m]
+        dense = solve_linear(*assemble_kkt(disc))
+        C2 = state_from_coeffs(dense[:m], disc.d1, disc.mats)
+        assert abs(sol.J_value - _quadratic_cost(disc, C2, dense[m : 2 * m])) <= 1e-12
+
+    @pytest.mark.parametrize("basis", ["tw", "ftw"])
+    @pytest.mark.parametrize("k", [4, 6])
     def test_unstable_dynamics_solved_by_range_space_route(self, monkeypatch, tmp_path, k, basis):
         """Strongly unstable dynamics (``UNSTABLE_PROBLEM_FILE``), where the
         reduced Hessian is not numerically SPD: the range-space route solves
