@@ -17,19 +17,20 @@ lower-triangular (Pmu is block upper-triangular, because the RL integral
 is causal). There are three routes, each returning (C_hat, U_hat,
 eta_star) and the state coefficients C2:
 
-- ``_range_space_solve``, below cond(D) 1e6, eliminates the control and
+- ``_range_space_solve``, below cond(D) 3e11, eliminates the control and
   the multipliers through G_B^-1 (b != 0): C_hat solves an SPD system of
   size m_hat, which preconditioned CG solves without forming it, two
   products with Pmu per step (the range-space method, Nocedal & Wright,
   Numerical Optimization, 2nd ed., sections 16.2-16.3).
-- ``_structured_solve``, from cond(D) 1e6 up, eliminates the state by one
+- ``_structured_solve``, from cond(D) 3e11 up, eliminates the state by one
   solve with F = I - Pmu^T G_A, block lower-triangular too, whose leaves
   it inverts explicitly (Pmu^T G_c^-1 = F^-1 Pmu^T, Henderson & Searle,
   SIAM Review 23 (1981)). What remains is the SPD reduced Hessian in
   U_hat; the multipliers come from a transposed F solve (the null-space
   method, ibid., section 16.2). F^-1 is a forward shot of the dynamics,
-  which loses the optimum on strongly unstable dynamics; the range-space
-  J degrades at high M (from M = 10), where this route stays.
+  which loses the optimum on strongly unstable dynamics; from 3e11 up
+  (tw from M = 10, ftw from M = 9 and at lower M where mu is low and k
+  high) neither route is the more accurate, and this one stays.
 - ``_dense_solve``, the pivoted LU of the system ``assemble_kkt`` builds
   (its G_c comes from ``_g_c``), taken only where the structured route
   raises SingularMatrixError.
@@ -65,8 +66,17 @@ from .quadrature import (
 _VALIDATION_GRID = np.linspace(0.0, 1.0, 100)
 
 # below this cond(D) the range-space route solves, from it up the reduced
-# route: at M = 10 the range-space J is the worse of the two
-_RANGE_SPACE_COND_LIMIT = 1e6
+# route. Against a 40-digit refinement of each float KKT system (M = 4..10,
+# k = 1..3, both bases, mu 0.3 to 1, six problems per order and basis and
+# three survey draws on tw: 1071 solves), below 3e11 the reduced route
+# misses J by up to a factor 2e3 (unstable dynamics) and the range-space
+# route by 3.5e-9 at most, and in each half-decade of cond(D) below 3e11
+# the range-space route misses J by 1e-9, or x or u by 1e-4 (relative),
+# in no more solves. From 3e11 up (M = 8..10) the counts are mixed, and at
+# M = 10 the range-space x and u are the worse in the median. Just
+# below, at M = 9 tw (2.6e11), its u is 10 times the reduced route's in 23
+# of 81 solves (1.7e-2 at most), the reduced route's 10 times its own in 16
+_RANGE_SPACE_COND_LIMIT = 3e11
 # PCG stops at ||r||_2 <= _CG_RTOL ||g||_2 and refuses after _CG_MAX_ITER
 # steps; at M = 4 and m_hat 64 to 1024 it takes 6 to 15 steps on drawn
 # problems and up to 35 under the unstable dynamics a = 8
@@ -456,7 +466,7 @@ def _dynamics_defect(disc: DiscretizedFocp, C_hat: np.ndarray, U_hat: np.ndarray
 def solve_discretized(disc: DiscretizedFocp, diagnostics: bool = True) -> FocpSolution:
     """Solve the KKT conditions and package diagnostics.
 
-    Below cond(D) 1e6 the range-space route solves, from 1e6 up the
+    Below cond(D) 3e11 the range-space route solves, from 3e11 up the
     reduced route. The dense KKT LU re-solves only where
     the route raises SingularMatrixError (blocks that ``invert_blocks``
     refuses, a PCG that does not converge, or a reduced Hessian that

@@ -1,6 +1,7 @@
 """Shared fixtures: reference matrices, reference quadratures, test-only
 numerical helpers and cached operational-matrix bundles."""
 
+import ast
 import functools
 import importlib.util
 import math
@@ -199,13 +200,25 @@ mu = 0.6
 # The M = 4 survey: the benchmark's problem drawer at these seeds, each with
 # the order drawn after the problem from perfbench/workloads.py SEEDED_MU.
 SURVEY_SEEDS = (*range(1, 31), 2002)
-_SEEDED_MU = (0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@functools.lru_cache(maxsize=None)
+def _seeded_mu() -> tuple:
+    """SEEDED_MU of perfbench/workloads.py, read from its source."""
+    tree = ast.parse((_PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "SEEDED_MU" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise LookupError("SEEDED_MU not found in perfbench/workloads.py")
 
 
 @functools.lru_cache(maxsize=None)
 def _benchmark_inputs():
     """perfbench/inputs.py, the benchmark's problem drawer, as a module."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    path = _PERFBENCH / "inputs.py"
     spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # where its dataclasses look themselves up
@@ -219,7 +232,7 @@ def survey_problem(seed: int) -> FocpProblem:
     draw = _benchmark_inputs().draw_problem(rng)
     return FocpProblem(
         p_fn=draw.p.fn, q_fn=draw.q.fn, a_fn=draw.a.fn, b_fn=draw.b.fn,
-        x0=draw.x0, mu=rng.choice(_SEEDED_MU),
+        x0=draw.x0, mu=rng.choice(_seeded_mu()),
     )
 
 

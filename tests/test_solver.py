@@ -421,6 +421,12 @@ def _refuse_range_space(monkeypatch):
     monkeypatch.setattr(solver, "_range_space_solve", refuse)
 
 
+def _pin_reduced_route(monkeypatch):
+    """Lower the cond(D) gate to 0, so that every solve tries the reduced
+    route first."""
+    monkeypatch.setattr(solver, "_RANGE_SPACE_COND_LIMIT", 0.0)
+
+
 def _spy_routes(monkeypatch):
     """The route events of every solve from now on: "structured refused"
     when ``_structured_solve`` raises SingularMatrixError, "assembled" when
@@ -446,12 +452,13 @@ def _spy_routes(monkeypatch):
 
 
 class TestRangeSpaceSolve:
-    """The range-space route that solves below cond(D) 1e6."""
+    """The range-space route that solves below cond(D) 3e11."""
 
-    @pytest.mark.parametrize("k, M, route", [(3, 4, "_range_space_solve"), (2, 6, "_structured_solve")])
+    @pytest.mark.parametrize("k, M, route", [(3, 4, "_range_space_solve"), (2, 9, "_range_space_solve"),
+                                             (2, 10, "_structured_solve")])
     def test_route_follows_cond_d(self, monkeypatch, k, M, route):
-        """cond(D) 1.1e4 at (3, 4) and 8.3e6 at (2, 6): the solve takes the
-        route of its side of 1e6, and only that route."""
+        """cond(D) 1.1e4 at (3, 4), 2.6e11 at (2, 9) and 8.5e12 at (2, 10):
+        the solve takes the route of its side of 3e11, and only that route."""
         calls = []
 
         def spy(name):
@@ -465,7 +472,9 @@ class TestRangeSpaceSolve:
 
         spy("_range_space_solve")
         spy("_structured_solve")
-        solve_focp(example1(0.9), WaveletParams(k=k, M=M), diagnostics=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # cond(D) above 1e12 at (2, 10)
+            solve_focp(example1(0.9), WaveletParams(k=k, M=M), diagnostics=False)
         assert calls == [route]
 
     @pytest.mark.parametrize("basis", ["tw", "ftw"])
@@ -529,13 +538,12 @@ class TestRangeSpaceSolve:
 
 
 class TestStructuredSolve:
-    """The structured routes (range-space below cond(D) 1e6, reduced-Hessian
-    from it up) against the dense KKT oracle."""
+    """The structured routes (range-space below cond(D) 3e11, reduced-Hessian
+    from it up) against the dense KKT oracle. Tests with a "reduced" case
+    pin the reduced route below 3e11 by lowering the gate to 0."""
 
-    @pytest.mark.parametrize("problem", sorted(_PROBLEMS))
-    @pytest.mark.parametrize("basis", ["tw", "ftw"])
-    @pytest.mark.parametrize("k, M", [(2, 4), (6, 4), (7, 4)])
-    def test_matches_dense_kkt(self, k, M, basis, problem):
+    @staticmethod
+    def _check_against_dense_kkt(k, M, basis, problem):
         mu = 0.8
         params = WaveletParams(k=k, M=M, mu=1.0 if basis == "tw" else mu)
         disc = discretize(_PROBLEMS[problem](mu), params)
@@ -556,6 +564,26 @@ class TestStructuredSolve:
             (sol.residuals["stationarity"], np.abs(K @ structured - rhs).max()),
         ):
             assert np.abs(ours - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("problem", sorted(_PROBLEMS))
+    @pytest.mark.parametrize("basis", ["tw", "ftw"])
+    @pytest.mark.parametrize("k, M", [(2, 4), (6, 4), (7, 4)])
+    def test_matches_dense_kkt(self, monkeypatch, k, M, basis, problem):
+        """The range-space route: C_hat, U_hat, eta, J, x, u and the
+        stationarity residual within 1e-12 of the dense KKT solve's."""
+        assembled = _count_assembly(monkeypatch)
+        self._check_against_dense_kkt(k, M, basis, problem)
+        assert assembled == []
+
+    @pytest.mark.parametrize("problem", sorted(_PROBLEMS))
+    @pytest.mark.parametrize("basis", ["tw", "ftw"])
+    @pytest.mark.parametrize("k, M", [(2, 4), (6, 4), (7, 4)])
+    def test_reduced_route_matches_dense_kkt(self, monkeypatch, k, M, basis, problem):
+        """The same checks on the reduced route."""
+        _pin_reduced_route(monkeypatch)
+        events = _spy_routes(monkeypatch)
+        self._check_against_dense_kkt(k, M, basis, problem)
+        assert events == []
 
     @pytest.mark.parametrize("k, M, mu, basis", [(2, 10, 0.5, "tw"), (2, 10, 0.7, "tw"),
                                                   (3, 10, 0.7, "ftw")])
@@ -647,14 +675,16 @@ class TestStructuredSolve:
         G_c = solver._g_c(disc)
         assert np.abs(G_c - dense).max() <= 1e-15 * np.abs(dense).max()
 
-    @pytest.mark.parametrize("route", ["structured", "dense"])
+    @pytest.mark.parametrize("route", ["structured", "dense", "reduced"])
     @pytest.mark.parametrize("problem", sorted(_PROBLEMS))
     def test_constraint_residual_is_kkt_row_three(self, monkeypatch, problem, route):
         """residuals["constraint"] is the dynamics block row of K sol - rhs
-        on either route: the range-space route (cond(D) 2.3e4 here), or the
-        dense route where that refuses."""
+        on every route: the range-space route ("structured"; cond(D) 2.3e4
+        here), the dense route where that refuses, and the reduced route."""
         if route == "dense":
             _refuse_range_space(monkeypatch)
+        elif route == "reduced":
+            _pin_reduced_route(monkeypatch)
         assembled = _count_assembly(monkeypatch)
         disc = discretize(_PROBLEMS[problem](0.8), WaveletParams(k=3, M=4, mu=0.8))
         sol = solve_discretized(disc, diagnostics=False)
@@ -665,13 +695,16 @@ class TestStructuredSolve:
         assert abs(sol.residuals["constraint"] - np.abs(residual[2 * m :]).max()) <= 1e-12
         assert abs(sol.residuals["stationarity"] - np.abs(residual).max()) <= 1e-12
 
-    @pytest.mark.parametrize("route", ["structured", "dense"])
+    @pytest.mark.parametrize("route", ["structured", "dense", "reduced"])
     def test_state_formed_once_per_solve(self, monkeypatch, route):
-        """C2 = Pmu^T C_hat + d1 is formed once per solve on either route,
+        """C2 = Pmu^T C_hat + d1 is formed once per solve on every route,
         with the bits of ``state_from_coeffs`` of the returned C_hat: the
-        range-space route, or the dense route where that refuses."""
+        range-space route ("structured"), the dense route where that
+        refuses, and the reduced route."""
         if route == "dense":
             _refuse_range_space(monkeypatch)
+        elif route == "reduced":
+            _pin_reduced_route(monkeypatch)
         assembled = _count_assembly(monkeypatch)
         calls = []
         original = solver.state_from_coeffs
@@ -688,14 +721,14 @@ class TestStructuredSolve:
         assert np.array_equal(sol.C2, original(sol.C_hat, disc.d1, disc.mats))
 
     def test_g_c_refusal_falls_back_to_dense_kkt(self, monkeypatch):
-        """At (2, 6) tw (cond(D) 8.3e6) the reduced route solves. Leaves of
-        F = I - Pmu^T G_A (each as singular as the G_c leaf of the same rows,
-        since det(I - AB) = det(I - BA)) that ``invert_blocks`` refuses, in
-        the one call that ``LowerTriangular.from_blocks`` makes, send the
-        solve to the dense KKT LU, whose J matches the structured J."""
+        """At (2, 6) tw on the reduced route (its cond(D) gate lowered to 0):
+        leaves of F = I - Pmu^T G_A (each as singular as the G_c leaf of the
+        same rows, since det(I - AB) = det(I - BA)) that ``invert_blocks``
+        refuses, in the one call that ``LowerTriangular.from_blocks`` makes,
+        send the solve to the dense KKT LU, whose J matches the structured J."""
+        _pin_reduced_route(monkeypatch)
         params = WaveletParams(k=2, M=6)
         disc = discretize(example1(0.9), params)
-        assert disc.mats.cond_D >= solver._RANGE_SPACE_COND_LIMIT
         structured = solve_discretized(disc, diagnostics=False)
         refused = []
 
@@ -707,7 +740,7 @@ class TestStructuredSolve:
         assembled = _count_assembly(monkeypatch)
         fallback = solve_discretized(disc, diagnostics=False)
         m = params.m_hat
-        assert refused == [(1, m, m)]  # m_hat 24 is one leaf
+        assert refused == [(1, m, m)]  # m_hat 12 is one leaf
         assert assembled == [m]
         dense = solve_linear(*assemble_kkt(disc))
         assert np.array_equal(fallback.U_hat, dense[m : 2 * m])
@@ -724,7 +757,7 @@ class TestStructuredSolve:
         path.write_text(UNSTABLE_PROBLEM_FILE, encoding="utf-8")
         problem = parse_problem_file(path)[0].make_problem(0.6)
         disc = discretize(problem, WaveletParams(k=k, M=4, mu=0.6 if basis == "ftw" else 1.0))
-        monkeypatch.setattr(solver, "_RANGE_SPACE_COND_LIMIT", 0.0)
+        _pin_reduced_route(monkeypatch)
         events = _spy_routes(monkeypatch)
         assembled = _count_assembly(monkeypatch)
         sol = solve_discretized(disc, diagnostics=False)
