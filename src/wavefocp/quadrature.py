@@ -6,8 +6,7 @@ applied by ``apply_blocks``; its dense form comes from ``block_diagonal``.
 A matrix that is lower-triangular in square blocks is a ``LowerTriangular``:
 the matrix and the explicit inverses of its diagonal leaves, so a solve is
 one product per leaf with the rows left of it and one with its inverse.
-The Cholesky factor of ``spd_factor`` and the block-triangular matrices of
-``LowerTriangular.from_blocks`` share that solve.
+``solve_spd`` solves with LAPACK's Cholesky factor through it too.
 
 Everything here runs on NumPy alone; SciPy is imported only inside
 ``solve_linear``, the pivoted LU of the solver's dense KKT route.
@@ -216,9 +215,8 @@ def apply_blocks(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (blocks @ x.reshape(N, M, -1)).reshape(x.shape)
 
 
-# rows per leaf of the blocked Cholesky factorization, and the fewest rows
-# per leaf of a blocked triangular solve and of the solver's block-Jacobi
-# preconditioner
+# the fewest rows per leaf of a blocked triangular solve and of the
+# solver's block-Jacobi preconditioner
 _LEAF = 32
 
 
@@ -274,46 +272,22 @@ class LowerTriangular:
         return x
 
 
-def spd_factor(A: np.ndarray) -> LowerTriangular | None:
-    """Lower Cholesky factor of A with its leaf inverses, or None when A is
-    not numerically positive definite.
-
-    Left-looking and blocked by leaves of ``_LEAF`` rows: each leaf's Schur
-    complement is factored by ``np.linalg.cholesky`` and the factor
-    inverted, and the columns below the leaf are one product with the
-    transposed inverse. The leaf inverses the solves need come out of the
-    same pass, and the blocked factor is also faster than one
-    ``np.linalg.cholesky`` of A: with one OpenBLAS 0.3.31 thread (NumPy
-    2.4, Intel Xeon), on random SPD matrices, 1.24 ms against 1.47 ms at
-    m_hat = 256 and 4.7 ms against 9.9 ms at m_hat = 512.
-    """
-    A = np.asarray(A, dtype=float)
-    if not np.isfinite(A).all():  # np.linalg.cholesky passes NaN through
-        return None
-    m = A.shape[0]
-    L = np.zeros((m, m))
-    inverses = []
-    for k in range(0, m, _LEAF):
-        e = min(k + _LEAF, m)
-        panel = A[k:, k:e] - L[k:, :k] @ L[k:e, :k].T if k else A[:, :e]
-        try:
-            L[k:e, k:e] = np.linalg.cholesky(panel[: e - k])
-        except np.linalg.LinAlgError:
-            return None
-        inverses.append(np.linalg.inv(L[k:e, k:e]))
-        L[e:, k:e] = panel[e - k :] @ inverses[-1].T
-    return LowerTriangular(L=L, leaf_inverses=tuple(inverses))
-
-
 def solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cholesky solve for SPD matrices and one step of iterative refinement;
-    raises SingularMatrixError where ``spd_factor`` finds A not numerically
-    positive definite (the solver then re-solves by its dense KKT route)."""
+    """Cholesky solve for SPD matrices and one step of iterative refinement.
+
+    The factor is LAPACK's (``np.linalg.cholesky``), solved leaf by leaf as
+    a ``LowerTriangular``. Raises SingularMatrixError where A has a NaN
+    entry or no Cholesky factor (the solver then re-solves by its dense KKT
+    route)."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    factor = spd_factor(A)
-    if factor is None:
+    if not np.isfinite(A).all():  # np.linalg.cholesky passes NaN through
         raise SingularMatrixError("matrix not numerically positive definite")
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError("matrix not numerically positive definite") from None
+    factor = LowerTriangular.from_blocks(L, 1)
     x = factor.solve_transposed(factor.solve(b))
     # where the reduced Hessian is ill-conditioned (cond about 1e13 at
     # M = 10) the refinement brings J within 1e-11 of the exact solution of

@@ -469,9 +469,8 @@ def solve_discretized(disc: DiscretizedFocp, diagnostics: bool = True) -> FocpSo
     Below cond(D) 3e11 the range-space route solves, from 3e11 up the
     reduced route. The dense KKT LU re-solves only where
     the route raises SingularMatrixError (blocks that ``invert_blocks``
-    refuses, a PCG that does not converge, or a reduced Hessian that
-    ``spd_factor`` finds not numerically SPD); if that refuses too, so
-    does this.
+    refuses, a PCG that does not converge, or a reduced Hessian with no
+    Cholesky factor); if that refuses too, so does this.
     """
     m = disc.params.m_hat
     route = (_range_space_solve if disc.mats.cond_D < _RANGE_SPACE_COND_LIMIT

@@ -19,7 +19,6 @@ from wavefocp.quadrature import (
     invert_blocks,
     solve_linear,
     solve_spd,
-    spd_factor,
 )
 
 
@@ -233,12 +232,12 @@ class TestSolveLinear:
     def test_solve_spd_refuses_indefinite_and_singular(self):
         """``solve_spd`` has no second route: where Cholesky fails it raises,
         and the solver re-solves by its dense KKT LU. A NaN entry, which
-        ``np.linalg.cholesky`` passes through, is refused too."""
+        ``np.linalg.cholesky`` passes through (and, above the diagonal,
+        never reads), is refused too."""
         b = np.array([1.0, -1.0])
         indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
-        assert spd_factor(indefinite) is None
-        assert spd_factor(np.array([[1.0, 0.0], [np.nan, 1.0]])) is None
-        for A in (indefinite, np.array([[1.0, 2.0], [2.0, 4.0]])):
+        nans = (np.array([[1.0, 0.0], [np.nan, 1.0]]), np.array([[1.0, np.nan], [0.0, 1.0]]))
+        for A in (indefinite, *nans, np.array([[1.0, 2.0], [2.0, 4.0]])):
             with pytest.raises(SingularMatrixError):
                 solve_spd(A, b)
 
@@ -329,8 +328,7 @@ class TestLowerTriangular:
         rng = np.random.default_rng(m)
         B = rng.standard_normal((m, m))
         A = B @ B.T + m * np.eye(m)
-        factor = spd_factor(A)
-        np.testing.assert_allclose(factor.L, np.linalg.cholesky(A), rtol=0, atol=1e-13 * m)
+        factor = LowerTriangular.from_blocks(np.linalg.cholesky(A), 1)  # as solve_spd builds it
         self._check(factor, factor.L, rng, self._triangular)
 
     @pytest.mark.parametrize("N, M", [(1, 1), (4, 1), (32, 1), (128, 1), (8, 4), (64, 4), (16, 6), (2, 12)])

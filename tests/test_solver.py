@@ -601,9 +601,9 @@ class TestStructuredSolve:
 
         def no_cholesky(A):
             factored.append(A.shape)
-            return None
+            raise np.linalg.LinAlgError("made to fail")
 
-        monkeypatch.setattr(quadrature, "spd_factor", no_cholesky)
+        monkeypatch.setattr(quadrature.np.linalg, "cholesky", no_cholesky)
         assembled = _count_assembly(monkeypatch)
         fallback = solve_discretized(disc, diagnostics=False)
         m = params.m_hat
