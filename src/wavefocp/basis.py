@@ -16,7 +16,8 @@ import numpy as np
 
 # The least fractional order mu. Below it the Gauss-Jacobi rules of the
 # kernel exponent mu - 1 put a node on x = 1 and divide by zero: the build's
-# 16-point rule up to mu 2.5e-13, the RL integral's 32-point rule up to 1.4e-12.
+# 12-point rule up to mu 1.1e-13 and its 16-point rule up to 2.5e-13, the RL
+# integral's 32-point rule up to 1.4e-12.
 MIN_ORDER = 1e-11
 
 

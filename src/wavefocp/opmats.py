@@ -16,7 +16,8 @@ The integration matrices are least-squares projections of the
 
 P^mu does not use the grid: every block of its unprojected matrix comes
 from a fixed rule in the local block coordinates, where each wavelet is a
-plain monomial; the rules are built once per order. Kernel differences are
+plain monomial, with 12 points per coordinate at M <= 5 and mu >= 0.1 and
+16 elsewhere; the rules are built once per order. Kernel differences are
 formed from the exact step, so nothing cancels: the weakly singular
 same-block kernel gets Gauss-Jacobi rules after s = s'(1 - v); the
 adjacent block, singular at one corner, Duffy's split into two triangles;
@@ -51,8 +52,8 @@ from .quadrature import (
 )
 
 _COND_WARN_LIMIT = 1e12
-# points per local coordinate of every rule that fills B in P^mu = B D^-1;
-# the projection grid uses this many plus M
+# points per local coordinate of the projection grid: this many plus M. The
+# rules that fill B in P^mu = B D^-1 take theirs from ``_rule_points``
 _LOCAL_RULE_POINTS = 16
 # power behaviour at s = 0 (smooth functions of zeta on block 1 of the
 # projection rule): a composite rule on [0, ratio^levels], ..., [ratio, 1]
@@ -242,8 +243,8 @@ def integration_matrix_fractional(
         B[(n,m),(b,m')] = Gamma(order)^-1 int int (zeta_b(s') - zeta_n(s))^(order-1)
                           phi_m(s) phi_m'(s') w_n(s) w_b(s') ds ds'.
 
-    Every block comes from a fixed rule in (s, s') with
-    ``_LOCAL_RULE_POINTS`` points per coordinate, built once per order:
+    Every block comes from a fixed rule in (s, s') with ``_rule_points``
+    points per coordinate (12 or 16, by M and mu), built once per order:
     ``_row_block_one`` fills the row of block 1, whose wavelets are single
     powers of zeta, in (zeta / bp_1, s'); ``_near_field`` the same-block and
     adjacent-block pairs of the other rows, whose kernel is singular; and
@@ -278,6 +279,19 @@ def _integration_matrix(
     return B
 
 
+def _rule_points(params: WaveletParams) -> int:
+    """Points per local coordinate of every rule that fills B.
+
+    Against a 40-point build of the same rules (M 1..6, 8, 9, 10, 12; basis
+    mu 0.1 to 1; k 1, 2, 4, 6 with m_hat <= 256; ftw at orders mu and 1, tw
+    at orders 0.1 to 1), 12 points give B within 2.0e-15 of max|B| at every
+    M <= 5, and 16 points within 1.9e-15 everywhere. Elsewhere 12 are not
+    enough: 4.3e-15 at M = 6, 1.6e-12 at M = 8, and at basis mu 0.05, (2, 4),
+    5.5e-13 at order mu and 1.4e-10 at order 1.
+    """
+    return 12 if params.M <= 5 and params.mu >= 0.1 else 16
+
+
 def _dzeta(params: WaveletParams, t: np.ndarray) -> np.ndarray:
     """w_n(s) = dzeta/ds at t = t_n(s)."""
     return t ** (1.0 / params.mu - 1.0) / (params.mu * params.n_blocks)
@@ -290,9 +304,9 @@ def _zeta_gap(t: np.ndarray, dt: np.ndarray, mu: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _y_rules(mu: float, M: int) -> tuple[np.ndarray, ...]:
+def _y_rules(mu: float, M: int, Q: int) -> tuple[np.ndarray, ...]:
     """Nodes and weights, (M, Q) each, of ``_row_block_one``'s y-rules."""
-    rules = [gauss_jacobi_left(_LOCAL_RULE_POINTS, 0.0, 1.0, mu * m) for m in range(M)]
+    rules = [gauss_jacobi_left(Q, 0.0, 1.0, mu * m) for m in range(M)]
     return _read_only(np.array([g.nodes for g in rules]), np.array([g.weights for g in rules]))
 
 
@@ -318,7 +332,7 @@ def _row_block_one(params: WaveletParams, order: float, B: np.ndarray) -> None:
     The split at s = 1/2, not y = 1/2, keeps the kernel's singularity in
     s' at least 1/2 from the rules for every mu.
     """
-    N, M, mu, Q = params.n_blocks, params.M, params.mu, _LOCAL_RULE_POINTS
+    N, M, mu, Q = params.n_blocks, params.M, params.mu, _rule_points(params)
     m = np.arange(M)
     c = local_wavelet_values(params, 1.0)
     ratio = np.empty(M)
@@ -339,7 +353,7 @@ def _row_block_one(params: WaveletParams, order: float, B: np.ndarray) -> None:
     s_to = rule.nodes
     t = (s_to + np.arange(1, N)[:, None]) / N  # t_b(s') for block b = row b - 2
     gap = _zeta_gap(1.0 / N, (s_to + np.arange(N - 1)[:, None]) / N, mu)
-    y_nodes, y_weights = _y_rules(mu, M)
+    y_nodes, y_weights = _y_rules(mu, M, Q)
     # the y-rules of target block b at row b - 2: on [0, 2^(-1/mu)] for b = 2
     scale = np.r_[0.5 ** (1.0 / mu), np.ones(N - 2)][:, None]
     y = y_nodes[:, None] * scale
@@ -349,7 +363,7 @@ def _row_block_one(params: WaveletParams, order: float, B: np.ndarray) -> None:
     row = (wy[:, :, None] @ kernel)[:, :, 0] * (_dzeta(params, t) * rule.weights)
     row = (row.reshape(-1, Q) @ local_wavelet_values(params, s_to).T).reshape(M, N - 1, M)
     row *= (c * bp1)[:, None, None]
-    s, s_to, step, factor, weights = _singular_rules(order)[2]
+    s, s_to, step, factor, weights = _singular_rules(order, Q)[2]
     t = s / N
     kernel = weights * (_zeta_gap(t, step / N, mu) / factor) ** (order - 1.0)
     source = local_wavelet_values(params, s) * (_dzeta(params, t) * kernel)
@@ -373,7 +387,7 @@ def _tensor(a: QuadratureRule, b: QuadratureRule) -> tuple[np.ndarray, np.ndarra
     return x.ravel(), y.ravel(), np.outer(a.weights, b.weights).ravel()
 
 
-def _duffy_corner(order: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _duffy_corner(order: float, Q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Points (u, v), radius r and weights of Duffy's rule on the unit square
     for a kernel gap^(order-1) whose gap vanishes like u + v at the corner
     (0, 0) only.
@@ -384,7 +398,6 @@ def _duffy_corner(order: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     in r (weight r^order) times Gauss-Legendre in theta. The caller raises
     gap / r to order - 1.
     """
-    Q = _LOCAL_RULE_POINTS
     r, theta, w = _tensor(gauss_jacobi_left(Q, 0.0, 1.0, order), gauss_legendre(Q, 0.0, 1.0))
     return (
         np.concatenate([r, r * theta]), np.concatenate([r * theta, r]),
@@ -393,13 +406,13 @@ def _duffy_corner(order: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
 
 
 @lru_cache(maxsize=64)
-def _singular_rules(order: float) -> tuple[tuple[np.ndarray, ...], ...]:
-    """The rules of B that depend on the order, each listed as ``_near_field``
-    describes: its own for d = 0 and d = 1, then ``_row_block_one``'s for
-    block 2 over s >= 1/2 (tensor Gauss-Legendre, Duffy on u, s' <= 1/2)."""
-    Q = _LOCAL_RULE_POINTS
+def _singular_rules(order: float, Q: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The Q-point rules of B that depend on the order, each listed as
+    ``_near_field`` describes: its own for d = 0 and d = 1, then
+    ``_row_block_one``'s for block 2 over s >= 1/2 (tensor Gauss-Legendre,
+    Duffy on u, s' <= 1/2)."""
     sp, v, w = _tensor(*(gauss_jacobi_left(Q, 0.0, 1.0, e) for e in (order, order - 1.0)))
-    u, s_to, r, w_corner = _duffy_corner(order)
+    u, s_to, r, w_corner = _duffy_corner(order, Q)
     cu, cs, cw = _tensor(gauss_legendre(Q, 0.0, 0.5), gauss_legendre(Q, 0.5, 1.0))
     cu, cs = np.concatenate([cu, u / 2.0]), np.concatenate([cs, s_to / 2.0])
     cw, cf = np.concatenate([cw, w_corner / 4.0]), np.concatenate([np.ones_like(cw), r])
@@ -411,11 +424,11 @@ def _singular_rules(order: float) -> tuple[tuple[np.ndarray, ...], ...]:
 
 
 @lru_cache(maxsize=64)
-def _near_field_phi(M: int, order: float) -> tuple[np.ndarray, ...]:
+def _near_field_phi(M: int, order: float, Q: int) -> tuple[np.ndarray, ...]:
     """phi_m(s) phi_m'(s') at the points of ``_near_field``'s rules for d = 0
     and 1, as (points, M M), without the factor 2^((k-1)/2) of each wavelet."""
     phi = [local_wavelet_values(WaveletParams(k=1, M=M), np.array(rule[:2]))
-           for rule in _singular_rules(order)[:2]]
+           for rule in _singular_rules(order, Q)[:2]]
     return _read_only(*(np.einsum("ip,jp->pij", v[:, 0], v[:, 1]).reshape(-1, M * M) for v in phi))
 
 
@@ -438,16 +451,16 @@ def _near_field(params: WaveletParams, order: float, B: np.ndarray) -> None:
     factor of it that the rule's weight absorbs (s' v, or r), so that
     (gap / factor)^(order-1) is smooth.
     """
-    N, M = params.n_blocks, params.M
+    N, M, Q = params.n_blocks, params.M, _rule_points(params)
     blocks = B.reshape(N, M, N, M)
-    for d, (s, s_to, step, factor, weights) in enumerate(_singular_rules(order)[:2]):
+    for d, (s, s_to, step, factor, weights) in enumerate(_singular_rules(order, Q)[:2]):
         n = np.arange(2, N - d + 1)[:, None]
         t, t_to = (s + n - 1.0) / N, (s_to + n - 1.0 + d) / N
         gap = _zeta_gap(t, step / N, params.mu)
         kernel = weights * (gap / factor) ** (order - 1.0) / gamma(order)
         kernel *= 2.0 ** (params.k - 1) * _dzeta(params, t) * _dzeta(params, t_to)
         rows = n.ravel() - 1
-        blocks[rows, :, rows + d, :] = (kernel @ _near_field_phi(M, order)[d]).reshape(-1, M, M)
+        blocks[rows, :, rows + d, :] = (kernel @ _near_field_phi(M, order, Q)[d]).reshape(-1, M, M)
 
 
 def _far_field(params: WaveletParams, order: float, B: np.ndarray) -> None:
@@ -460,7 +473,7 @@ def _far_field(params: WaveletParams, order: float, B: np.ndarray) -> None:
     so a node pair costs one add and one power. Each source block's kernel
     over all its far targets is contracted by two matrix products.
     """
-    N, M, mu, Q = params.n_blocks, params.M, params.mu, _LOCAL_RULE_POINTS
+    N, M, mu, Q = params.n_blocks, params.M, params.mu, _rule_points(params)
     rule = gauss_legendre(Q, 0.0, 1.0)
     s = rule.nodes
     t = (s + np.arange(N)[:, None]) / N  # t_n(s) for block n = row n - 1

@@ -672,10 +672,11 @@ def test_graded_rule_built_once_and_read_only():
 
 
 def test_pmu_rules_built_once_per_order(monkeypatch):
-    """The fixed rules of B are built once per order (the y-rules once per
-    (mu, M)) and shared read-only: a second build at the same order makes
-    no Gauss-Jacobi rule."""
+    """The fixed rules of B are built once per (order, points) (the y-rules
+    once per (mu, M, points)) and shared read-only: a second build at the
+    same order makes no Gauss-Jacobi rule."""
     params = WaveletParams(k=4, M=4, mu=0.55)
+    Q = opmats._rule_points(params)
     mats = build_operational_matrices(params, frac_order=0.45)
     calls = []
     original = opmats.gauss_jacobi_left
@@ -688,9 +689,52 @@ def test_pmu_rules_built_once_per_order(monkeypatch):
     again = integration_matrix_fractional(params, mats, 0.45)
     assert calls == []
     assert np.array_equal(again, mats.Pmu)
-    for rule in (*opmats._singular_rules(0.45), opmats._y_rules(0.55, 4)):
+    for rule in (*opmats._singular_rules(0.45, Q), opmats._y_rules(0.55, 4, Q),
+                 opmats._near_field_phi(4, 0.45, Q)):
         for array in rule:
             assert not array.flags.writeable
+
+
+def _unprojected(params, order):
+    """B of P^mu = B D^-1 as the build fills it (for mu = 1, its row of
+    block 1 only)."""
+    B = np.zeros((params.m_hat, params.m_hat))
+    opmats._row_block_one(params, order, B)
+    if params.mu != 1.0:
+        opmats._near_field(params, order, B)
+        opmats._far_field(params, order, B)
+    return B
+
+
+def test_pmu_rule_size_map(monkeypatch):
+    """B from the rules sized by ``_rule_points`` is within 4e-15 of max|B|
+    of a 40-point build of the same rules, on ftw at orders mu and 1 and on
+    tw; (6, 4, 0.9) ftw takes 12 points, M = 8 and basis mu 0.05 take 16."""
+    points = []
+    original = opmats.gauss_legendre
+
+    def recorded(n, *args):
+        points.append(n)
+        return original(n, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(opmats, "gauss_legendre", recorded)
+        for (k, M, mu), expected in [((6, 4, 0.9), 12), ((2, 8, 0.9), 16), ((2, 4, 0.05), 16)]:
+            points.clear()
+            _unprojected(WaveletParams(k=k, M=M, mu=mu), 1.0)
+            assert set(points) == {expected}, (k, M, mu)
+    cases = [(mu, order) for mu in (0.1, 0.3, 0.5, 0.7, 0.9) for order in (mu, 1.0)]
+    cases += [(1.0, order) for order in (0.1, 0.5, 0.9, 1.0)]
+    for M in (1, 2, 3, 4, 5, 6, 8):
+        for k in (1, 2, 4):
+            for mu, order in cases:
+                params = WaveletParams(k=k, M=M, mu=mu)
+                sized = _unprojected(params, order)
+                with monkeypatch.context() as patch:
+                    patch.setattr(opmats, "_rule_points", lambda params: 40)
+                    fine = _unprojected(params, order)
+                error = np.abs(sized - fine).max() / np.abs(fine).max()
+                assert error <= 4e-15, (k, M, mu, order, error)
 
 
 def test_p1_built_on_request(params_frac09):
