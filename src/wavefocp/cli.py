@@ -22,7 +22,7 @@ from .basis import MIN_ORDER, WaveletParams
 from .expressions import ExpressionError, as_function, parse_expression
 from .opmats import OperationalMatrices, build_operational_matrices
 from .quadrature import SingularMatrixError, gamma
-from .solver import FocpProblem, reconstruct_many, solve_focp
+from .solver import FocpProblem, reconstruct_many, sample_finite, solve_focp
 
 Fn = Callable[[np.ndarray], np.ndarray]
 
@@ -135,6 +135,14 @@ def _example_spec(example: int) -> ProblemSpec:
     raise UsageError(f"example must be 1, 2, or 3, got {example}")
 
 
+def _number_list(text: str, message: str) -> tuple[float, ...]:
+    """The numbers of a comma-separated list; UsageError(message) if one is not."""
+    try:
+        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    except ValueError as exc:
+        raise UsageError(message) from exc
+
+
 def parse_problem_file(path: Path) -> tuple[ProblemSpec, dict]:
     """Read a `key = value` problem file; returns the spec plus raw settings.
 
@@ -216,12 +224,8 @@ def parse_problem_file(path: Path) -> tuple[ProblemSpec, dict]:
     )
     settings = {}
     if "mu" in values:
-        try:
-            settings["mu_list"] = tuple(
-                float(tok) for tok in values["mu"].split(",") if tok.strip()
-            )
-        except ValueError as exc:
-            raise UsageError(f"{path}: field 'mu' must be a number list") from exc
+        settings["mu_list"] = _number_list(
+            values["mu"], f"{path}: field 'mu' must be a number list")
     if "basis" in values:
         settings["basis"] = values["basis"].lower()
     for key in ("k", "M"):
@@ -245,13 +249,8 @@ def _table_text(values: np.ndarray, sep: str) -> str:
 def _exact_values(exact: tuple[Fn, Fn], grid: np.ndarray) -> list[np.ndarray]:
     """The exact state and control on an output grid; a value that is not
     finite is refused by field name."""
-    # an overflow is reported as a non-finite value, not as a warning
-    with np.errstate(all="ignore"):
-        values = [np.asarray(fn(grid), dtype=float) for fn in exact]
-    for name, v in zip(("exact_x", "exact_u"), values):
-        if not np.isfinite(v).all():
-            raise ValueError(f"{name} must be finite on the output grid")
-    return values
+    return list(sample_finite(dict(zip(("exact_x", "exact_u"), exact)), grid,
+                              "on the output grid").values())
 
 
 def run(config: RunConfig) -> list[Path]:
@@ -355,10 +354,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     k = args.k if args.k is not None else file_settings.get("k", 2)
     M = args.M if args.M is not None else file_settings.get("M", 4)
     if args.mu is not None:
-        try:
-            mu_list = tuple(float(tok) for tok in args.mu.split(",") if tok.strip())
-        except ValueError as exc:
-            raise UsageError("--mu must be a comma-separated number list") from exc
+        mu_list = _number_list(args.mu, "--mu must be a comma-separated number list")
     else:
         mu_list = file_settings.get("mu_list", (1.0,))
     emit = tuple(tok.strip() for tok in args.emit.split(",") if tok.strip())

