@@ -3,10 +3,8 @@ solves.
 
 A block-diagonal operator is stored as its (N, M, M) diagonal blocks and
 applied by ``apply_blocks``; its dense form comes from ``block_diagonal``.
-A matrix that is lower-triangular in square blocks is a ``LowerTriangular``:
-the matrix and the explicit inverses of its diagonal leaves, so a solve is
-one product per leaf with the rows left of it and one with its inverse.
-``solve_spd`` solves with LAPACK's Cholesky factor through it too.
+``blocks_per_leaf`` sizes the diagonal leaves of the solver's block-Jacobi
+preconditioner, whose inverses come from ``invert_blocks``.
 
 Everything here runs on NumPy alone; SciPy is imported only inside
 ``solve_linear``, the pivoted LU of the solver's dense KKT route.
@@ -192,13 +190,6 @@ def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return scipy.linalg.lu_solve((lu, piv), b)
 
 
-def diagonal_blocks(matrix: np.ndarray, M: int) -> np.ndarray:
-    """The (N, M, M) diagonal blocks of an n-major matrix of size N M."""
-    N = matrix.shape[0] // M
-    diag = np.arange(N)
-    return matrix.reshape(N, M, N, M)[diag, :, diag, :]
-
-
 def block_diagonal(blocks: np.ndarray) -> np.ndarray:
     """The dense n-major matrix with the (N, M, M) blocks on its diagonal."""
     N, M, _ = blocks.shape
@@ -215,8 +206,7 @@ def apply_blocks(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (blocks @ x.reshape(N, M, -1)).reshape(x.shape)
 
 
-# the fewest rows per leaf of a blocked triangular solve and of the
-# solver's block-Jacobi preconditioner
+# the fewest rows per leaf of the solver's block-Jacobi preconditioner
 _LEAF = 32
 
 
@@ -226,59 +216,13 @@ def blocks_per_leaf(N: int, M: int) -> int:
     return next((b for b in range(-(-_LEAF // M), N) if N % b == 0), N)
 
 
-@dataclass(frozen=True)
-class LowerTriangular:
-    """L, lower-triangular in square blocks, with the inverses of its
-    diagonal leaves, top to bottom. A solve substitutes leaf by leaf: one
-    product with the rows left of (or, transposed, below) the leaf and one
-    with the leaf's inverse."""
-
-    L: np.ndarray
-    leaf_inverses: tuple[np.ndarray, ...]
-
-    @classmethod
-    def from_blocks(cls, L: np.ndarray, M: int) -> LowerTriangular:
-        """L lower-triangular in M x M blocks, with leaves of
-        ``blocks_per_leaf`` blocks. The leaf inverses come from one
-        ``invert_blocks`` call, which raises SingularMatrixError where the
-        leaves are too ill-conditioned for an explicit inverse."""
-        per_leaf = blocks_per_leaf(L.shape[0] // M, M)
-        return cls(L=L, leaf_inverses=tuple(invert_blocks(diagonal_blocks(L, M * per_leaf))))
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """L^-1 b for b of shape (m,) or (m, k)."""
-        L = self.L
-        x = np.array(b, dtype=float)
-        k = 0
-        for inverse in self.leaf_inverses:
-            e = k + inverse.shape[0]
-            if k:
-                x[k:e] -= L[k:e, :k] @ x[:k]
-            x[k:e] = inverse @ x[k:e]
-            k = e
-        return x
-
-    def solve_transposed(self, b: np.ndarray) -> np.ndarray:
-        """L^-T b for b of shape (m,) or (m, k)."""
-        L = self.L
-        x = np.array(b, dtype=float)
-        e = L.shape[0]
-        for inverse in reversed(self.leaf_inverses):
-            k = e - inverse.shape[0]
-            if e < L.shape[0]:
-                x[k:e] -= L[e:, k:e].T @ x[e:]
-            x[k:e] = inverse.T @ x[k:e]
-            e = k
-        return x
-
-
 def solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cholesky solve for SPD matrices and one step of iterative refinement.
 
-    The factor is LAPACK's (``np.linalg.cholesky``), solved leaf by leaf as
-    a ``LowerTriangular``. Raises SingularMatrixError where A has a NaN
-    entry or no Cholesky factor (the solver then re-solves by its dense KKT
-    route)."""
+    The factor L is LAPACK's (``np.linalg.cholesky``), and each solve is one
+    ``np.linalg.solve`` with L and one with L^T. Raises SingularMatrixError
+    where A has a NaN entry or no Cholesky factor. No solve route calls it;
+    the benchmark traces it by name."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if not np.isfinite(A).all():  # np.linalg.cholesky passes NaN through
@@ -287,12 +231,12 @@ def solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         raise SingularMatrixError("matrix not numerically positive definite") from None
-    factor = LowerTriangular.from_blocks(L, 1)
-    x = factor.solve_transposed(factor.solve(b))
-    # where the reduced Hessian is ill-conditioned (cond about 1e13 at
-    # M = 10) the refinement brings J within 1e-11 of the exact solution of
-    # the system, from up to 2e-9 off
-    return x + factor.solve_transposed(factor.solve(b - A @ x))
+
+    def cholesky_solve(r: np.ndarray) -> np.ndarray:
+        return np.linalg.solve(L.T, np.linalg.solve(L, r))
+
+    x = cholesky_solve(b)
+    return x + cholesky_solve(b - A @ x)
 
 
 def invert_blocks(blocks: np.ndarray) -> np.ndarray:

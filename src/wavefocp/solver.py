@@ -1,4 +1,4 @@
-"""Wavelet discretization and structured KKT solve for the linear-quadratic FOCP.
+"""Wavelet discretization and KKT solve for the linear-quadratic FOCP.
 
 Minimize  (1/2) * integral of p*(x - rx)^2 + q*(u - ru)^2  over [0, 1]
 subject to the Caputo dynamics  D^mu x = a*x + b*u,  x(0) = x0.
@@ -9,34 +9,25 @@ product matrices of a and b, weighted Grams on the bundle's quadrature grid,
 turn the dynamics into linear algebraic constraints,
 and the Lagrange-multiplier (KKT) conditions yield the coefficients.
 
-The 3 m_hat KKT system is not formed. The weighted Grams Wp, Wq and the
-constraint operators G_A, G_B are block-diagonal and stored as their
-(N, M, M) blocks, applied by ``apply_blocks``. The constraint
-G_c C_hat = G_B U_hat + G_A d1 has G_c = I - G_A Pmu^T block
-lower-triangular (Pmu is block upper-triangular, because the RL integral
-is causal). There are three routes, each returning (C_hat, U_hat,
-eta_star) and the state coefficients C2:
+The weighted Grams Wp, Wq and the constraint operators G_A, G_B are
+block-diagonal and stored as their (N, M, M) blocks, applied by
+``apply_blocks``. The constraint G_c C_hat = G_B U_hat + G_A d1 has
+G_c = I - G_A Pmu^T block lower-triangular (Pmu is block upper-triangular,
+because the RL integral is causal). There are two routes, each returning
+(C_hat, U_hat, eta_star) and the state coefficients C2:
 
 - ``_range_space_solve``, below cond(D) 3e11, eliminates the control and
   the multipliers through G_B^-1 (b != 0): C_hat solves an SPD system of
   size m_hat, which preconditioned CG solves without forming it, two
   products with Pmu per step (the range-space method, Nocedal & Wright,
-  Numerical Optimization, 2nd ed., sections 16.2-16.3).
-- ``_structured_solve``, from cond(D) 3e11 up, eliminates the state by one
-  solve with F = I - Pmu^T G_A, block lower-triangular too, whose leaves
-  it inverts explicitly (Pmu^T G_c^-1 = F^-1 Pmu^T, Henderson & Searle,
-  SIAM Review 23 (1981)). What remains is the SPD reduced Hessian in
-  U_hat; the multipliers come from a transposed F solve (the null-space
-  method, ibid., section 16.2). F^-1 is a forward shot of the dynamics,
-  which loses the optimum on strongly unstable dynamics; from 3e11 up
-  (tw from M = 10, ftw from M = 9 and at lower M where mu is low and k
-  high) neither route is the more accurate, and this one stays.
+  Numerical Optimization, 2nd ed., sections 16.2-16.3). The 3 m_hat KKT
+  system is not formed.
 - ``_dense_solve``, the pivoted LU of the system ``assemble_kkt`` builds
-  (its G_c comes from ``_g_c``), taken only where the structured route
-  raises SingularMatrixError.
+  (its G_c comes from ``_g_c``), from cond(D) 3e11 up and wherever the
+  range-space route raises SingularMatrixError.
 
 One residual pass, ``_kkt_residual_rows``, then forms the three KKT block
-rows from C2, G_A, G_B, Pmu, Wp and Wq without G_c, F or the right-hand
+rows from C2, G_A, G_B, Pmu, Wp and Wq without G_c or the right-hand
 side.
 """
 
@@ -53,29 +44,26 @@ from .basis import WaveletParams, check_order, eval_basis_many, local_basis_valu
 from .fracops import rl_integral
 from .opmats import OperationalMatrices, build_operational_matrices, product_matrix
 from .quadrature import (
-    LowerTriangular,
     SingularMatrixError,
     apply_blocks,
     block_diagonal,
     blocks_per_leaf,
     invert_blocks,
     solve_linear,
-    solve_spd,
 )
 
 _VALIDATION_GRID = np.linspace(0.0, 1.0, 100)
 
-# below this cond(D) the range-space route solves, from it up the reduced
-# route. Against a 40-digit refinement of each float KKT system (M = 4..10,
-# k = 1..3, both bases, mu 0.3 to 1, six problems per order and basis and
-# three survey draws on tw: 1071 solves), below 3e11 the reduced route
-# misses J by up to a factor 2e3 (unstable dynamics) and the range-space
-# route by 3.5e-9 at most, and in each half-decade of cond(D) below 3e11
-# the range-space route misses J by 1e-9, or x or u by 1e-4 (relative),
-# in no more solves. From 3e11 up (M = 8..10) the counts are mixed, and at
-# M = 10 the range-space x and u are the worse in the median. Just
-# below, at M = 9 tw (2.6e11), its u is 10 times the reduced route's in 23
-# of 81 solves (1.7e-2 at most), the reduced route's 10 times its own in 16
+# below this cond(D) the range-space route solves, from it up the pivoted
+# LU of the assembled KKT system. The range-space route costs O(m_hat^2)
+# per PCG step and forms no m_hat x m_hat array; the LU costs O(m_hat^3)
+# and holds 9 m_hat^2 floats. On the grid of tests/route_map.py at
+# M = 4..14 (four problems, mu 0.5 to 0.9, both bases, k = 1..3), against
+# a 40-digit refinement of each float KKT system: below 3e11 (396 solves,
+# M <= 9) the range-space route misses J by 6.5e-11 at most. From 3e11 up
+# (262 converged solves) it refuses 180 and the LU 127, neither misses J
+# by 1e-6, and the median relative u error is 6.8e-4 for the range-space
+# route and 8.3e-5 for the LU
 _RANGE_SPACE_COND_LIMIT = 3e11
 # PCG stops at ||r||_2 <= _CG_RTOL ||g||_2 and refuses after _CG_MAX_ITER
 # steps; at M = 4 and m_hat 64 to 1024 it takes 6 to 15 steps on drawn
@@ -265,48 +253,14 @@ def assemble_kkt(disc: DiscretizedFocp) -> tuple[np.ndarray, np.ndarray]:
     return K, rhs
 
 
-def _structured_solve(
-    disc: DiscretizedFocp,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(C_hat, U_hat, eta_star) of the KKT system and the state coefficients
-    C2 = Pmu^T C_hat + d1.
-
-    F = I - Pmu^T G_A and [L | x_aff] = F^-1 [Pmu^T G_B | d1] come from the
-    column blocks of Pmu^T and one blocked solve with F's leaf inverses
-    (``LowerTriangular.from_blocks``). The state x is L U_hat + x_aff, so
-    (L^T Wp L + Wq) U_hat = L^T (wp_track - Wp x_aff) + wq_track; then
-    C_hat = G_A x + G_B U_hat, and eta_star = Pmu F^-T (wp_track - Wp C2).
-    """
-    N, M, m = disc.params.n_blocks, disc.params.M, disc.params.m_hat
-    G_A, G_B = disc.G_A, disc.G_B
-    columns = disc.mats.Pmu.T.reshape(m, N, M).transpose(1, 0, 2)  # the column blocks of Pmu^T
-    F, X = np.empty((m, m)), np.empty((m, m + 1))
-    np.matmul(columns, -G_A, out=F.reshape(m, N, M).transpose(1, 0, 2))
-    np.matmul(columns, G_B, out=X[:, :m].reshape(m, N, M).transpose(1, 0, 2))
-    F.flat[:: m + 1] += 1.0
-    F = LowerTriangular.from_blocks(F, M)
-    X[:, m] = disc.d1
-    X = F.solve(X)
-    L, x_aff = X[:, :m], X[:, m]
-    H = L.T @ apply_blocks(disc.Wp, L)
-    H.reshape(N, M, N, M)[range(N), :, range(N)] += disc.Wq
-    H += H.T
-    H *= 0.5
-    g = L.T @ (disc.wp_track - apply_blocks(disc.Wp, x_aff)) + disc.wq_track
-    U_hat = solve_spd(H, g)
-    C_hat = apply_blocks(G_A, L @ U_hat + x_aff) + apply_blocks(G_B, U_hat)
-    C2 = state_from_coeffs(C_hat, disc.d1, disc.mats)
-    eta = disc.mats.Pmu @ F.solve_transposed(disc.wp_track - apply_blocks(disc.Wp, C2))
-    return C_hat, U_hat, eta, C2
-
-
 def _range_space_solve(
     disc: DiscretizedFocp,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """What ``_structured_solve`` returns, with the control and the
-    multipliers eliminated instead of the state: the range-space method
-    (Nocedal & Wright, section 16.2; Benzi, Golub & Liesen, Acta Numerica 14
-    (2005), section 5), which forms no forward shot of the dynamics.
+    """(C_hat, U_hat, eta_star) of the KKT system and the state coefficients
+    C2 = Pmu^T C_hat + d1, with the control and the multipliers eliminated:
+    the range-space method (Nocedal & Wright, section 16.2; Benzi, Golub &
+    Liesen, Acta Numerica 14 (2005), section 5), which forms no forward shot
+    of the dynamics.
 
     With S^-1 = G_B^-T Wq G_B^-1, E = S^-1 G_A and W = Wp + G_A^T E, C_hat
     solves the SPD system H C_hat = g, where
@@ -389,7 +343,7 @@ def _pcg(apply_H: Fn, apply_P: Fn, g: np.ndarray) -> np.ndarray:
 def _dense_solve(
     disc: DiscretizedFocp,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """What ``_structured_solve`` returns, from the pivoted LU of the
+    """What ``_range_space_solve`` returns, from the pivoted LU of the
     assembled KKT matrix."""
     m = disc.params.m_hat
     sol = solve_linear(*assemble_kkt(disc))
@@ -463,18 +417,16 @@ def _dynamics_defect(disc: DiscretizedFocp, C_hat: np.ndarray, U_hat: np.ndarray
 def solve_discretized(disc: DiscretizedFocp, diagnostics: bool = True) -> FocpSolution:
     """Solve the KKT conditions and package diagnostics.
 
-    Below cond(D) 3e11 the range-space route solves, from 3e11 up the
-    reduced route. The dense KKT LU re-solves only where
-    the route raises SingularMatrixError (blocks that ``invert_blocks``
-    refuses, a PCG that does not converge, or a reduced Hessian with no
-    Cholesky factor); if that refuses too, so does this.
+    Below cond(D) 3e11 the range-space route solves. The dense KKT LU
+    solves from 3e11 up, and below it wherever the range-space route raises
+    SingularMatrixError (blocks that ``invert_blocks`` refuses, or a PCG
+    that does not converge); where the LU refuses, so does this.
     """
     m = disc.params.m_hat
-    route = (_range_space_solve if disc.mats.cond_D < _RANGE_SPACE_COND_LIMIT
-             else _structured_solve)
     solved = None
-    with contextlib.suppress(SingularMatrixError):
-        solved = route(disc)
+    if disc.mats.cond_D < _RANGE_SPACE_COND_LIMIT:
+        with contextlib.suppress(SingularMatrixError):
+            solved = _range_space_solve(disc)
     try:
         C_hat, U_hat, eta, C2 = _dense_solve(disc) if solved is None else solved
     except SingularMatrixError as exc:

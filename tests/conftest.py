@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.special import betainc
 
+from wavefocp import solver
 from wavefocp.basis import WaveletParams, monomial_coefficients, support_interval
 from wavefocp.fracops import rl_integral
 from wavefocp.opmats import (
@@ -185,7 +186,7 @@ POINTWISE_ERR_U = [1.48744e-4, 1.07836e-4, 1.4746e-4, 1.59711e-4,
 # Problem file of strongly unstable dynamics (a from 3.8 to 25.6), the
 # problem that the benchmark's problem drawer (perfbench/inputs.py) gives
 # for seed 2002. At k = 4 and 6, M = 4, the range-space route solves it on
-# either basis; the reduced route's Hessian is not numerically SPD there.
+# either basis, with no forward shot of the dynamics.
 
 UNSTABLE_PROBLEM_FILE = """\
 p = 1.785*exp(1.54*t) + 1.277*gamma(t + 0.5)
@@ -234,6 +235,20 @@ def survey_problem(seed: int) -> FocpProblem:
         p_fn=draw.p.fn, q_fn=draw.q.fn, a_fn=draw.a.fn, b_fn=draw.b.fn,
         x0=draw.x0, mu=rng.choice(_seeded_mu()),
     )
+
+
+def count_assembly(monkeypatch) -> list[int]:
+    """The m_hat of every ``assemble_kkt`` call the solver makes from now
+    on; a solve that assembles once took the dense KKT route."""
+    assembled = []
+    assemble = solver.assemble_kkt
+
+    def counted(disc):
+        assembled.append(disc.params.m_hat)
+        return assemble(disc)
+
+    monkeypatch.setattr(solver, "assemble_kkt", counted)
+    return assembled
 
 
 def lu_cost(disc) -> float:

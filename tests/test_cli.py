@@ -166,7 +166,8 @@ class TestCliRuns:
         assert not out.exists()
 
     def test_numeric_failure_exit_code(self, tmp_path, capsys):
-        # both the reduced route and the dense KKT LU refuse (2, 12) tw at mu 0.7
+        # the dense KKT LU, which serves cond(D) 3e11 and up, refuses (2, 12) tw
+        # at mu 0.7 on its pivot ratio
         args = ["--example", "1", "--basis", "tw", "--k", "2", "--M", "12", "--mu", "0.7"]
         with pytest.warns(UserWarning, match="condition"):
             assert main(args + ["--out", str(tmp_path)]) == 2
@@ -355,9 +356,9 @@ class TestCliRuns:
         assert out.read_text(encoding="utf-8") == "kept\n"
 
     def test_unstable_problem_file_solves(self, tmp_path):
-        """At (4, 4) tw the reduced Hessian of ``UNSTABLE_PROBLEM_FILE`` is
-        not numerically SPD; the range-space route solves it and the run
-        writes its cost row."""
+        """At (4, 4) tw the range-space route solves the strongly unstable
+        dynamics of ``UNSTABLE_PROBLEM_FILE``, and the run writes its cost
+        row."""
         path = tmp_path / "unstable.txt"
         path.write_text(UNSTABLE_PROBLEM_FILE, encoding="utf-8")
         out = tmp_path / "out"

@@ -1,6 +1,7 @@
-"""A normal run loads NumPy only: SciPy is imported by the solver's one
-other route, the dense KKT LU (``quadrature.solve_linear``), alone, and no
-package of the ``test`` extra (mpmath, pytest, hypothesis) is imported.
+"""A run below cond(D) 3e11 loads NumPy only: SciPy is imported by the
+solver's other route, the dense KKT LU (``quadrature.solve_linear``) that
+serves cond(D) 3e11 and up, alone, and no package of the ``test`` extra
+(mpmath, pytest, hypothesis) is imported.
 The same run loads every module of the package: a module that only the
 tests import does not belong in it."""
 
@@ -64,21 +65,20 @@ def test_runs_load_every_package_module(loaded):
     assert set(loaded["wavefocp"]) == modules
 
 
-M12_SCRIPT = """
-import sys, tempfile, warnings
+BELOW_GATE_SCRIPT = """
+import sys, tempfile
 from wavefocp import cli
 
-warnings.simplefilter("ignore", UserWarning)  # the cond(D) warning
 with tempfile.TemporaryDirectory() as out:
-    code = cli.main(["--example", "1", "--basis", "ftw", "--k", "1", "--M", "12",
+    code = cli.main(["--example", "1", "--basis", "tw", "--k", "2", "--M", "9",
                      "--mu", "0.9", "--out", out])
     assert code == 0, code
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def test_m12_cli_run_never_loads_scipy():
-    """At M = 12 (cond(D) 1.1e16) the reduced route solves, so SciPy stays
-    out there too."""
-    out = _run(M12_SCRIPT)
+def test_below_gate_cli_run_never_loads_scipy():
+    """At (2, 9) tw (cond(D) 2.6e11, the highest of the CLI runs below the
+    3e11 gate) the range-space route solves, so SciPy stays out there too."""
+    out = _run(BELOW_GATE_SCRIPT)
     assert out.strip().splitlines()[-1] == "[]", out

@@ -110,8 +110,9 @@ def test_sweep_below_the_gate_matches_dense_solve(monkeypatch, mu):
 
 @pytest.mark.parametrize("basis", ["tw", "ftw"])
 def test_unstable_dynamics_solved_to_j_star(tmp_path, basis):
-    """a = 8, mu 0.7, k = 3 (J* = 9.6785), where the forward shot of the
-    reduced route printed J = 197.86 (tw) and 15.67 (ftw): the library and
+    """a = 8, mu 0.7, k = 3 (J* = 9.6785), where a forward shot of the
+    dynamics (a null-space elimination of the state) gave J = 197.86 (tw)
+    and 15.67 (ftw): the library and
     a CLI run of the problem file give the J of ``np.linalg.solve`` on the
     assembled system within 1e-9 (relative), and J is within 5e-5 of J*
     (2.8e-5 tw and -3.3e-6 ftw, measured)."""

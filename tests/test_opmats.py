@@ -30,8 +30,15 @@ from wavefocp.opmats import (
     quadrature_nodes,
     triple_product_tensor,
 )
-from wavefocp.quadrature import SingularMatrixError, block_diagonal, diagonal_blocks, solve_spd
+from wavefocp.quadrature import SingularMatrixError, block_diagonal, solve_spd
 from wavefocp.solver import FocpProblem, _requadrature_cost, discretize, solve_focp
+
+
+def diagonal_blocks(matrix: np.ndarray, M: int) -> np.ndarray:
+    """The (N, M, M) diagonal blocks of an n-major matrix of size N M."""
+    N = matrix.shape[0] // M
+    diag = np.arange(N)
+    return matrix.reshape(N, M, N, M)[diag, :, diag, :]
 
 
 # (k, M, mu, first block checked): the whole basis at k = 2 and the last

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import graded_breakpoints, integrate, integrate_piecewise
 from wavefocp import quadrature
 from wavefocp.quadrature import (
-    LowerTriangular,
     SingularMatrixError,
     condition_estimate,
     gamma,
@@ -230,8 +229,8 @@ class TestSolveLinear:
         np.testing.assert_allclose(solve_spd(A, b), solve_linear(A, b), atol=1e-11)
 
     def test_solve_spd_refuses_indefinite_and_singular(self):
-        """``solve_spd`` has no second route: where Cholesky fails it raises,
-        and the solver re-solves by its dense KKT LU. A NaN entry, which
+        """``solve_spd`` has no second route: where Cholesky fails it raises.
+        A NaN entry, which
         ``np.linalg.cholesky`` passes through (and, above the diagonal,
         never reads), is refused too."""
         b = np.array([1.0, -1.0])
@@ -292,98 +291,12 @@ def test_graded_breakpoints_refine_toward_ends():
     assert pts[1] == pytest.approx(0.2**4)
 
 
-def _block_lower(rng, N, M, diagonal="identity"):
-    """A matrix lower-triangular in M x M blocks, with random entries of
-    size 0.5/sqrt(m) below the diagonal blocks. Its diagonal blocks are the
-    identity, lower-triangular with diagonal in [1, 2] ("triangular"), or
-    that plus a full random part ("full")."""
-    m = N * M
-    T = np.eye(m) + np.tril(rng.standard_normal((m, m)), -1) * (0.5 / np.sqrt(m))
-    blocks = T.reshape(N, M, N, M)
-    for n in range(N):
-        if diagonal == "identity":
-            blocks[n, :, n, :] = np.eye(M)
-        else:
-            blocks[n, :, n, :] += np.diag(rng.uniform(0.0, 1.0, M))
-        if diagonal == "full":
-            blocks[n, :, n, :] += np.triu(rng.standard_normal((M, M)), 1) * (0.3 / np.sqrt(M))
-    return T
-
-
-class TestLowerTriangular:
-    def _check(self, factor, L, rng, reference):
-        m = L.shape[0]
-        for b in (rng.standard_normal(m), rng.standard_normal((m, 3))):
-            for trans, got in ((0, factor.solve(b)), ("T", factor.solve_transposed(b))):
-                ref = reference(L, b, trans)
-                assert got.shape == b.shape
-                assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-
-    @staticmethod
-    def _triangular(L, b, trans):
-        return scipy.linalg.solve_triangular(L, b, lower=True, trans=trans)
-
-    @pytest.mark.parametrize("m", [1, 4, 31, 32, 33, 128, 257])
-    def test_cholesky_factor_solves_match_solve_triangular(self, m):
-        rng = np.random.default_rng(m)
-        B = rng.standard_normal((m, m))
-        A = B @ B.T + m * np.eye(m)
-        factor = LowerTriangular.from_blocks(np.linalg.cholesky(A), 1)  # as solve_spd builds it
-        self._check(factor, factor.L, rng, self._triangular)
-
-    @pytest.mark.parametrize("N, M", [(1, 1), (4, 1), (32, 1), (128, 1), (8, 4), (64, 4), (16, 6), (2, 12)])
-    def test_unit_block_solves_match_solve_triangular(self, N, M):
-        """Unit diagonal blocks, the form G_c takes near the identity."""
-        rng = np.random.default_rng(N + M)
-        T = _block_lower(rng, N, M)
-        self._check(LowerTriangular.from_blocks(T, M), T, rng, self._triangular)
-
-    @pytest.mark.parametrize("N, M", [(1, 1), (33, 1), (128, 1), (1, 4), (10, 4), (24, 4),
-                                      (128, 4), (3, 6), (12, 6), (128, 6), (2, 12), (5, 12),
-                                      (64, 12)])
-    def test_block_lower_solves_match_references(self, N, M):
-        """Diagonal blocks that are not the identity: lower-triangular ones
-        against ``solve_triangular``, full ones against the LU solve of the
-        same matrix."""
-        rng = np.random.default_rng(100 * N + M)
-        T = _block_lower(rng, N, M, "triangular")
-        self._check(LowerTriangular.from_blocks(T, M), T, rng, self._triangular)
-        T = _block_lower(rng, N, M, "full")
-        assert np.array_equal(T, np.tril(T)) == (M == 1)
-
-        def lu(L, b, trans):
-            return scipy.linalg.solve(L.T if trans else L, b)
-
-        self._check(LowerTriangular.from_blocks(T, M), T, rng, lu)
-
-    @pytest.mark.parametrize("N, M, rows", [(64, 4, 32), (128, 1, 32), (16, 6, 48), (12, 6, 36),
-                                            (2, 12, 24), (10, 4, 40), (4, 40, 40)])
-    def test_leaves_from_one_inversion(self, monkeypatch, N, M, rows):
-        """A leaf is the fewest whole blocks with at least 32 rows that
-        divide the block count, or all of L; the leaves are inverted by one
-        ``invert_blocks`` call."""
-        calls = []
-        invert = quadrature.invert_blocks
-
-        def counted(blocks):
-            calls.append(blocks.shape)
-            return invert(blocks)
-
-        monkeypatch.setattr(quadrature, "invert_blocks", counted)
-        T = _block_lower(np.random.default_rng(N), N, M, "full")
-        factor = LowerTriangular.from_blocks(T, M)
-        assert calls == [(N * M // rows, rows, rows)]
-        assert [inverse.shape for inverse in factor.leaf_inverses] == [(rows, rows)] * (N * M // rows)
-
-    def test_singular_leaf_raises(self):
-        """A singular or near-singular diagonal block makes its leaf too
-        ill-conditioned to invert, and ``from_blocks`` refuses."""
-        rng = np.random.default_rng(5)
-        for pivot in (0.0, 1e-15):
-            T = _block_lower(rng, 16, 4, "triangular")
-            T[45, 45] = pivot  # block 12, in the second of two 32-row leaves
-            with pytest.raises(SingularMatrixError):
-                LowerTriangular.from_blocks(T, 4)
+@pytest.mark.parametrize("N, M, rows", [(64, 4, 32), (128, 1, 32), (16, 6, 48), (12, 6, 36),
+                                        (2, 12, 24), (10, 4, 40), (4, 40, 40)])
+def test_blocks_per_leaf(N, M, rows):
+    """A leaf is the fewest whole blocks with at least 32 rows that divide
+    the block count, or all N blocks."""
+    assert quadrature.blocks_per_leaf(N, M) * M == rows
 
 
 # 1/mu - 1, the exponent of block 1's weight w_1(s), and order - 1, of the

@@ -15,11 +15,12 @@ from conftest import (
     SURVEY_SEEDS,
     UNSTABLE_PROBLEM_FILE,
     cost_via_product_chain,
+    count_assembly,
     lu_cost,
     rl_integral_by_segments,
     survey_problem,
 )
-from wavefocp import quadrature, solver
+from wavefocp import solver
 from wavefocp.basis import MIN_ORDER, WaveletParams, eval_basis, eval_basis_many
 from wavefocp.cli import parse_problem_file
 from wavefocp.fracops import rl_integral
@@ -399,20 +400,6 @@ def _reference_j(mu, basis):
     return solve_focp(example1(mu), params, diagnostics=False).J_value
 
 
-def _count_assembly(monkeypatch):
-    """The m_hat of every ``assemble_kkt`` call the solver makes from now
-    on; a solve that assembles once took the dense KKT route."""
-    assembled = []
-    assemble = solver.assemble_kkt
-
-    def counted(disc):
-        assembled.append(disc.params.m_hat)
-        return assemble(disc)
-
-    monkeypatch.setattr(solver, "assemble_kkt", counted)
-    return assembled
-
-
 def _refuse_range_space(monkeypatch):
     """Make the range-space route refuse every solve, as a PCG that does not
     converge would: the solve then takes the dense KKT route."""
@@ -423,41 +410,11 @@ def _refuse_range_space(monkeypatch):
     monkeypatch.setattr(solver, "_range_space_solve", refuse)
 
 
-def _pin_reduced_route(monkeypatch):
-    """Lower the cond(D) gate to 0, so that every solve tries the reduced
-    route first."""
-    monkeypatch.setattr(solver, "_RANGE_SPACE_COND_LIMIT", 0.0)
-
-
-def _spy_routes(monkeypatch):
-    """The route events of every solve from now on: "structured refused"
-    when ``_structured_solve`` raises SingularMatrixError, "assembled" when
-    the dense KKT route assembles its matrix."""
-    events = []
-    structured = solver._structured_solve
-    assemble = solver.assemble_kkt
-
-    def spied_structured(disc):
-        try:
-            return structured(disc)
-        except SingularMatrixError:
-            events.append("structured refused")
-            raise
-
-    def spied_assemble(disc):
-        events.append("assembled")
-        return assemble(disc)
-
-    monkeypatch.setattr(solver, "_structured_solve", spied_structured)
-    monkeypatch.setattr(solver, "assemble_kkt", spied_assemble)
-    return events
-
-
 class TestRangeSpaceSolve:
     """The range-space route that solves below cond(D) 3e11."""
 
     @pytest.mark.parametrize("k, M, route", [(3, 4, "_range_space_solve"), (2, 9, "_range_space_solve"),
-                                             (2, 10, "_structured_solve")])
+                                             (2, 10, "_dense_solve")])
     def test_route_follows_cond_d(self, monkeypatch, k, M, route):
         """cond(D) 1.1e4 at (3, 4), 2.6e11 at (2, 9) and 8.5e12 at (2, 10):
         the solve takes the route of its side of 3e11, and only that route."""
@@ -473,7 +430,7 @@ class TestRangeSpaceSolve:
             monkeypatch.setattr(solver, name, spied)
 
         spy("_range_space_solve")
-        spy("_structured_solve")
+        spy("_dense_solve")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # cond(D) above 1e12 at (2, 10)
             solve_focp(example1(0.9), WaveletParams(k=k, M=M), diagnostics=False)
@@ -485,7 +442,7 @@ class TestRangeSpaceSolve:
         """On the M = 4 survey every J is within 1e-12 of the J of
         ``np.linalg.solve`` on the assembled KKT system (2.0e-14 at most,
         measured over k = 2, 4, 6), and no solve assembles that system."""
-        assembled = _count_assembly(monkeypatch)
+        assembled = count_assembly(monkeypatch)
         for seed in SURVEY_SEEDS:
             problem = survey_problem(seed)
             params = WaveletParams(k=k, M=4, mu=problem.mu if basis == "ftw" else 1.0)
@@ -533,16 +490,16 @@ class TestRangeSpaceSolve:
         monkeypatch.setattr(solver, "_CG_MAX_ITER", 1)
         with pytest.raises(SingularMatrixError, match="did not converge"):
             solver._range_space_solve(disc)
-        assembled = _count_assembly(monkeypatch)
+        assembled = count_assembly(monkeypatch)
         fallback = solve_discretized(disc, diagnostics=False)
         assert assembled == [disc.params.m_hat]
         assert abs(fallback.J_value - J) <= 1e-12
 
 
 class TestStructuredSolve:
-    """The structured routes (range-space below cond(D) 3e11, reduced-Hessian
-    from it up) against the dense KKT oracle. Tests with a "reduced" case
-    pin the reduced route below 3e11 by lowering the gate to 0."""
+    """The two routes (range-space below cond(D) 3e11, the dense KKT LU from
+    it up and where the range-space route refuses) against the dense KKT
+    oracle."""
 
     @staticmethod
     def _check_against_dense_kkt(k, M, basis, problem):
@@ -573,53 +530,33 @@ class TestStructuredSolve:
     def test_matches_dense_kkt(self, monkeypatch, k, M, basis, problem):
         """The range-space route: C_hat, U_hat, eta, J, x, u and the
         stationarity residual within 1e-12 of the dense KKT solve's."""
-        assembled = _count_assembly(monkeypatch)
+        assembled = count_assembly(monkeypatch)
         self._check_against_dense_kkt(k, M, basis, problem)
         assert assembled == []
 
-    @pytest.mark.parametrize("problem", sorted(_PROBLEMS))
-    @pytest.mark.parametrize("basis", ["tw", "ftw"])
-    @pytest.mark.parametrize("k, M", [(2, 4), (6, 4), (7, 4)])
-    def test_reduced_route_matches_dense_kkt(self, monkeypatch, k, M, basis, problem):
-        """The same checks on the reduced route."""
-        _pin_reduced_route(monkeypatch)
-        events = _spy_routes(monkeypatch)
-        self._check_against_dense_kkt(k, M, basis, problem)
-        assert events == []
-
     @pytest.mark.parametrize("k, M, mu, basis", [(2, 10, 0.5, "tw"), (2, 10, 0.7, "tw"),
                                                   (3, 10, 0.7, "ftw")])
-    def test_reduced_hessian_pivoted_fallback(self, monkeypatch, k, M, mu, basis):
-        """At M = 10 (cond(D) 8.5e12 to 3.2e13 here) the reduced Hessian is
-        near the edge of numerical definiteness, and rounding decides whether
-        its Cholesky factorization succeeds. With Cholesky made to fail, the
-        solve assembles the KKT system once and solves it by the pivoted LU;
-        J, x and u match a 50-digit solve of that same float system."""
+    def test_dense_lu_at_m10(self, monkeypatch, k, M, mu, basis):
+        """At M = 10 (cond(D) 8.5e12 to 3.2e13 here) the solve assembles the
+        KKT system once and solves it by the pivoted LU; J, x and u match a
+        50-digit solve of that same float system."""
         mp = pytest.importorskip("mpmath")
         params = WaveletParams(k=k, M=M, mu=1.0 if basis == "tw" else mu)
         with pytest.warns(UserWarning, match="condition"):
             disc = discretize(example1(mu), params)
-        factored = []
-
-        def no_cholesky(A):
-            factored.append(A.shape)
-            raise np.linalg.LinAlgError("made to fail")
-
-        monkeypatch.setattr(quadrature.np.linalg, "cholesky", no_cholesky)
-        assembled = _count_assembly(monkeypatch)
-        fallback = solve_discretized(disc, diagnostics=False)
+        assembled = count_assembly(monkeypatch)
+        sol = solve_discretized(disc, diagnostics=False)
         m = params.m_hat
-        assert factored == [(m, m)]
         assert assembled == [m]
         K, rhs = assemble_kkt(disc)
         with mp.workdps(50):
             exact = mp.lu_solve(mp.matrix(K.tolist()), mp.matrix(rhs.tolist()))
             exact = np.array([float(v) for v in exact])
         C2, U_hat = state_from_coeffs(exact[:m], disc.d1, disc.mats), exact[m : 2 * m]
-        assert fallback.J_value == pytest.approx(_quadratic_cost(disc, C2, U_hat), rel=1e-9)
+        assert sol.J_value == pytest.approx(_quadratic_cost(disc, C2, U_hat), rel=1e-9)
         grid = np.linspace(0.0, 1.0, 201)
         basis_vals = eval_basis_many(params, grid)
-        for ours, ref in zip(reconstruct_many(fallback, grid), (C2 @ basis_vals, U_hat @ basis_vals)):
+        for ours, ref in zip(reconstruct_many(sol, grid), (C2 @ basis_vals, U_hat @ basis_vals)):
             assert np.abs(ours - ref).max() <= 1e-5
 
     # bounds: twice the relative J error of the solver that formed C2 and
@@ -650,23 +587,6 @@ class TestStructuredSolve:
                 J += (c.T * W * c)[0] / 2 - (c.T * track)[0]
             assert abs((sol.J_value - J) / J) <= bound
 
-    @pytest.mark.parametrize("k, mu", [(7, 1.0), (6, 0.9)], ids=["tw", "ftw"])
-    def test_peak_memory(self, k, mu):
-        """The reduced solve holds at most 5.5 m_hat^2 float64 above its
-        inputs: F, the solved [L | x_aff], the reduced Hessian and its
-        Cholesky factor. A warm call comes first, so that nothing allocated
-        once per process is counted."""
-        disc = discretize(example1(mu), WaveletParams(k=k, M=4, mu=mu))
-        solver._structured_solve(disc)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            solver._structured_solve(disc)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak <= 5.5 * 8 * disc.params.m_hat ** 2
-
     @pytest.mark.parametrize("k, M, mu, basis", [(3, 4, 0.9, "ftw"), (2, 6, 0.7, "tw")])
     def test_g_c_matches_dense_product(self, k, M, mu, basis):
         """The block-row G_c against the dense m_hat^3 product it replaces."""
@@ -677,17 +597,15 @@ class TestStructuredSolve:
         G_c = solver._g_c(disc)
         assert np.abs(G_c - dense).max() <= 1e-15 * np.abs(dense).max()
 
-    @pytest.mark.parametrize("route", ["structured", "dense", "reduced"])
+    @pytest.mark.parametrize("route", ["structured", "dense"])
     @pytest.mark.parametrize("problem", sorted(_PROBLEMS))
     def test_constraint_residual_is_kkt_row_three(self, monkeypatch, problem, route):
         """residuals["constraint"] is the dynamics block row of K sol - rhs
-        on every route: the range-space route ("structured"; cond(D) 2.3e4
-        here), the dense route where that refuses, and the reduced route."""
+        on both routes: the range-space route ("structured"; cond(D) 2.3e4
+        here) and the dense route where that refuses."""
         if route == "dense":
             _refuse_range_space(monkeypatch)
-        elif route == "reduced":
-            _pin_reduced_route(monkeypatch)
-        assembled = _count_assembly(monkeypatch)
+        assembled = count_assembly(monkeypatch)
         disc = discretize(_PROBLEMS[problem](0.8), WaveletParams(k=3, M=4, mu=0.8))
         sol = solve_discretized(disc, diagnostics=False)
         m = disc.params.m_hat
@@ -697,17 +615,15 @@ class TestStructuredSolve:
         assert abs(sol.residuals["constraint"] - np.abs(residual[2 * m :]).max()) <= 1e-12
         assert abs(sol.residuals["stationarity"] - np.abs(residual).max()) <= 1e-12
 
-    @pytest.mark.parametrize("route", ["structured", "dense", "reduced"])
+    @pytest.mark.parametrize("route", ["structured", "dense"])
     def test_state_formed_once_per_solve(self, monkeypatch, route):
-        """C2 = Pmu^T C_hat + d1 is formed once per solve on every route,
+        """C2 = Pmu^T C_hat + d1 is formed once per solve on both routes,
         with the bits of ``state_from_coeffs`` of the returned C_hat: the
-        range-space route ("structured"), the dense route where that
-        refuses, and the reduced route."""
+        range-space route ("structured") and the dense route where that
+        refuses."""
         if route == "dense":
             _refuse_range_space(monkeypatch)
-        elif route == "reduced":
-            _pin_reduced_route(monkeypatch)
-        assembled = _count_assembly(monkeypatch)
+        assembled = count_assembly(monkeypatch)
         calls = []
         original = solver.state_from_coeffs
 
@@ -722,49 +638,20 @@ class TestStructuredSolve:
         assert len(calls) == 1
         assert np.array_equal(sol.C2, original(sol.C_hat, disc.d1, disc.mats))
 
-    def test_g_c_refusal_falls_back_to_dense_kkt(self, monkeypatch):
-        """At (2, 6) tw on the reduced route (its cond(D) gate lowered to 0):
-        leaves of F = I - Pmu^T G_A (each as singular as the G_c leaf of the
-        same rows, since det(I - AB) = det(I - BA)) that ``invert_blocks``
-        refuses, in the one call that ``LowerTriangular.from_blocks`` makes,
-        send the solve to the dense KKT LU, whose J matches the structured J."""
-        _pin_reduced_route(monkeypatch)
-        params = WaveletParams(k=2, M=6)
-        disc = discretize(example1(0.9), params)
-        structured = solve_discretized(disc, diagnostics=False)
-        refused = []
-
-        def refuse(blocks):
-            refused.append(blocks.shape)
-            raise SingularMatrixError("F leaves refused")
-
-        monkeypatch.setattr(quadrature, "invert_blocks", refuse)
-        assembled = _count_assembly(monkeypatch)
-        fallback = solve_discretized(disc, diagnostics=False)
-        m = params.m_hat
-        assert refused == [(1, m, m)]  # m_hat 12 is one leaf
-        assert assembled == [m]
-        dense = solve_linear(*assemble_kkt(disc))
-        assert np.array_equal(fallback.U_hat, dense[m : 2 * m])
-        assert fallback.J_value == pytest.approx(structured.J_value, rel=1e-12)
-
     @pytest.mark.parametrize("basis", ["tw", "ftw"])
     @pytest.mark.parametrize("k", [4, 6])
     def test_unstable_dynamics_solved_by_dense_kkt(self, monkeypatch, tmp_path, k, basis):
-        """Strongly unstable dynamics (``UNSTABLE_PROBLEM_FILE``) on the
-        reduced route (its cond(D) gate lowered to 0): the reduced Hessian is
-        not numerically SPD, the route refuses, the solve assembles the KKT
-        system once, and it returns the J of the pivoted LU of that system."""
+        """Strongly unstable dynamics (``UNSTABLE_PROBLEM_FILE``) with the
+        range-space route made to refuse: the solve assembles the KKT system
+        once, and it returns the J of the pivoted LU of that system."""
         path = tmp_path / "unstable.txt"
         path.write_text(UNSTABLE_PROBLEM_FILE, encoding="utf-8")
         problem = parse_problem_file(path)[0].make_problem(0.6)
         disc = discretize(problem, WaveletParams(k=k, M=4, mu=0.6 if basis == "ftw" else 1.0))
-        _pin_reduced_route(monkeypatch)
-        events = _spy_routes(monkeypatch)
-        assembled = _count_assembly(monkeypatch)
+        _refuse_range_space(monkeypatch)
+        assembled = count_assembly(monkeypatch)
         sol = solve_discretized(disc, diagnostics=False)
         m = disc.params.m_hat
-        assert events == ["structured refused", "assembled"]
         assert assembled == [m]
         dense = solve_linear(*assemble_kkt(disc))
         C2 = state_from_coeffs(dense[:m], disc.d1, disc.mats)
@@ -773,14 +660,14 @@ class TestStructuredSolve:
     @pytest.mark.parametrize("basis", ["tw", "ftw"])
     @pytest.mark.parametrize("k", [4, 6])
     def test_unstable_dynamics_solved_by_range_space_route(self, monkeypatch, tmp_path, k, basis):
-        """Strongly unstable dynamics (``UNSTABLE_PROBLEM_FILE``), where the
-        reduced Hessian is not numerically SPD: the range-space route solves
-        with no KKT assembly, to the J of the pivoted LU of that system."""
+        """Strongly unstable dynamics (``UNSTABLE_PROBLEM_FILE``): the
+        range-space route solves with no KKT assembly, to the J of the
+        pivoted LU of that system."""
         path = tmp_path / "unstable.txt"
         path.write_text(UNSTABLE_PROBLEM_FILE, encoding="utf-8")
         problem = parse_problem_file(path)[0].make_problem(0.6)
         disc = discretize(problem, WaveletParams(k=k, M=4, mu=0.6 if basis == "ftw" else 1.0))
-        assembled = _count_assembly(monkeypatch)
+        assembled = count_assembly(monkeypatch)
         sol = solve_discretized(disc, diagnostics=False)
         m = disc.params.m_hat
         assert assembled == []
@@ -788,64 +675,59 @@ class TestStructuredSolve:
         C2 = state_from_coeffs(dense[:m], disc.d1, disc.mats)
         assert abs(sol.J_value - _quadratic_cost(disc, C2, dense[m : 2 * m])) <= 1e-12
 
-    def test_reduced_route_at_m12(self, monkeypatch):
-        """At M = 12 (cond(D) 1.1e16) the reduced route solves, with no
-        KKT assembly."""
-        assembled = _count_assembly(monkeypatch)
+    def test_dense_lu_at_m12(self, monkeypatch):
+        """At M = 12 (cond(D) 1.1e16) the solve assembles the KKT system
+        once, and its LU solves."""
+        assembled = count_assembly(monkeypatch)
         params = WaveletParams(k=1, M=12, mu=0.9)
         with pytest.warns(UserWarning, match="condition"):
             mats = build_operational_matrices(params)
         sol = solve_focp(example1(0.9), params, mats, diagnostics=False)
-        assert assembled == []
+        assert assembled == [params.m_hat]
         assert sol.J_value == pytest.approx(0.1795285301, rel=1e-8)
 
-    @pytest.mark.parametrize("k, M, mu, basis", [(1, 11, 1.0, "tw"), (2, 11, 0.7, "tw"),
-                                                  (3, 11, 0.9, "ftw"), (2, 12, 0.9, "tw")])
-    def test_reduced_route_above_cond_1e14(self, monkeypatch, k, M, mu, basis):
-        """cond(D) 2.8e14 to 9.1e15: the reduced route solves with no KKT
-        assembly, and J is within 1e-5 of the (4, 6) reference (9e-8 at
-        most, measured)."""
+    @pytest.mark.parametrize("k, M, mu, basis, solves", [
+        (1, 11, 1.0, "tw", True), (2, 11, 0.7, "tw", False), (3, 11, 0.9, "ftw", False),
+        (2, 12, 0.9, "tw", False), (1, 13, 0.9, "tw", False), (2, 13, 1.0, "tw", False),
+    ])
+    def test_dense_lu_above_cond_1e14(self, monkeypatch, k, M, mu, basis, solves):
+        """cond(D) 2.8e14 to 2.0e18: the solve assembles the KKT system once,
+        and its LU either solves, with J within 1e-5 of the (4, 6)
+        reference, or refuses on its pivot ratio."""
         params = WaveletParams(k=k, M=M, mu=1.0 if basis == "tw" else mu)
-        assembled = _count_assembly(monkeypatch)
+        reference = _reference_j(mu, basis)
+        assembled = count_assembly(monkeypatch)
         with pytest.warns(UserWarning, match="condition"):
-            sol = solve_focp(example1(mu), params, diagnostics=False)
-        assert assembled == []
-        assert sol.J_value == pytest.approx(_reference_j(mu, basis), rel=1e-5)
-
-    @pytest.mark.parametrize("k, mu, rel", [(1, 0.9, 1e-5), (2, 1.0, 1e-11)])
-    def test_reduced_route_at_m13(self, monkeypatch, k, mu, rel):
-        """tw at M = 13, where a block of D has no Cholesky factor: the bundle
-        is built and the reduced route solves with no KKT assembly; J is
-        1.2e-8 (k = 1, mu 0.9) and 4.0e-13 (k = 2, mu 1) relative from the
-        (4, 6) reference, measured."""
-        assembled = _count_assembly(monkeypatch)
-        with pytest.warns(UserWarning, match="condition"):
-            sol = solve_focp(example1(mu), WaveletParams(k=k, M=13), diagnostics=False)
-        assert assembled == []
-        assert sol.J_value == pytest.approx(_reference_j(mu, "tw"), rel=rel)
+            if solves:
+                sol = solve_focp(example1(mu), params, diagnostics=False)
+                assert sol.J_value == pytest.approx(reference, rel=1e-5)
+            else:
+                with pytest.raises(SingularMatrixError, match="pivot"):
+                    solve_focp(example1(mu), params, diagnostics=False)
+        assert assembled == [params.m_hat]
 
     def test_dense_fallback_at_m13(self, monkeypatch):
-        """At (1, 13) ftw, mu 0.5 (cond(D) 9.6e16) the reduced route is tried
-        first and refuses; the dense KKT LU then solves, to within 1e-5 of
-        the (4, 6) reference."""
-        events = _spy_routes(monkeypatch)
+        """At (1, 13) ftw, mu 0.5 (cond(D) 9.6e16) the dense KKT LU solves,
+        to within 1e-5 of the (4, 6) reference."""
+        params = WaveletParams(k=1, M=13, mu=0.5)
+        assembled = count_assembly(monkeypatch)
         with pytest.warns(UserWarning, match="condition"):
-            sol = solve_focp(example1(0.5), WaveletParams(k=1, M=13, mu=0.5), diagnostics=False)
-        assert events == ["structured refused", "assembled"]
+            sol = solve_focp(example1(0.5), params, diagnostics=False)
+        assert assembled == [params.m_hat]
         assert sol.J_value == pytest.approx(_reference_j(0.5, "ftw"), rel=1e-5)
 
-    def test_m13_tw_refused_by_both_routes(self, monkeypatch):
-        """At (1, 13) tw, mu 1 the bundle is built, the reduced route refuses,
-        the dense KKT LU is assembled once and refuses too."""
-        events = _spy_routes(monkeypatch)
+    def test_m13_tw_refused_by_dense_lu(self, monkeypatch):
+        """At (1, 13) tw, mu 1 the bundle is built, and the dense KKT LU is
+        assembled once and refuses."""
+        assembled = count_assembly(monkeypatch)
         with pytest.warns(UserWarning, match="condition"):
             with pytest.raises(SingularMatrixError, match="KKT system singular"):
                 solve_focp(example1(1.0), WaveletParams(k=1, M=13), diagnostics=False)
-        assert events == ["structured refused", "assembled"]
+        assert assembled == [13]
 
     @pytest.mark.parametrize("basis, mu", [("tw", 0.5), ("ftw", 0.7)], ids=["tw", "ftw"])
     def test_m14_is_refused(self, basis, mu):
-        """Both bundles are built, and both routes refuse each."""
+        """Both bundles are built, and the dense KKT LU refuses each."""
         params = WaveletParams(k=1, M=14, mu=1.0 if basis == "tw" else mu)
         with pytest.warns(UserWarning, match="condition"):
             with pytest.raises(SingularMatrixError):
