@@ -6,8 +6,9 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graded_breakpoints, integrate, integrate_piecewise
-from wavefocp import quadrature
+from conftest import graded_breakpoints, integrate, integrate_piecewise, survey_problem
+from wavefocp import quadrature, solver
+from wavefocp.basis import WaveletParams
 from wavefocp.quadrature import (
     SingularMatrixError,
     condition_estimate,
@@ -297,6 +298,70 @@ def test_blocks_per_leaf(N, M, rows):
     """A leaf is the fewest whole blocks with at least 32 rows that divide
     the block count, or all N blocks."""
     assert quadrature.blocks_per_leaf(N, M) * M == rows
+
+
+def _block_lower(rng, N, M):
+    """A matrix lower-triangular in M x M blocks, with random entries of
+    size 0.5/sqrt(m) below the diagonal and a diagonal in [1, 2]."""
+    m = N * M
+    return np.tril(rng.standard_normal((m, m)), -1) * (0.5 / np.sqrt(m)) + np.diag(
+        rng.uniform(1.0, 2.0, m))
+
+
+class TestLowerTriangular:
+    """Solves with lower-triangular factors and inverses of diagonal leaves:
+    ``solve_spd``'s solves with its Cholesky factor, and the leaves of
+    ``blocks_per_leaf`` blocks that ``invert_blocks`` inverts for the
+    range-space route's preconditioner."""
+
+    @pytest.mark.parametrize("m", [1, 4, 31, 32, 33, 128, 257])
+    def test_cholesky_factor_solves_match_solve_triangular(self, m):
+        """``solve_spd`` against two ``solve_triangular`` calls with the
+        same Cholesky factor, for one right-hand side and for three."""
+        rng = np.random.default_rng(m)
+        B = rng.standard_normal((m, m))
+        A = B @ B.T + m * np.eye(m)
+        L = np.linalg.cholesky(A)
+        for b in (rng.standard_normal(m), rng.standard_normal((m, 3))):
+            y = scipy.linalg.solve_triangular(L, b, lower=True)
+            ref = scipy.linalg.solve_triangular(L, y, lower=True, trans="T")
+            got = solve_spd(A, b)
+            assert got.shape == b.shape
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("N, M, rows", [(64, 4, 32), (128, 1, 32), (16, 6, 48)])
+    def test_leaves_from_one_inversion(self, monkeypatch, N, M, rows):
+        """The range-space route inverts G_B's N blocks in one
+        ``invert_blocks`` call and its preconditioner's leaves, of
+        ``blocks_per_leaf`` blocks each, in one more."""
+        calls = []
+        invert = solver.invert_blocks
+
+        def counted(blocks):
+            calls.append(blocks.shape)
+            return invert(blocks)
+
+        monkeypatch.setattr(solver, "invert_blocks", counted)
+        params = WaveletParams(k=N.bit_length(), M=M)
+        assert params.n_blocks == N
+        solver._range_space_solve(solver.discretize(survey_problem(2002), params))
+        assert calls == [(N, M, M), (N * M // rows, rows, rows)]
+
+    def test_singular_leaf_raises(self):
+        """A singular or near-singular diagonal block makes its leaf too
+        ill-conditioned to invert, and ``invert_blocks`` refuses the stack
+        of leaves."""
+        rng = np.random.default_rng(5)
+        per_leaf = quadrature.blocks_per_leaf(16, 4)
+        assert per_leaf == 8
+        for pivot in (0.0, 1e-15):
+            T = _block_lower(rng, 16, 4)
+            T[45, 45] = pivot  # block 12, in the second of two 32-row leaves
+            diag = np.arange(2)
+            leaves = T.reshape(2, 32, 2, 32)[diag, :, diag, :]
+            invert_blocks(leaves[:1])  # the first leaf alone inverts
+            with pytest.raises(SingularMatrixError):
+                invert_blocks(leaves)
 
 
 # 1/mu - 1, the exponent of block 1's weight w_1(s), and order - 1, of the

@@ -536,10 +536,11 @@ class TestStructuredSolve:
 
     @pytest.mark.parametrize("k, M, mu, basis", [(2, 10, 0.5, "tw"), (2, 10, 0.7, "tw"),
                                                   (3, 10, 0.7, "ftw")])
-    def test_dense_lu_at_m10(self, monkeypatch, k, M, mu, basis):
-        """At M = 10 (cond(D) 8.5e12 to 3.2e13 here) the solve assembles the
-        KKT system once and solves it by the pivoted LU; J, x and u match a
-        50-digit solve of that same float system."""
+    def test_reduced_hessian_pivoted_fallback(self, monkeypatch, k, M, mu, basis):
+        """At M = 10 (cond(D) 8.5e12 to 3.2e13 here), where the reduced
+        Hessian's Cholesky factorization was once tried first, the pivoted
+        LU solves directly: the solve assembles the KKT system once, and J,
+        x and u match a 50-digit solve of that same float system."""
         mp = pytest.importorskip("mpmath")
         params = WaveletParams(k=k, M=M, mu=1.0 if basis == "tw" else mu)
         with pytest.warns(UserWarning, match="condition"):
@@ -586,6 +587,23 @@ class TestStructuredSolve:
                 W, track = mp.matrix(block_diagonal(W).tolist()), mp.matrix(track.tolist())
                 J += (c.T * W * c)[0] / 2 - (c.T * track)[0]
             assert abs((sol.J_value - J) / J) <= bound
+
+    @pytest.mark.parametrize("k, mu", [(7, 1.0), (6, 0.9)], ids=["tw", "ftw"])
+    def test_peak_memory(self, k, mu):
+        """The dense KKT solve holds at most 27.5 m_hat^2 float64 above its
+        inputs (27.04 and 27.10 measured): K, its LU factor and the |K| that
+        the pivot threshold's norm forms, 9 m_hat^2 each. A warm call comes
+        first, so that nothing allocated once per process is counted."""
+        disc = discretize(example1(mu), WaveletParams(k=k, M=4, mu=mu))
+        solver._dense_solve(disc)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solver._dense_solve(disc)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 27.5 * 8 * disc.params.m_hat ** 2
 
     @pytest.mark.parametrize("k, M, mu, basis", [(3, 4, 0.9, "ftw"), (2, 6, 0.7, "tw")])
     def test_g_c_matches_dense_product(self, k, M, mu, basis):
@@ -675,9 +693,9 @@ class TestStructuredSolve:
         C2 = state_from_coeffs(dense[:m], disc.d1, disc.mats)
         assert abs(sol.J_value - _quadratic_cost(disc, C2, dense[m : 2 * m])) <= 1e-12
 
-    def test_dense_lu_at_m12(self, monkeypatch):
-        """At M = 12 (cond(D) 1.1e16) the solve assembles the KKT system
-        once, and its LU solves."""
+    def test_reduced_route_at_m12(self, monkeypatch):
+        """At M = 12 (cond(D) 1.1e16), once the reduced route's, the solve
+        assembles the KKT system once, and its LU solves."""
         assembled = count_assembly(monkeypatch)
         params = WaveletParams(k=1, M=12, mu=0.9)
         with pytest.warns(UserWarning, match="condition"):
@@ -686,14 +704,16 @@ class TestStructuredSolve:
         assert assembled == [params.m_hat]
         assert sol.J_value == pytest.approx(0.1795285301, rel=1e-8)
 
-    @pytest.mark.parametrize("k, M, mu, basis, solves", [
-        (1, 11, 1.0, "tw", True), (2, 11, 0.7, "tw", False), (3, 11, 0.9, "ftw", False),
-        (2, 12, 0.9, "tw", False), (1, 13, 0.9, "tw", False), (2, 13, 1.0, "tw", False),
+    @pytest.mark.parametrize("k, M, mu, basis", [
+        (1, 11, 1.0, "tw"), (2, 11, 0.7, "tw"), (3, 11, 0.9, "ftw"),
+        (2, 12, 0.9, "tw"), (1, 13, 0.9, "tw"), (2, 13, 1.0, "tw"),
     ])
-    def test_dense_lu_above_cond_1e14(self, monkeypatch, k, M, mu, basis, solves):
-        """cond(D) 2.8e14 to 2.0e18: the solve assembles the KKT system once,
-        and its LU either solves, with J within 1e-5 of the (4, 6)
-        reference, or refuses on its pivot ratio."""
+    def test_reduced_route_above_cond_1e14(self, monkeypatch, k, M, mu, basis):
+        """cond(D) 2.8e14 to 2.0e18, where the reduced route once solved
+        every case: the solve assembles the KKT system once, and its LU
+        either solves, with J within 1e-5 of the (4, 6) reference, or
+        refuses on its pivot ratio. Only (1, 11) tw solves."""
+        solves = (k, M, mu, basis) == (1, 11, 1.0, "tw")
         params = WaveletParams(k=k, M=M, mu=1.0 if basis == "tw" else mu)
         reference = _reference_j(mu, basis)
         assembled = count_assembly(monkeypatch)
@@ -716,13 +736,19 @@ class TestStructuredSolve:
         assert assembled == [params.m_hat]
         assert sol.J_value == pytest.approx(_reference_j(0.5, "ftw"), rel=1e-5)
 
-    def test_m13_tw_refused_by_dense_lu(self, monkeypatch):
-        """At (1, 13) tw, mu 1 the bundle is built, and the dense KKT LU is
-        assembled once and refuses."""
+    def test_m13_tw_refused_by_both_routes(self, monkeypatch):
+        """At (1, 13) tw, mu 1 the bundle is built; the range-space route,
+        run past its gate, refuses its preconditioner's one leaf, and the solve, which takes
+        the dense KKT LU there, assembles it once and refuses too."""
+        params = WaveletParams(k=1, M=13)
+        with pytest.warns(UserWarning, match="condition"):
+            disc = discretize(example1(1.0), params)
+        with pytest.raises(SingularMatrixError, match="blocks numerically singular"):
+            solver._range_space_solve(disc)
         assembled = count_assembly(monkeypatch)
         with pytest.warns(UserWarning, match="condition"):
             with pytest.raises(SingularMatrixError, match="KKT system singular"):
-                solve_focp(example1(1.0), WaveletParams(k=1, M=13), diagnostics=False)
+                solve_focp(example1(1.0), params, diagnostics=False)
         assert assembled == [13]
 
     @pytest.mark.parametrize("basis, mu", [("tw", 0.5), ("ftw", 0.7)], ids=["tw", "ftw"])
