@@ -46,8 +46,10 @@ def _weighted_integral(
     every point; a (points x S * n_points) kernel, zero past each point's
     own segments, combines the Legendre values.
     """
-    cuts = np.unique(np.asarray([] if breakpoints is None else breakpoints, dtype=float))
+    cuts = np.sort(np.asarray([] if breakpoints is None else breakpoints, dtype=float))
     cuts = cuts[cuts > 0.0]
+    # repeats dropped by hand: np.unique imports numpy.ma under NumPy 2
+    cuts = cuts[cuts != np.concatenate(([0.0], cuts[:-1]))]
     # a point z keeps the breakpoints b < z with b <= (1 - merge_fraction) z,
     # so its count in used says how many leading segments it takes
     used = np.minimum(

@@ -173,21 +173,32 @@ def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Partial-pivoted dense solve with an explicit singularity check.
 
     The solver's dense KKT route; the only caller of SciPy, imported here so
-    that no other path loads it.
+    that no other path loads it. LAPACK factors a writeable Fortran-ordered
+    float64 A in place, so such an A is overwritten and must not be read
+    again; any other A is copied first. The pivot threshold's inf-norm is
+    taken before, from row chunks (``_inf_norm``), so |A| is never formed.
     """
     import scipy.linalg
 
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    lu, piv = scipy.linalg.lu_factor(A)
+    threshold = _PIVOT_RTOL * _inf_norm(A)
+    lu, piv = scipy.linalg.lu_factor(A, overwrite_a=A.flags.writeable)
     pivots = np.abs(np.diag(lu))
-    threshold = _PIVOT_RTOL * np.linalg.norm(A, np.inf)
     if pivots.min() < threshold:
         raise SingularMatrixError(
             f"matrix numerically singular: pivot {pivots.min():.3e} "
             f"below threshold {threshold:.3e}"
         )
     return scipy.linalg.lu_solve((lu, piv), b)
+
+
+def _inf_norm(A: np.ndarray) -> float:
+    """``np.linalg.norm(A, np.inf)`` to the bit: each row of |A| summed as a
+    C-ordered row, here in chunks of an eighth of the rows."""
+    rows = -(-A.shape[0] // 8)
+    return np.max([np.abs(A[i : i + rows], order="C").sum(axis=1).max()
+                   for i in range(0, A.shape[0], rows)])
 
 
 def block_diagonal(blocks: np.ndarray) -> np.ndarray:

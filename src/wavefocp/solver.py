@@ -232,13 +232,14 @@ def _g_c(disc: DiscretizedFocp) -> np.ndarray:
 def assemble_kkt(disc: DiscretizedFocp) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric KKT system in (C_hat, U_hat, eta_star), size 3 m_hat: the
     dense form of what ``solve_discretized`` solves, for the tests and for
-    its dense route (``_dense_solve``)."""
+    its dense route (``_dense_solve``). K is Fortran-ordered, the layout
+    that ``solve_linear`` factors in place."""
     m = disc.params.m_hat
     Pm = disc.mats.Pmu
     G_B = block_diagonal(disc.G_B)
     G_c = _g_c(disc)
 
-    K = np.zeros((3 * m, 3 * m))
+    K = np.zeros((3 * m, 3 * m), order="F")
     K[:m, :m] = Pm @ apply_blocks(disc.Wp, Pm.T)
     K[m : 2 * m, m : 2 * m] = block_diagonal(disc.Wq)
     K[:m, 2 * m :] = G_c.T
@@ -344,7 +345,8 @@ def _dense_solve(
     disc: DiscretizedFocp,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """What ``_range_space_solve`` returns, from the pivoted LU of the
-    assembled KKT matrix."""
+    assembled KKT matrix. The LU overwrites K, so the route holds one K
+    (9 m_hat^2 float64); its peak, about 13 m_hat^2, is assembly's."""
     m = disc.params.m_hat
     sol = solve_linear(*assemble_kkt(disc))
     C_hat = sol[:m]

@@ -1,7 +1,9 @@
 """A run below cond(D) 3e11 loads NumPy only: SciPy is imported by the
 solver's other route, the dense KKT LU (``quadrature.solve_linear``) that
 serves cond(D) 3e11 and up, alone, and no package of the ``test`` extra
-(mpmath, pytest, hypothesis) is imported.
+(mpmath, pytest, hypothesis) is imported. Nor is NumPy's masked-array
+package, which no solve uses (``import scipy.linalg`` loads it, so the
+dense route is not held to this).
 The same run loads every module of the package: a module that only the
 tests import does not belong in it."""
 
@@ -33,6 +35,7 @@ print(json.dumps({
     "foreign": sorted(m for m in sys.modules
                       if m.split(".")[0] in ("scipy", "mpmath", "pytest", "hypothesis")),
     "wavefocp": sorted(m for m in sys.modules if m.split(".")[0] == "wavefocp"),
+    "numpy_ma": "numpy.ma" in sys.modules,
 }))
 """
 
@@ -54,6 +57,12 @@ def loaded():
 
 def test_cli_runs_and_structured_solves_never_load_scipy(loaded):
     assert loaded["foreign"] == [], loaded
+
+
+def test_cli_runs_and_diagnostics_never_load_numpy_ma(loaded):
+    """The diagnostics' breakpoint merge avoids ``np.unique``, which imports
+    ``numpy.ma`` under NumPy 2."""
+    assert loaded["numpy_ma"] is False
 
 
 def test_runs_load_every_package_module(loaded):
