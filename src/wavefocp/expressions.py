@@ -173,10 +173,14 @@ class _Parser:
 
 
 def parse_expression(source: str) -> Node:
-    """Parse an expression in the coefficient grammar."""
+    """Parse an expression in the coefficient grammar; one nested past
+    Python's recursion limit is refused."""
     if not source.strip():
         raise ExpressionError("empty expression", 0)
-    return _Parser(source).parse()
+    try:
+        return _Parser(source).parse()
+    except RecursionError:
+        raise ExpressionError("expression nested too deeply") from None
 
 
 def evaluate(node: Node, t: np.ndarray) -> np.ndarray:
@@ -189,7 +193,11 @@ def evaluate(node: Node, t: np.ndarray) -> np.ndarray:
     if isinstance(node, Unary):
         return -evaluate(node.operand, t)
     if isinstance(node, Call):
-        return _FUNCTIONS[node.func](evaluate(node.arg, t))
+        arg = evaluate(node.arg, t)
+        try:
+            return _FUNCTIONS[node.func](arg)
+        except ValueError as exc:  # gamma's domain error
+            raise ExpressionError(str(exc)) from exc
     left = evaluate(node.left, t)
     right = evaluate(node.right, t)
     if node.op == "+":
@@ -210,9 +218,13 @@ def evaluate(node: Node, t: np.ndarray) -> np.ndarray:
 
 
 def as_function(node: Node) -> Callable[[np.ndarray], np.ndarray]:
-    """Callable view of the expression tree."""
+    """Callable view of the expression tree; a tree too deep to evaluate
+    within Python's recursion limit is refused when called."""
 
     def f(t: np.ndarray) -> np.ndarray:
-        return evaluate(node, t)
+        try:
+            return evaluate(node, t)
+        except RecursionError:
+            raise ExpressionError("expression nested too deeply") from None
 
     return f

@@ -35,7 +35,7 @@ def gamma(x: float) -> float:
     """Gamma function for positive real arguments; +inf past the overflow
     point (x > 171.62), as ``np.exp`` overflows."""
     if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"gamma requires finite x > 0, got {x!r}")
+        raise ValueError(f"gamma requires finite x > 0, got {float(x)}")
     try:
         return math.gamma(x)
     except OverflowError:
@@ -176,13 +176,14 @@ def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     that no other path loads it. LAPACK factors a writeable Fortran-ordered
     float64 A in place, so such an A is overwritten and must not be read
     again; any other A is copied first. The pivot threshold's inf-norm is
-    taken before, from row chunks (``_inf_norm``), so |A| is never formed.
+    taken before, by LAPACK's ``dlange`` for a Fortran- or C-ordered A
+    (``scipy.linalg.norm``), so |A| is never formed.
     """
     import scipy.linalg
 
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    threshold = _PIVOT_RTOL * _inf_norm(A)
+    threshold = _PIVOT_RTOL * scipy.linalg.norm(A, np.inf)
     lu, piv = scipy.linalg.lu_factor(A, overwrite_a=A.flags.writeable)
     pivots = np.abs(np.diag(lu))
     if pivots.min() < threshold:
@@ -191,14 +192,6 @@ def solve_linear(A: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"below threshold {threshold:.3e}"
         )
     return scipy.linalg.lu_solve((lu, piv), b)
-
-
-def _inf_norm(A: np.ndarray) -> float:
-    """``np.linalg.norm(A, np.inf)`` to the bit: each row of |A| summed as a
-    C-ordered row, here in chunks of an eighth of the rows."""
-    rows = -(-A.shape[0] // 8)
-    return np.max([np.abs(A[i : i + rows], order="C").sum(axis=1).max()
-                   for i in range(0, A.shape[0], rows)])
 
 
 def block_diagonal(blocks: np.ndarray) -> np.ndarray:

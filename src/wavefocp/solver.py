@@ -22,9 +22,9 @@ because the RL integral is causal). There are two routes, each returning
   products with Pmu per step (the range-space method, Nocedal & Wright,
   Numerical Optimization, 2nd ed., sections 16.2-16.3). The 3 m_hat KKT
   system is not formed.
-- ``_dense_solve``, the pivoted LU of the system ``assemble_kkt`` builds
-  (its G_c comes from ``_g_c``), from cond(D) 3e11 up and wherever the
-  range-space route raises SingularMatrixError.
+- ``_dense_solve``, the pivoted LU of the system ``assemble_kkt`` writes
+  block by block into one Fortran-ordered K, from cond(D) 3e11 up and
+  wherever the range-space route raises SingularMatrixError.
 
 One residual pass, ``_kkt_residual_rows``, then forms the three KKT block
 rows from C2, G_A, G_B, Pmu, Wp and Wq without G_c or the right-hand
@@ -46,7 +46,6 @@ from .opmats import OperationalMatrices, build_operational_matrices, product_mat
 from .quadrature import (
     SingularMatrixError,
     apply_blocks,
-    block_diagonal,
     blocks_per_leaf,
     invert_blocks,
     solve_linear,
@@ -219,33 +218,28 @@ def state_from_coeffs(
     return mats.Pmu.T @ C_hat + d1
 
 
-def _g_c(disc: DiscretizedFocp) -> np.ndarray:
-    """G_c = I - G_A Pmu^T, the Jacobian of the dynamics constraint in C_hat.
-    G_A is block-diagonal, so row block n is (G_A)_n times the rows of block
-    n of Pmu^T; Pmu is block upper-triangular (the RL integral is causal), so
-    G_c is block lower-triangular."""
-    N, M, m = disc.params.n_blocks, disc.params.M, disc.params.m_hat
-    product = disc.G_A @ disc.mats.Pmu.T.reshape(N, M, m)
-    return np.eye(m) - product.reshape(m, m)
-
-
 def assemble_kkt(disc: DiscretizedFocp) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric KKT system in (C_hat, U_hat, eta_star), size 3 m_hat: the
     dense form of what ``solve_discretized`` solves, for the tests and for
     its dense route (``_dense_solve``). K is Fortran-ordered, the layout
-    that ``solve_linear`` factors in place."""
-    m = disc.params.m_hat
+    that ``solve_linear`` factors in place. Each block is written once,
+    into K: G_c = I - G_A Pmu^T (block lower-triangular) is one batched
+    product, G_A being block-diagonal, and K's upper blocks are copied
+    from its lower ones."""
+    N, M, m = disc.params.n_blocks, disc.params.M, disc.params.m_hat
     Pm = disc.mats.Pmu
-    G_B = block_diagonal(disc.G_B)
-    G_c = _g_c(disc)
-
     K = np.zeros((3 * m, 3 * m), order="F")
     K[:m, :m] = Pm @ apply_blocks(disc.Wp, Pm.T)
-    K[m : 2 * m, m : 2 * m] = block_diagonal(disc.Wq)
+    # each reshape below only splits axes of a slice of K: a view, not a copy
+    diag = np.arange(N)
+    for view, blocks in ((K[m : 2 * m, m : 2 * m], disc.Wq), (K[2 * m :, m : 2 * m], -disc.G_B)):
+        view.reshape(N, M, N, M)[diag, :, diag, :] = blocks
+    G_c = K[2 * m :, :m]
+    np.matmul(disc.G_A, Pm.T.reshape(N, M, m), out=G_c.reshape(N, M, m))
+    np.negative(G_c, out=G_c)
+    G_c[np.arange(m), np.arange(m)] += 1.0
     K[:m, 2 * m :] = G_c.T
-    K[2 * m :, :m] = G_c
-    K[m : 2 * m, 2 * m :] = -G_B.T
-    K[2 * m :, m : 2 * m] = -G_B
+    K[m : 2 * m, 2 * m :] = K[2 * m :, m : 2 * m].T
     rhs = np.concatenate((
         Pm @ (disc.wp_track - apply_blocks(disc.Wp, disc.d1)),
         disc.wq_track,
@@ -346,7 +340,7 @@ def _dense_solve(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """What ``_range_space_solve`` returns, from the pivoted LU of the
     assembled KKT matrix. The LU overwrites K, so the route holds one K
-    (9 m_hat^2 float64); its peak, about 13 m_hat^2, is assembly's."""
+    (9 m_hat^2 float64); its peak, about 11 m_hat^2, is assembly's."""
     m = disc.params.m_hat
     sol = solve_linear(*assemble_kkt(disc))
     C_hat = sol[:m]

@@ -321,6 +321,27 @@ class TestCliRuns:
         assert captured.err.count("field") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("value, refusal", [
+        ("(" * 1200 + "1" + ")" * 1200, "expression nested too deeply"),
+        ("2+" + "-" * 1200 + "1", "expression nested too deeply"),
+        ("+".join(["1"] * 3000), "expression nested too deeply"),
+        ("1 + gamma(t - 2)", "gamma requires finite x > 0, got -2.0"),
+    ], ids=["parentheses", "unary-minus", "long-sum", "gamma-domain"])
+    def test_expression_refusal_names_the_field(self, tmp_path, capsys, value, refusal):
+        """Expressions nested past Python's recursion limit (refused where
+        they are parsed, or the long sum where it is evaluated) and Gamma's
+        domain error exit 1 with the file and the field named and no
+        traceback; the first three used to crash with a RecursionError and
+        the last went unnamed, its argument printed as np.float64(-2.0)."""
+        path = tmp_path / "deep.txt"
+        path.write_text(f"p = {value}\nq = 1\na = -1\nb = 1\nx0 = 1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--problem", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {path}: field 'p': {refusal}\n")
+        assert "np.float64(" not in captured.err
+        assert not out.exists()
+
     def test_level_past_the_index_range_is_out_of_memory(self, tmp_path, capsys):
         """At k = 65 the 2^64 blocks do not fit an index: the run is refused
         as k = 40 is, out of memory (exit 2) before anything is allocated,

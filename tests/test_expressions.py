@@ -98,6 +98,34 @@ class TestEvaluation:
         z = np.linspace(0.0, 1.0, 5)
         np.testing.assert_allclose(f(z), 3.5)
 
+    def test_gamma_domain_error_is_an_expression_error(self):
+        """Gamma's own domain error is an ExpressionError, its argument a
+        plain float; a nested ExpressionError passes through unwrapped."""
+        f = as_function(parse_expression("1 + gamma(t - 2)"))
+        with pytest.raises(ExpressionError, match=r"got -2\.0$"):
+            f(np.array([0.0, 0.5]))
+        g = as_function(parse_expression("gamma(1 / t)"))
+        with pytest.raises(ExpressionError, match="^division by zero") as info:
+            g(np.array([0.0, 0.5]))
+        assert not isinstance(info.value.__cause__, ExpressionError)
+
+
+class TestDepth:
+    """Expressions past Python's recursion limit are refused, not crashed on."""
+
+    @pytest.mark.parametrize("source", ["(" * 1200 + "1" + ")" * 1200, "2+" + "-" * 1200 + "1"],
+                             ids=["parentheses", "unary-minus"])
+    def test_deep_parse_refused(self, source):
+        with pytest.raises(ExpressionError, match="nested too deeply"):
+            parse_expression(source)
+
+    def test_long_sum_refused_where_evaluated(self):
+        """A 3,000-term sum parses (the parser loops over terms), but its
+        left-deep tree is too deep to evaluate."""
+        f = as_function(parse_expression("+".join(["1"] * 3000)))
+        with pytest.raises(ExpressionError, match="nested too deeply"):
+            f(np.array([0.0, 0.5]))
+
 
 def unparse(node) -> str:
     """Source text that parses back to the tree: every compound node in
