@@ -5,10 +5,10 @@ phi_m(s) of the local coordinate s = N zeta^mu - n + 1 in [0, 1). Every
 integral of a product of wavelets, or of a given function against the
 basis, runs on one QuadratureGrid per bundle: a rule per block in s,
 graded toward s = 0 on block 1, that keeps the M local basis values of
-every node. The Gram matrix D is its weighted Gram of the constant 1, the
-product matrix G D^-1 comes from the weighted Gram G of the expansion
-c^T Psi, and the triple products T (stored as N blocks of M x M x M) from
-the weighted Grams of the wavelets. D, G and the product matrices are
+every node. The Gram matrix D is its weighted Gram of the constant 1, and
+the product matrix G D^-1 comes from the weighted Gram G of the expansion
+c^T Psi; no bundle forms the triple products T, which only
+``triple_product_tensor`` gives. D, G and the product matrices are
 block-diagonal and are stored and returned as their (N, M, M) diagonal
 blocks; ``gram_matrix`` and ``OperationalMatrices.D`` give the dense D.
 The integration matrices are least-squares projections of the
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
@@ -51,7 +50,6 @@ from .quadrature import (
     gauss_legendre,
 )
 
-_COND_WARN_LIMIT = 1e12
 # points per local coordinate of the projection grid: this many plus M. The
 # rules that fill B in P^mu = B D^-1 take theirs from ``_rule_points``
 _LOCAL_RULE_POINTS = 16
@@ -513,21 +511,16 @@ def product_matrix(c: np.ndarray, mats: OperationalMatrices) -> np.ndarray:
 def build_operational_matrices(
     params: WaveletParams, frac_order: float | None = None
 ) -> OperationalMatrices:
-    """Construct the bundle for the given basis and integration order; raises
-    SingularMatrixError only where D cannot be inverted (cond_D not finite),
-    and leaves every other verdict on an ill-conditioned D to the solve."""
+    """Construct the bundle for the given basis and integration order. It
+    measures cond_D, raises SingularMatrixError only where D cannot be
+    inverted (cond_D not finite), and warns at no cond_D: every other verdict
+    on an ill-conditioned D is the solve's, whose ``discretize`` warns."""
     frac_order = params.mu if frac_order is None else frac_order
     grid = quadrature_grid(params)
     D_blocks = grid.gram_blocks(1.0)
     cond_D = condition_estimate(D_blocks)
     if not np.isfinite(cond_D):
         raise SingularMatrixError("Gram matrix D is singular")
-    if cond_D > _COND_WARN_LIMIT:
-        warnings.warn(
-            f"Gram matrix condition estimate {cond_D:.2e} exceeds "
-            f"{_COND_WARN_LIMIT:.0e}; results may lose accuracy",
-            stacklevel=2,
-        )
     shell = OperationalMatrices(
         params=params, frac_order=frac_order, D_blocks=D_blocks,
         Pmu=np.empty(0), cond_D=cond_D, grid=grid,

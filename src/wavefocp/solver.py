@@ -23,8 +23,8 @@ because the RL integral is causal). There are two routes, each returning
   Numerical Optimization, 2nd ed., sections 16.2-16.3). The 3 m_hat KKT
   system is not formed.
 - ``_dense_solve``, the pivoted LU of the system ``assemble_kkt`` writes
-  block by block into one Fortran-ordered K, from cond(D) 3e11 up and
-  wherever the range-space route raises SingularMatrixError.
+  block by block into one Fortran-ordered K, from cond(D) 3e11 up, where
+  ``discretize`` warns, and wherever the range-space route refuses.
 
 One residual pass, ``_kkt_residual_rows``, then forms the three KKT block
 rows from C2, G_A, G_B, Pmu, Wp and Wq without G_c or the right-hand
@@ -33,8 +33,8 @@ side.
 
 from __future__ import annotations
 
-import contextlib
 import functools
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -166,7 +166,7 @@ def discretize(
     """Sample the coefficient functions once on the grid's nodes, refuse a
     non-finite sample by name, and form the constraint operators, the
     weighted Grams and the tracking terms from the samples, which the
-    discretization keeps."""
+    discretization keeps. Warns from cond(D) 3e11 up, the dense LU's range."""
     if params.mu not in (problem.mu, 1.0):
         raise ConfigurationError(
             f"basis order {params.mu} matches neither the dynamics order "
@@ -183,6 +183,9 @@ def discretize(
             f"operational matrices built for order {mats.frac_order}, "
             f"problem has order {problem.mu}"
         )
+    if mats.cond_D >= _RANGE_SPACE_COND_LIMIT:
+        warnings.warn(f"Gram matrix condition estimate cond(D) {mats.cond_D:.2e} is at or above "
+                      f"{_RANGE_SPACE_COND_LIMIT:.0e}: the dense KKT LU solves", stacklevel=2)
     grid = mats.grid
     fns = {"p": problem.p_fn, "q": problem.q_fn, "a": problem.a_fn, "b": problem.b_fn,
            "track_x": problem.track_x, "track_u": problem.track_u}
@@ -416,19 +419,22 @@ def solve_discretized(disc: DiscretizedFocp, diagnostics: bool = True) -> FocpSo
     Below cond(D) 3e11 the range-space route solves. The dense KKT LU
     solves from 3e11 up, and below it wherever the range-space route raises
     SingularMatrixError (blocks that ``invert_blocks`` refuses, or a PCG
-    that does not converge); where the LU refuses, so does this.
+    that does not converge); where the LU refuses, so does this, naming M,
+    m_hat, cond(D) and each route's refusal.
     """
-    m = disc.params.m_hat
-    solved = None
-    if disc.mats.cond_D < _RANGE_SPACE_COND_LIMIT:
-        with contextlib.suppress(SingularMatrixError):
+    params, cond_D = disc.params, disc.mats.cond_D
+    solved, refused = None, ""
+    if cond_D < _RANGE_SPACE_COND_LIMIT:
+        try:
             solved = _range_space_solve(disc)
+        except SingularMatrixError as exc:
+            refused = f"; the range-space route refused first: {exc}"
     try:
         C_hat, U_hat, eta, C2 = _dense_solve(disc) if solved is None else solved
     except SingularMatrixError as exc:
         raise SingularMatrixError(
-            f"KKT system singular (m_hat={m}); check q > 0 and the "
-            f"dynamics coefficients: {exc}"
+            f"KKT system singular (M={params.M}, m_hat={params.m_hat}, "
+            f"cond(D) {cond_D:.2e}): {exc}{refused}"
         ) from exc
 
     J_quad = _quadratic_cost(disc, C2, U_hat)

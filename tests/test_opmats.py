@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -337,14 +338,26 @@ def test_condition_estimate_reported(mats_frac09):
 
 
 def test_d_without_cholesky_factor_is_built():
-    """A D that can be inverted is built, with the condition warning, even
-    where a block has no Cholesky factor (the Taylor wavelets at M = 13,
-    k = 1, cond(D) 1.3e17); whether a solve on it is refused is the solve
-    routes' verdict."""
+    """A D that can be inverted is built even where a block has no Cholesky
+    factor (the Taylor wavelets at M = 13, k = 1, cond(D) 1.3e17), and its
+    discretization carries the condition warning; whether a solve on it is
+    refused is the solve routes' verdict."""
+    mats = build_operational_matrices(WaveletParams(1, 13, 1.0))
+    problem = FocpProblem(p_fn=np.ones_like, q_fn=np.ones_like, a_fn=lambda z: -np.ones_like(z),
+                          b_fn=np.ones_like, x0=1.0, mu=1.0)
     with pytest.warns(UserWarning, match="condition"):
-        mats = build_operational_matrices(WaveletParams(1, 13, 1.0))
+        discretize(problem, mats.params, mats)
     assert np.isfinite(mats.cond_D)
     assert np.isfinite(mats.Pmu).all()
+
+
+def test_build_never_warns():
+    """The build measures cond(D) and warns at no value of it, here 1.3e17;
+    the one condition warning is ``discretize``'s."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mats = build_operational_matrices(WaveletParams(1, 13, 1.0))
+    assert mats.cond_D > 1e17
 
 
 def test_gamma_overflow_in_pmu_is_avoided():
@@ -352,13 +365,13 @@ def test_gamma_overflow_in_pmu_is_avoided():
     point; Pmu is built from log-Gamma there (it raised OverflowError), and
     both solve routes refuse the solve."""
     params = WaveletParams(1, 171, 1.0)
-    with pytest.warns(UserWarning, match="condition"):
-        mats = build_operational_matrices(params)
+    mats = build_operational_matrices(params)
     assert np.isfinite(mats.Pmu).all()
     problem = FocpProblem(p_fn=np.ones_like, q_fn=np.ones_like, a_fn=lambda z: -np.ones_like(z),
                           b_fn=np.ones_like, x0=1.0, mu=1.0)
-    with pytest.raises(SingularMatrixError):
-        solve_focp(problem, params, mats, diagnostics=False)
+    with pytest.warns(UserWarning, match="condition"):
+        with pytest.raises(SingularMatrixError):
+            solve_focp(problem, params, mats, diagnostics=False)
 
 
 @pytest.mark.parametrize("cond", [math.inf, math.nan])

@@ -20,9 +20,9 @@ from conftest import (
     rl_integral_by_segments,
     survey_problem,
 )
-from wavefocp import solver
+from wavefocp import opmats, solver
 from wavefocp.basis import MIN_ORDER, WaveletParams, eval_basis, eval_basis_many
-from wavefocp.cli import parse_problem_file
+from wavefocp.cli import _example_spec, parse_problem_file
 from wavefocp.fracops import rl_integral
 from wavefocp.opmats import build_operational_matrices
 from wavefocp.quadrature import SingularMatrixError, block_diagonal, gamma, solve_linear
@@ -595,7 +595,10 @@ class TestStructuredSolve:
         m_hat^2 product Pmu Wp Pmu^T with its factor Wp Pmu^T; every other
         block is written into K directly. The LU overwrites K, and LAPACK takes
         the pivot threshold's norm from K itself. A warm call comes first,
-        so that nothing allocated once per process is counted."""
+        so that nothing allocated once per process is counted. tracemalloc
+        misses the copy of K that ``np.linalg.solve(K, rhs)`` makes (9
+        m_hat^2, of which it counts 0.014), so with that LU this bound would
+        still pass at a true peak of about 20 m_hat^2."""
         disc = discretize(example1(mu), WaveletParams(k=k, M=4, mu=mu))
         solver._dense_solve(disc)
         tracemalloc.start()
@@ -702,9 +705,9 @@ class TestStructuredSolve:
         assembles the KKT system once, and its LU solves."""
         assembled = count_assembly(monkeypatch)
         params = WaveletParams(k=1, M=12, mu=0.9)
+        mats = build_operational_matrices(params)
         with pytest.warns(UserWarning, match="condition"):
-            mats = build_operational_matrices(params)
-        sol = solve_focp(example1(0.9), params, mats, diagnostics=False)
+            sol = solve_focp(example1(0.9), params, mats, diagnostics=False)
         assert assembled == [params.m_hat]
         assert sol.J_value == pytest.approx(0.1795285301, rel=1e-8)
 
@@ -762,3 +765,55 @@ class TestStructuredSolve:
         with pytest.warns(UserWarning, match="condition"):
             with pytest.raises(SingularMatrixError):
                 solve_focp(example1(mu), params, diagnostics=False)
+
+
+class TestConditionWarning:
+    """``discretize`` warns exactly where the dense KKT LU solves by the
+    gate, cond(D) >= ``_RANGE_SPACE_COND_LIMIT``; the build never warns."""
+
+    def test_warns_just_above_the_gate(self):
+        """Example 2 at (1, 9) ftw, mu 0.9 has cond(D) 3.1e11, just above the
+        gate (3e11): one warning, which names the dense KKT LU."""
+        params = WaveletParams(k=1, M=9, mu=0.9)
+        with pytest.warns(UserWarning, match="condition") as caught:
+            disc = discretize(_example_spec(2).make_problem(0.9), params)
+        assert disc.mats.cond_D >= solver._RANGE_SPACE_COND_LIMIT
+        assert len(caught) == 1
+        assert "dense KKT LU" in str(caught[0].message)
+
+    @pytest.mark.parametrize("at_limit", [False, True], ids=["below", "at"])
+    def test_warns_from_the_limit(self, monkeypatch, at_limit):
+        limit = solver._RANGE_SPACE_COND_LIMIT
+        cond = limit if at_limit else np.nextafter(limit, 0.0)
+        monkeypatch.setattr(opmats, "condition_estimate", lambda blocks: cond)
+        params = WaveletParams(k=2, M=4, mu=0.9)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            disc = discretize(example1(0.9), params)
+        assert disc.mats.cond_D == cond
+        assert len([w for w in caught if "condition" in str(w.message)]) == at_limit
+
+
+class TestRefusalMessages:
+    def test_dense_refusal_names_m_and_cond_d(self):
+        """(2, 12) tw, mu 0.7 (cond(D) 9.1e15): the LU refuses on its pivot
+        ratio, and the message names M, m_hat and cond(D), not q, which
+        ``FocpProblem`` has already checked."""
+        with pytest.warns(UserWarning, match="condition"):
+            with pytest.raises(SingularMatrixError) as refused:
+                solve_focp(example1(0.7), WaveletParams(k=2, M=12), diagnostics=False)
+        message = str(refused.value)
+        assert message.startswith("KKT system singular (M=12, m_hat=24, cond(D) ")
+        assert "pivot" in message
+        assert "q > 0" not in message
+
+    def test_range_space_refusal_is_kept(self, monkeypatch):
+        """Below the gate (raised here past cond(D) 1.3e17 at (1, 13) tw)
+        the range-space route refuses its one leaf first and the LU its
+        pivot ratio; the message carries both refusals."""
+        monkeypatch.setattr(solver, "_RANGE_SPACE_COND_LIMIT", math.inf)
+        with pytest.raises(SingularMatrixError) as refused:
+            solve_focp(example1(1.0), WaveletParams(k=1, M=13), diagnostics=False)
+        message = str(refused.value)
+        assert "cond(D)" in message and "pivot" in message
+        assert "; the range-space route refused first: blocks numerically singular" in message
