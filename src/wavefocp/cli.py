@@ -22,7 +22,7 @@ from .basis import MIN_ORDER, WaveletParams
 from .expressions import ExpressionError, as_function, parse_expression
 from .opmats import OperationalMatrices, build_operational_matrices
 from .quadrature import SingularMatrixError, gamma
-from .solver import FocpProblem, reconstruct_many, sample_finite, solve_focp
+from .solver import FocpProblem, reconstruct_many, sample_checked, solve_focp
 
 Fn = Callable[[np.ndarray], np.ndarray]
 
@@ -181,22 +181,14 @@ def parse_problem_file(path: Path) -> tuple[ProblemSpec, dict]:
             raise UsageError(f"{path}: missing key {other!r}, which {given!r} needs")
 
     def expr_fn(key: str) -> Fn | None:
-        """The field's function; a parse error, and an evaluation error
-        wherever the function is called, names the field."""
+        """The field's function; a parse error names the key, an evaluation
+        error the field (track_x, track_u for rx, ru) in ``sample_checked``."""
         if key not in values:
             return None
         try:
-            fn = as_function(parse_expression(values[key]))
+            return as_function(parse_expression(values[key]))
         except ExpressionError as exc:
             raise UsageError(f"{path}: field {key!r}: {exc}") from exc
-
-        def named(t: np.ndarray) -> np.ndarray:
-            try:
-                return fn(t)
-            except ExpressionError as exc:
-                raise ExpressionError(f"field {key!r}: {exc}") from exc
-
-        return named
 
     p_fn, q_fn = expr_fn("p"), expr_fn("q")
     a_fn, b_fn = expr_fn("a"), expr_fn("b")
@@ -208,18 +200,12 @@ def parse_problem_file(path: Path) -> tuple[ProblemSpec, dict]:
     except ValueError as exc:
         raise UsageError(f"{path}: field 'x0' must be a number") from exc
 
-    def make_problem(mu: float) -> FocpProblem:
-        try:
-            return FocpProblem(
-                p_fn=p_fn, q_fn=q_fn, a_fn=a_fn, b_fn=b_fn,
-                x0=x0, mu=mu, track_x=rx_fn, track_u=ru_fn,
-            )
-        except ValueError as exc:
-            raise UsageError(f"{path}: {exc}") from exc
-
     spec = ProblemSpec(
         name=path.stem,
-        make_problem=make_problem,
+        make_problem=lambda mu: FocpProblem(
+            p_fn=p_fn, q_fn=q_fn, a_fn=a_fn, b_fn=b_fn,
+            x0=x0, mu=mu, track_x=rx_fn, track_u=ru_fn,
+        ),
         exact=lambda mu: exact,
     )
     settings = {}
@@ -249,8 +235,8 @@ def _table_text(values: np.ndarray, sep: str) -> str:
 def _exact_values(exact: tuple[Fn, Fn], grid: np.ndarray) -> list[np.ndarray]:
     """The exact state and control on an output grid; a value that is not
     finite is refused by field name."""
-    return list(sample_finite(dict(zip(("exact_x", "exact_u"), exact)), grid,
-                              "on the output grid").values())
+    return list(sample_checked(dict(zip(("exact_x", "exact_u"), exact)), grid,
+                               "on the output grid").values())
 
 
 def run(config: RunConfig) -> list[Path]:
@@ -380,7 +366,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (UsageError, OSError) as exc:  # OSError: --problem or --out unusable
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # problem data refused where it is sampled: name the file
+    except ValueError as exc:  # FocpProblem or sample_checked refused the data: name the file
         source = f"{args.problem}: " if args is not None and args.problem else ""
         print(f"error: {source}{exc}", file=sys.stderr)
         return 1

@@ -34,6 +34,7 @@ side.
 from __future__ import annotations
 
 import functools
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -52,6 +53,10 @@ from .quadrature import (
 )
 
 _VALIDATION_GRID = np.linspace(0.0, 1.0, 100)
+# the data contract's sign rules: the cost has a minimum only where q > 0 and
+# p >= 0, and the control enters the dynamics only where b != 0
+_SIGN_RULES = [("q", lambda v: v > 0.0, "strictly positive"),
+               ("p", lambda v: v >= 0.0, "nonnegative"), ("b", lambda v: v != 0.0, "nonzero")]
 
 # below this cond(D) the range-space route solves, from it up the pivoted
 # LU of the assembled KKT system. The range-space route costs O(m_hat^2)
@@ -82,21 +87,32 @@ def _sample(f: Fn, points: np.ndarray) -> np.ndarray:
     return np.full(np.shape(points), float(out)) if out.ndim == 0 else out
 
 
-def sample_finite(fns: dict[str, Fn | None], points: np.ndarray, where: str) -> dict:
-    """Each function's values at the points by name, None skipped; the first
-    not finite everywhere is refused by name, ``where`` naming the points."""
+def sample_checked(fns: dict[str, Fn | None], points: np.ndarray, where: str) -> dict:
+    """Each function's values at the points by name, None skipped. A ValueError
+    from a function is raised again naming its field; then the first field not
+    finite, or else the first of q, p and b that breaks its ``_SIGN_RULES``
+    entry, is refused by name, ``where`` naming the points."""
+    samples = {}
     # an overflow is reported as a non-finite value, not as a warning
     with np.errstate(all="ignore"):
-        samples = {name: _sample(f, points) for name, f in fns.items() if f is not None}
-    for name, values in samples.items():
-        if not np.isfinite(values).all():
-            raise ValueError(f"{name} must be finite {where}")
+        for name, f in fns.items():
+            try:
+                if f is not None:
+                    samples[name] = _sample(f, points)
+            except ValueError as exc:
+                raise ValueError(f"field {name!r}: {exc}") from exc
+    rules = [(name, np.isfinite, "finite") for name in samples] + _SIGN_RULES
+    for name, holds, rule in rules:
+        if name in samples and not holds(samples[name]).all():
+            raise ValueError(f"{name} must be {rule} {where}")
     return samples
 
 
 @dataclass(frozen=True)
 class FocpProblem:
-    """Problem data on [0, 1]; track_x/track_u are optional tracking targets."""
+    """Problem data on [0, 1], track_x/track_u optional tracking targets. q, p, b
+    and a are held to ``sample_checked``'s contract here, on a 100-point grid,
+    and every field is held to it again by ``discretize``, on the nodes it samples."""
 
     p_fn: Fn
     q_fn: Fn
@@ -111,14 +127,8 @@ class FocpProblem:
         check_order(self.mu)
         if not np.isfinite(self.x0):
             raise ValueError(f"x0 must be finite, got {self.x0}")
-        vals = sample_finite({name: getattr(self, f"{name}_fn") for name in ("q", "p", "b", "a")},
-                             _VALIDATION_GRID, "on [0, 1]")
-        if np.any(vals["q"] <= 0.0):
-            raise ValueError("q must be strictly positive on [0, 1]")
-        if np.any(vals["p"] < 0.0):
-            raise ValueError("p must be nonnegative on [0, 1]")
-        if np.any(vals["b"] == 0.0):
-            raise ValueError("b must be nonzero on [0, 1]")
+        sample_checked({name: getattr(self, f"{name}_fn") for name in ("q", "p", "b", "a")},
+                       _VALIDATION_GRID, "on [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -163,8 +173,8 @@ def discretize(
     params: WaveletParams,
     mats: OperationalMatrices | None = None,
 ) -> DiscretizedFocp:
-    """Sample the coefficient functions once on the grid's nodes, refuse a
-    non-finite sample by name, and form the constraint operators, the
+    """Sample the problem's functions once on the grid's nodes, held to
+    ``sample_checked``'s contract, and form the constraint operators, the
     weighted Grams and the tracking terms from the samples, which the
     discretization keeps. Warns from cond(D) 3e11 up, the dense LU's range."""
     if params.mu not in (problem.mu, 1.0):
@@ -184,12 +194,14 @@ def discretize(
             f"problem has order {problem.mu}"
         )
     if mats.cond_D >= _RANGE_SPACE_COND_LIMIT:
+        # at the line that called solve_focp, where solve_focp called this
         warnings.warn(f"Gram matrix condition estimate cond(D) {mats.cond_D:.2e} is at or above "
-                      f"{_RANGE_SPACE_COND_LIMIT:.0e}: the dense KKT LU solves", stacklevel=2)
+                      f"{_RANGE_SPACE_COND_LIMIT:.0e}: the dense KKT LU solves",
+                      stacklevel=2 + (sys._getframe(1).f_code is solve_focp.__code__))
     grid = mats.grid
     fns = {"p": problem.p_fn, "q": problem.q_fn, "a": problem.a_fn, "b": problem.b_fn,
            "track_x": problem.track_x, "track_u": problem.track_u}
-    samples = sample_finite(fns, grid.nodes, "on the quadrature nodes")
+    samples = sample_checked(fns, grid.nodes, "on the quadrature nodes")
 
     def constraint_operator(values: np.ndarray) -> np.ndarray:
         return product_matrix(mats.solve_D(grid.inner_products(values)), mats).transpose(0, 2, 1)

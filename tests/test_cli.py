@@ -87,7 +87,7 @@ class TestProblemFiles:
         path = tmp_path / "prob.txt"
         path.write_text(EXAMPLE1_FILE.replace("q = 1", "q = 0"), encoding="utf-8")
         spec, _ = parse_problem_file(path)
-        with pytest.raises(UsageError, match="q"):
+        with pytest.raises(ValueError, match=r"q must be strictly positive on \[0, 1\]"):
             spec.make_problem(1.0)
 
     def test_file_matches_builtin_example(self, tmp_path):
@@ -282,11 +282,15 @@ class TestCliRuns:
         ("p = 1 + exp(0.001/((t - 0.00505)^2 + 1e-12))",
          "p must be finite on the quadrature nodes"),
         ("rx = gamma(300*t + 1)", "track_x must be finite on the quadrature nodes"),
+        ("q = 1 - 20*exp(-((t - 0.5)/0.0013)^2)",
+         "q must be strictly positive on the quadrature nodes"),
     ])
     def test_problem_data_refusal_names_the_file_once(self, tmp_path, capsys, line, refusal):
         """Data refused on the validation grid and data refused on the
-        quadrature nodes (the spike in p, the Gamma overflow in rx) both
-        name the problem file, once; the latter two used to omit it."""
+        quadrature nodes (the spike in p, the Gamma overflow in rx, the dip
+        of q to -19 between the grid's points) all name the problem file,
+        once; the spike and the overflow used to omit it, and the dip
+        solved with exit 0."""
         rows = {"p": "1", "q": "1", "a": "-1", "b": "1", "x0": "1"}
         key, _, value = line.partition(" = ")
         rows[key] = value

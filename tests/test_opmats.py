@@ -775,7 +775,6 @@ def test_solve_d_matches_dense_spd_solve(mats_frac09):
         np.testing.assert_allclose(x, solve_spd(mats_frac09.D, b), rtol=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore:Gram matrix condition")
 @pytest.mark.parametrize("k, M, mu", [(3, 8, 0.9), (5, 8, 0.9), (2, 10, 1.0)])
 def test_solve_d_is_backward_stable(k, M, mu):
     """Per block, the normwise backward error of solve_D,

@@ -158,6 +158,41 @@ class TestProblemValidation:
             with pytest.raises(ValueError, match=f"^{field} must be finite on the quadrature"):
                 discretize(problem, params)
 
+    @pytest.mark.parametrize("k", [7, 2])
+    @pytest.mark.parametrize("field, rule", [
+        ("q", "strictly positive"), ("p", "nonnegative"), ("b", "nonzero")])
+    def test_sign_rule_broken_on_nodes_only(self, field, rule, k):
+        """q or p = 1 - 20 exp(-((t - 0.5)/0.0013)^2) (a dip to -19) or
+        b = 0 on |t - 0.5| < 0.002 (a hole) is at least 0.99999 on the
+        validation grid, so the problem constructs, but breaks its sign rule
+        at quadrature nodes of the (k, 4, 1) grid: ``discretize`` refuses it
+        by name. Solved, these gave J = 0.179507399 and 0.178171825 (q at
+        k = 7 and 2), 0.174117897 and 0.175052708 (p), 0.179600546 and
+        0.179721552 (b), with Wq indefinite under the dip in q."""
+        def dip(z):
+            return 1.0 - 20.0 * np.exp(-(((np.asarray(z) - 0.5) / 0.0013) ** 2))
+
+        def hole(z):
+            return np.where(np.abs(np.asarray(z) - 0.5) < 0.002, 0.0, 1.0)
+
+        data = dict(p_fn=np.ones_like, q_fn=np.ones_like, a_fn=lambda z: -np.ones_like(z),
+                    b_fn=np.ones_like, x0=1.0, mu=0.9)
+        data[f"{field}_fn"] = hole if field == "b" else dip
+        assert data[f"{field}_fn"](solver._VALIDATION_GRID).min() >= 0.99999
+        problem = FocpProblem(**data)
+        with pytest.raises(ValueError, match=f"^{field} must be {rule} on the quadrature nodes$"):
+            discretize(problem, WaveletParams(k=k, M=4))
+
+    def test_evaluation_error_names_the_field(self):
+        """A ValueError raised by a field's function is refused naming the
+        field; it used to pass through unnamed."""
+        def boom(z):
+            raise ValueError("boom")
+
+        with pytest.raises(ValueError, match="^field 'q': boom$"):
+            FocpProblem(p_fn=np.ones_like, q_fn=boom, a_fn=lambda z: -np.ones_like(z),
+                        b_fn=np.ones_like, x0=1.0, mu=0.9)
+
     def test_tracking_target_singular_at_zero_solves(self):
         """The check runs on the grid's nodes, none of which is 0, so a
         target infinite only at t = 0 still solves."""
@@ -431,9 +466,13 @@ class TestRangeSpaceSolve:
 
         spy("_range_space_solve")
         spy("_dense_solve")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # cond(D) above 1e12 at (2, 10)
-            solve_focp(example1(0.9), WaveletParams(k=k, M=M), diagnostics=False)
+        if route == "_dense_solve":
+            with pytest.warns(UserWarning, match="condition"):
+                solve_focp(example1(0.9), WaveletParams(k=k, M=M), diagnostics=False)
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                solve_focp(example1(0.9), WaveletParams(k=k, M=M), diagnostics=False)
         assert calls == [route]
 
     @pytest.mark.parametrize("basis", ["tw", "ftw"])
@@ -780,6 +819,16 @@ class TestConditionWarning:
         assert disc.mats.cond_D >= solver._RANGE_SPACE_COND_LIMIT
         assert len(caught) == 1
         assert "dense KKT LU" in str(caught[0].message)
+
+    @pytest.mark.parametrize("call", [solve_focp, discretize])
+    def test_warning_points_at_the_caller(self, call):
+        """The warning is attributed to the line that called ``solve_focp``
+        or ``discretize``, here this file; through ``solve_focp`` it used to
+        point at ``solve_focp``'s own line in solver.py."""
+        params = WaveletParams(k=1, M=9, mu=0.9)
+        with pytest.warns(UserWarning, match="condition") as caught:
+            call(_example_spec(2).make_problem(0.9), params)
+        assert [w.filename for w in caught] == [__file__]
 
     @pytest.mark.parametrize("at_limit", [False, True], ids=["below", "at"])
     def test_warns_from_the_limit(self, monkeypatch, at_limit):
