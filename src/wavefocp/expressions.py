@@ -1,8 +1,8 @@
 """Small arithmetic expression grammar for coefficient functions of t.
 
-Supports literals, the variable `t`, the constant `pi`, unary minus,
-binary + - * / ^ (with ^ right-associative and binding tightest), and the
-functions gamma, cosh, sinh, exp. Parse errors carry the source position.
+Supports literals, the variable `t`, the constant `pi`, unary minus, binary
++ - * / (left-associative) and ^ (right-associative, binding tightest), and the
+functions gamma, cosh, sinh, exp. Parse errors carry the source offset.
 """
 
 from __future__ import annotations
@@ -66,26 +66,19 @@ _FUNCTIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"(?P<number>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])|(?P<space>\s+)|(?P<error>.)"
 )
 
 
 def _tokenize(source: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) per token, skipping whitespace; refuses any other character."""
     tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            if source[pos:].strip() == "":
-                break
-            raise ExpressionError(
-                f"unexpected character {source[pos:].strip()[0]!r}", pos
-            )
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(source):
+        if m.lastgroup == "error":
+            raise ExpressionError(f"unexpected character {m.group()!r}", m.start())
+        if m.lastgroup != "space":
+            tokens.append((m.lastgroup, m.group(), m.start()))
     return tokens
 
 
@@ -119,28 +112,23 @@ class _Parser:
             raise ExpressionError(f"unexpected token {tok[1]!r}", tok[2])
         return node
 
-    def sum_expr(self) -> Node:
-        node = self.term()
-        while (tok := self.peek()) is not None and tok[1] in ("+", "-"):
+    def sum_expr(self, ops: tuple[str, str] = ("+", "-")) -> Node:
+        operand = self.factor if ops == ("*", "/") else self.term
+        node = operand()
+        while (tok := self.peek()) is not None and tok[1] in ops:
             self.advance()
-            node = Binary(tok[1], node, self.term())
+            node = Binary(tok[1], node, operand())
         return node
 
     def term(self) -> Node:
-        node = self.factor()
-        while (tok := self.peek()) is not None and tok[1] in ("*", "/"):
-            self.advance()
-            node = Binary(tok[1], node, self.factor())
-        return node
+        return self.sum_expr(("*", "/"))
 
     def factor(self) -> Node:
+        # -factor | atom [^ factor], one method: each frame counts against the recursion limit
         tok = self.peek()
         if tok is not None and tok[1] == "-":
             self.advance()
             return Unary("-", self.factor())
-        return self.power()
-
-    def power(self) -> Node:
         base = self.atom()
         tok = self.peek()
         if tok is not None and tok[1] == "^":

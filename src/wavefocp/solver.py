@@ -27,8 +27,8 @@ because the RL integral is causal). There are two routes, each returning
   ``discretize`` warns, and wherever the range-space route refuses.
 
 One residual pass, ``_kkt_residual_rows``, then forms the three KKT block
-rows from C2, G_A, G_B, Pmu, Wp and Wq without G_c or the right-hand
-side.
+rows from C2, G_A, G_B, Pmu, Wp and Wq without G_c; at the zero solution
+they are minus the right-hand side.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ def discretize(
     if mats.cond_D >= _RANGE_SPACE_COND_LIMIT:
         # at the line that called solve_focp, where solve_focp called this
         warnings.warn(f"Gram matrix condition estimate cond(D) {mats.cond_D:.2e} is at or above "
-                      f"{_RANGE_SPACE_COND_LIMIT:.0e}: the dense KKT LU solves",
+                      f"{_RANGE_SPACE_COND_LIMIT:.0e}: the dense KKT LU is used",
                       stacklevel=2 + (sys._getframe(1).f_code is solve_focp.__code__))
     grid = mats.grid
     fns = {"p": problem.p_fn, "q": problem.q_fn, "a": problem.a_fn, "b": problem.b_fn,
@@ -240,7 +240,8 @@ def assemble_kkt(disc: DiscretizedFocp) -> tuple[np.ndarray, np.ndarray]:
     that ``solve_linear`` factors in place. Each block is written once,
     into K: G_c = I - G_A Pmu^T (block lower-triangular) is one batched
     product, G_A being block-diagonal, and K's upper blocks are copied
-    from its lower ones."""
+    from its lower ones. The right-hand side is minus the residual rows
+    ``_kkt_residual_rows`` at the zero solution (C2 = d1)."""
     N, M, m = disc.params.n_blocks, disc.params.M, disc.params.m_hat
     Pm = disc.mats.Pmu
     K = np.zeros((3 * m, 3 * m), order="F")
@@ -255,12 +256,7 @@ def assemble_kkt(disc: DiscretizedFocp) -> tuple[np.ndarray, np.ndarray]:
     G_c[np.arange(m), np.arange(m)] += 1.0
     K[:m, 2 * m :] = G_c.T
     K[m : 2 * m, 2 * m :] = K[2 * m :, m : 2 * m].T
-    rhs = np.concatenate((
-        Pm @ (disc.wp_track - apply_blocks(disc.Wp, disc.d1)),
-        disc.wq_track,
-        apply_blocks(disc.G_A, disc.d1),
-    ))
-    return K, rhs
+    return K, -np.concatenate(_kkt_residual_rows(disc, *np.zeros((3, m)), disc.d1))
 
 
 def _range_space_solve(
@@ -428,12 +424,12 @@ def _dynamics_defect(disc: DiscretizedFocp, C_hat: np.ndarray, U_hat: np.ndarray
 def solve_discretized(disc: DiscretizedFocp, diagnostics: bool = True) -> FocpSolution:
     """Solve the KKT conditions and package diagnostics.
 
-    Below cond(D) 3e11 the range-space route solves. The dense KKT LU
-    solves from 3e11 up, and below it wherever the range-space route raises
-    SingularMatrixError (blocks that ``invert_blocks`` refuses, or a PCG
-    that does not converge); where the LU refuses, so does this, naming M,
-    m_hat, cond(D) and each route's refusal.
-    """
+    Below cond(D) 3e11 the range-space route solves; the dense KKT LU solves
+    from 3e11 up and wherever the range-space route raises SingularMatrixError
+    (blocks that ``invert_blocks`` refuses, or a PCG that does not converge).
+    Where the LU refuses, so does this, naming M, m_hat, cond(D) and each
+    route's refusal. A J that is not finite (data that overflow the cost)
+    raises FloatingPointError naming m_hat, after the overflow's warnings."""
     params, cond_D = disc.params, disc.mats.cond_D
     solved, refused = None, ""
     if cond_D < _RANGE_SPACE_COND_LIMIT:
@@ -450,6 +446,8 @@ def solve_discretized(disc: DiscretizedFocp, diagnostics: bool = True) -> FocpSo
         ) from exc
 
     J_quad = _quadratic_cost(disc, C2, U_hat)
+    if not np.isfinite(J_quad):
+        raise FloatingPointError(f"cost J is {J_quad} at m_hat={params.m_hat}")
 
     rows = [float(np.abs(row).max()) for row in _kkt_residual_rows(disc, C_hat, U_hat, eta, C2)]
     residuals: dict = {

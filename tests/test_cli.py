@@ -346,6 +346,19 @@ class TestCliRuns:
         assert "np.float64(" not in captured.err
         assert not out.exists()
 
+    def test_non_finite_cost_is_a_numeric_failure(self, tmp_path, capsys):
+        """x0 = 1e200 overflows J: exit 2 with the cost named and nothing
+        written; the run used to exit 0 and write J = nan to the cost table."""
+        path = tmp_path / "big.txt"
+        path.write_text("p = 1\nq = 1\na = -1\nb = 1\nx0 = 1e200\n", encoding="utf-8")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+            assert main(["--problem", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "numeric failure: cost J is nan at m_hat=8\n")
+        assert not out.exists()
+
     def test_level_past_the_index_range_is_out_of_memory(self, tmp_path, capsys):
         """At k = 65 the 2^64 blocks do not fit an index: the run is refused
         as k = 40 is, out of memory (exit 2) before anything is allocated,

@@ -53,6 +53,15 @@ class TestParsing:
             parse_expression("1 + * 2")
         assert err.value.position == 4
 
+    @pytest.mark.parametrize("source, position", [("1 + $", 4), ("  @t", 2), ("t  #", 3)])
+    def test_unexpected_character_at_its_offset(self, source, position):
+        """The offset is the character's own, not that of the whitespace before
+        it (which gave 3, 0 and 1)."""
+        with pytest.raises(ExpressionError, match="unexpected character") as err:
+            parse_expression(source)
+        assert err.value.position == position
+        assert str(err.value).endswith(f"(at position {position})")
+
     def test_unknown_identifier(self):
         with pytest.raises(ExpressionError, match="unknown identifier"):
             parse_expression("foo(3)")

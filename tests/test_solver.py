@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -25,7 +26,7 @@ from wavefocp.basis import MIN_ORDER, WaveletParams, eval_basis, eval_basis_many
 from wavefocp.cli import _example_spec, parse_problem_file
 from wavefocp.fracops import rl_integral
 from wavefocp.opmats import build_operational_matrices
-from wavefocp.quadrature import SingularMatrixError, block_diagonal, gamma, solve_linear
+from wavefocp.quadrature import SingularMatrixError, apply_blocks, block_diagonal, gamma, solve_linear
 from wavefocp.solver import (
     ConfigurationError,
     FocpProblem,
@@ -649,6 +650,21 @@ class TestStructuredSolve:
             tracemalloc.stop()
         assert peak <= 11.5 * 8 * disc.params.m_hat ** 2
 
+    @pytest.mark.parametrize("example", [1, 2, 3])
+    @pytest.mark.parametrize("k, M, mu, basis", [(2, 10, 0.7, "tw"), (1, 13, 0.5, "ftw"),
+                                                  (3, 4, 0.8, "ftw")])
+    def test_rhs_restated(self, example, k, M, mu, basis):
+        """The dense right-hand side, which ``assemble_kkt`` takes from the
+        residual rows at zero, against its own statement here:
+        (Pmu (wp_track - Wp d1), wq_track, G_A d1), bit for bit."""
+        params = WaveletParams(k=k, M=M, mu=1.0 if basis == "tw" else mu)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the cond(D) warning
+            disc = discretize(_example_spec(example).make_problem(mu), params)
+        rhs = np.concatenate((disc.mats.Pmu @ (disc.wp_track - apply_blocks(disc.Wp, disc.d1)),
+                              disc.wq_track, apply_blocks(disc.G_A, disc.d1)))
+        assert np.array_equal(assemble_kkt(disc)[1], rhs)
+
     @pytest.mark.parametrize("k, M, mu, basis", [(3, 4, 0.9, "ftw"), (2, 6, 0.7, "tw")])
     def test_g_c_matches_dense_product(self, k, M, mu, basis):
         """The block-row G_c in K's dynamics block against the dense m_hat^3
@@ -866,3 +882,14 @@ class TestRefusalMessages:
         message = str(refused.value)
         assert "cond(D)" in message and "pivot" in message
         assert "; the range-space route refused first: blocks numerically singular" in message
+
+    @pytest.mark.parametrize("x0", [2e154, 1e160, 1e200])
+    def test_non_finite_cost_refused(self, x0):
+        """Example 1 at (2, 4, 0.9) ftw with x0 so large that J overflows (it
+        returned J = inf at 2e154 and nan from 1e160; at 1e154 J is
+        1.795285e307): FloatingPointError naming m_hat."""
+        problem = dataclasses.replace(_example_spec(1).make_problem(0.9), x0=x0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+            with pytest.raises(FloatingPointError, match="m_hat=8"):
+                solve_focp(problem, WaveletParams(k=2, M=4, mu=0.9))
