@@ -52,9 +52,7 @@ class WaveletParams:
     def breakpoints(self) -> np.ndarray:
         """Support boundaries ((n/2^(k-1))**(1/mu)), including 0 and 1."""
         edges = np.arange(self.n_blocks + 1, dtype=float) / self.n_blocks
-        bp = edges ** (1.0 / self.mu)
-        bp[0], bp[-1] = 0.0, 1.0
-        return bp
+        return edges ** (1.0 / self.mu)
 
 
 def support_interval(params: WaveletParams, n: int) -> tuple[float, float]:
@@ -72,17 +70,16 @@ def local_basis_values(
 
     Returns (blocks, vals): the 0-based block of every point and an
     (M, len(zetas)) array whose column j holds psi_{blocks[j]+1, m}(zetas[j])
-    for m = 0..M-1. Blocks are half-open, so a point on an interior
-    breakpoint belongs to the block on its right; the last block is closed,
-    so zeta = 1 belongs to it.
+    for m = 0..M-1. Blocks come from ``params.breakpoints()`` and are
+    half-open: a point on an interior breakpoint goes to the block on its
+    right by construction, and zeta = 1 to the closed last block.
     """
     zetas = np.asarray(zetas, dtype=float)
     if not np.all((zetas >= 0.0) & (zetas <= 1.0)):
         raise ValueError("all points must lie in [0, 1]")
-    s_glob = zetas**params.mu * params.n_blocks
-    blocks = np.minimum(s_glob.astype(int), params.n_blocks - 1)
-    blocks[zetas >= 1.0] = params.n_blocks - 1
-    return blocks, local_wavelet_values(params, s_glob - blocks)
+    N = params.n_blocks
+    blocks = np.minimum(np.searchsorted(params.breakpoints(), zetas, side="right") - 1, N - 1)
+    return blocks, local_wavelet_values(params, zetas**params.mu * N - blocks)
 
 
 def local_wavelet_values(params: WaveletParams, s: np.ndarray) -> np.ndarray:

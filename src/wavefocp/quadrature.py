@@ -42,12 +42,6 @@ def gamma(x: float) -> float:
         return math.inf
 
 
-def _is_interval(a, b) -> bool:
-    """a < b; for arrays, at every element."""
-    below = a < b
-    return bool(below.all()) if isinstance(below, np.ndarray) else bool(below)
-
-
 def gauss_legendre(
     n: int, a: float | np.ndarray, b: float | np.ndarray
 ) -> QuadratureRule:
@@ -132,7 +126,7 @@ def gauss_jacobi_right(
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if not _is_interval(a, b):
+    if not np.all(np.less(a, b)):
         raise ValueError(f"need a < b, got a={a}, b={b}")
     if exponent <= -1.0:
         raise ValueError(f"need exponent > -1, got {exponent}")

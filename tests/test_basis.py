@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavefocp.basis import (
@@ -182,21 +182,31 @@ class TestEvalBasis:
 class TestBlockOfPoint:
     """The block assignment of ``local_basis_values``."""
 
-    def test_tie_goes_right(self):
-        p = WaveletParams(k=2, M=4, mu=1.0)
-        assert _owning_block(p, 0.5) == 2
+    @pytest.mark.parametrize("mu", [0.3, 0.5, 0.6, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0])
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_tie_goes_right(self, k, mu):
+        """Every interior breakpoint lands in the block on its right, zeta = 0
+        in block 1 and zeta = 1 in the last block. The block arithmetic this
+        replaced put 123 of the 1,080 ftw interior breakpoints (k = 2-7) on
+        the left."""
+        p = WaveletParams(k=k, M=4, mu=mu)
+        blocks = [_owning_block(p, z) for z in p.breakpoints()]
+        assert blocks == [*range(1, p.n_blocks + 1), p.n_blocks]
 
     def test_endpoint_one(self):
         p = WaveletParams(k=3, M=2, mu=0.7)
         assert _owning_block(p, 1.0) == p.n_blocks
 
     @given(st.floats(min_value=0.0, max_value=1.0), st.sampled_from([0.5, 0.9, 1.0]))
+    # two breakpoints that the block arithmetic this replaced put on the left
+    @example(float(WaveletParams(k=3, M=2, mu=0.9).breakpoints()[1]), 0.9)
+    @example(float(WaveletParams(k=3, M=2, mu=0.9).breakpoints()[2]), 0.9)
     @settings(max_examples=60, deadline=None)
     def test_point_in_claimed_support(self, zeta, mu):
         p = WaveletParams(k=3, M=2, mu=mu)
         n = _owning_block(p, zeta)
         lo, hi = support_interval(p, n)
-        assert lo <= zeta <= hi
+        assert lo <= zeta < hi or (zeta == hi and n == p.n_blocks)
 
 
 def test_monomial_coefficients_reproduce_wavelet():

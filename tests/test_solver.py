@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import route_map
 from conftest import (
     COST_TABLE,
     POINTWISE_ERR_U,
@@ -317,6 +318,19 @@ class TestSolutionStructure:
         vectorized = solver._dynamics_defect(sol.disc, C_hat, U_hat)
         assert vectorized == pytest.approx(scalar, rel=1e-12)
 
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_breakpoint_takes_right_limit(self, k):
+        """x and u at each interior breakpoint equal their values one ulp to
+        its right (ftw, mu 0.9). The block arithmetic this replaced put some
+        breakpoints in the block on the left and missed x and u by 6.3e-5 and
+        1.3e-4 at k = 2, by 3.3e-6 and 8.1e-5 at k = 4."""
+        params = WaveletParams(k=k, M=4, mu=0.9)
+        sol = solve_focp(example1(0.9), params, diagnostics=False)
+        bp = params.breakpoints()[1:-1]
+        at, right = reconstruct_many(sol, bp), reconstruct_many(sol, np.nextafter(bp, 2))
+        for ours, ref in zip(at, right):
+            assert np.abs(ours - ref).max() <= 1e-12
+
     def test_plain_and_stretched_agree_at_order_one(self):
         """The stretched basis and problem at mu = 1 - 1e-10 approach the plain
         ones at mu = 1; the gaps shrink as about 0.4 (1 - mu)."""
@@ -434,6 +448,19 @@ def _reference_j(mu, basis):
     """J of example 1 at (k, M) = (4, 6) on the given basis."""
     params = WaveletParams(k=4, M=6, mu=1.0 if basis == "tw" else mu)
     return solve_focp(example1(mu), params, diagnostics=False).J_value
+
+
+@functools.lru_cache(maxsize=None)
+def _m10_referee(k, M, mu, basis):
+    """Example 1's discretization at (k, M), its KKT solution refined to 40
+    digits by ``route_map`` (as floats) and the J formed from it in mpmath."""
+    params = WaveletParams(k=k, M=M, mu=1.0 if basis == "tw" else mu)
+    with pytest.warns(UserWarning, match="condition"):
+        disc = discretize(example1(mu), params)
+    z = route_map.refine(*assemble_kkt(disc))
+    assert z is not None
+    _, _, J = route_map.exact_state_and_cost(disc, z)
+    return disc, np.array([float(v) for v in z]), J
 
 
 def _refuse_range_space(monkeypatch):
@@ -580,19 +607,14 @@ class TestStructuredSolve:
         """At M = 10 (cond(D) 8.5e12 to 3.2e13 here), where the reduced
         Hessian's Cholesky factorization was once tried first, the pivoted
         LU solves directly: the solve assembles the KKT system once, and J,
-        x and u match a 50-digit solve of that same float system."""
-        mp = pytest.importorskip("mpmath")
-        params = WaveletParams(k=k, M=M, mu=1.0 if basis == "tw" else mu)
-        with pytest.warns(UserWarning, match="condition"):
-            disc = discretize(example1(mu), params)
+        x and u match ``route_map``'s 40-digit refinement of that same float
+        system."""
+        disc, exact, _ = _m10_referee(k, M, mu, basis)
+        params = disc.params
         assembled = count_assembly(monkeypatch)
         sol = solve_discretized(disc, diagnostics=False)
         m = params.m_hat
         assert assembled == [m]
-        K, rhs = assemble_kkt(disc)
-        with mp.workdps(50):
-            exact = mp.lu_solve(mp.matrix(K.tolist()), mp.matrix(rhs.tolist()))
-            exact = np.array([float(v) for v in exact])
         C2, U_hat = state_from_coeffs(exact[:m], disc.d1, disc.mats), exact[m : 2 * m]
         assert sol.J_value == pytest.approx(_quadratic_cost(disc, C2, U_hat), rel=1e-9)
         grid = np.linspace(0.0, 1.0, 201)
@@ -608,25 +630,12 @@ class TestStructuredSolve:
     def test_cost_at_m10_against_50_digit_solve(self, k, M, mu, basis, bound):
         """Where D is ill-conditioned, C2 = Pmu^T C_hat + d1 cancels (|Pmu|
         2.6e3 and |C_hat| 7.6e2 give |C2| 6.7e2 at (2, 10) tw). J of the
-        solve, with C2 and J summed in double, against J of a 50-digit solve
-        of the same float KKT system, whose state and cost are formed in
-        mpmath too."""
-        mp = pytest.importorskip("mpmath")
-        params = WaveletParams(k=k, M=M, mu=1.0 if basis == "tw" else mu)
-        with pytest.warns(UserWarning, match="condition"):
-            disc = discretize(example1(mu), params)
+        solve, with C2 and J summed in double, against J of ``route_map``'s
+        40-digit refinement of the same float KKT system, whose state and
+        cost are formed in mpmath too."""
+        disc, _, J = _m10_referee(k, M, mu, basis)
         sol = solve_discretized(disc, diagnostics=False)
-        m = params.m_hat
-        K, rhs = assemble_kkt(disc)
-        with mp.workdps(50):
-            exact = mp.lu_solve(mp.matrix(K.tolist()), mp.matrix(rhs.tolist()))
-            C_hat, U_hat = (mp.matrix([exact[i] for i in rows]) for rows in (range(m), range(m, 2 * m)))
-            C2 = mp.matrix(disc.mats.Pmu.tolist()).T * C_hat + mp.matrix(disc.d1.tolist())
-            J = (mp.mpf(disc.track_p_const) + disc.track_q_const) / 2
-            for W, c, track in ((disc.Wp, C2, disc.wp_track), (disc.Wq, U_hat, disc.wq_track)):
-                W, track = mp.matrix(block_diagonal(W).tolist()), mp.matrix(track.tolist())
-                J += (c.T * W * c)[0] / 2 - (c.T * track)[0]
-            assert abs((sol.J_value - J) / J) <= bound
+        assert abs((sol.J_value - J) / J) <= bound
 
     @pytest.mark.parametrize("k, mu", [(7, 1.0), (6, 0.9)], ids=["tw", "ftw"])
     def test_peak_memory(self, k, mu):
